@@ -797,15 +797,14 @@ func (m *merger) demoteNonDominated() {
 		}
 
 		// Replace every other use with a load inserted before the user.
-		uses := append([]ir.Use(nil), def.Uses()...)
-		for _, u := range uses {
+		ir.RewriteUses(def, func(u ir.Use) ir.Value {
 			if u.User.Op == ir.OpStore && u.User.Operand(1) == slot {
-				continue
+				return nil
 			}
 			ld := ir.NewInst(ir.OpLoad, def.Type(), slot)
 			u.User.Parent().InsertBefore(ld, u.User)
-			u.User.SetOperand(u.Index, ld)
-		}
+			return ld
+		})
 	}
 }
 

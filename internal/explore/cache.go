@@ -2,6 +2,7 @@ package explore
 
 import (
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"fmsa/internal/fingerprint"
@@ -50,6 +51,9 @@ type rankCache struct {
 	// Entries are removed at pop (each function pops at most once) and on
 	// consumption by a commit.
 	lists map[*ir.Func]*rankList
+	// bySize orders the live pool for the exact scan (see scanExact); nil
+	// in LSH mode, where scans probe the index instead.
+	bySize *sizeIndex
 }
 
 // rankList mirrors the session's warmList invariant inside one run: the
@@ -96,6 +100,9 @@ func newRankCache(r *runner, t int) *rankCache {
 		}
 	}
 	depth := c.depth
+	if r.lsh == nil {
+		c.bySize = newSizeIndex(r.poolSizes)
+	}
 	if ls := r.lsh; ls != nil {
 		sigs := make([]*fingerprint.Signature, len(scan))
 		selves := make([]int32, len(scan))
@@ -112,7 +119,7 @@ func newRankCache(r *runner, t int) *rankCache {
 	} else {
 		parallelFor(len(scan), r.workers, func(j int) {
 			i := scan[j]
-			built[i] = c.finishScan(int(i), c.scanTopExactDepth(r.pool[i], depth))
+			built[i] = c.finishScan(int(i), c.scanExact(r.pool[i], depth))
 		})
 	}
 	for i, f := range r.pool {
@@ -160,6 +167,16 @@ func (c *rankCache) take(f *ir.Func) []candidate {
 func (c *rankCache) applyCommit(f1, f2, entered *ir.Func) {
 	delete(c.lists, f1)
 	delete(c.lists, f2)
+	if ix := c.bySize; ix != nil {
+		for _, f := range [...]*ir.Func{f1, f2} {
+			pi := c.r.poolIdx[f]
+			ix.remove(c.r.poolSizes[pi], pi)
+		}
+		if entered != nil {
+			pi := c.r.poolIdx[entered]
+			ix.insert(c.r.poolSizes[pi], pi)
+		}
+	}
 	if entered == nil {
 		return
 	}
@@ -191,47 +208,172 @@ func (rl *rankList) purge(r *runner) {
 	rl.cands = rl.cands[:w]
 }
 
-// scanTop selects the top-t candidates for f from the current pool: an
-// exhaustive insertion-order scan in exact mode, a bucket probe of the
-// MinHash index in LSH mode.
+// scanTop selects the top-t candidates for f from the current pool: a
+// size-ordered threshold walk in exact mode, a bucket probe of the MinHash
+// index in LSH mode.
 func (c *rankCache) scanTop(f *ir.Func) []candidate {
 	if ls := c.r.lsh; ls != nil {
 		return c.rankIDs(f, ls.idx.Probe(ls.sigOf(f), ls.id[f]))
 	}
-	return c.scanTopExact(f)
+	return c.scanExact(f, c.t)
 }
 
-// scanTopExact selects the top-t pool members most similar to f with a
-// bounded insertion scan over the pool in insertion order (the paper's
-// priority queue). Safe for concurrent use against a frozen pool.
-func (c *rankCache) scanTopExact(f *ir.Func) []candidate {
-	return c.scanTopExactDepth(f, c.t)
-}
-
-// scanTopExactDepth is scanTopExact at an explicit depth (the seed's
-// storage depth during a warm setup build; c.t everywhere else). A deeper
-// scan visits the same candidates — only the insertion bound widens — so
-// its depth-t prefix is exactly the depth-t scan's result.
-func (c *rankCache) scanTopExactDepth(f *ir.Func, depth int) []candidate {
+// scanExact selects the top-depth live pool members most similar to f —
+// ranked by (similarity desc, size desc, pool index asc) among those
+// scoring at least MinSimilarity — without visiting the whole pool. The
+// size-ratio bound SimilarityUpperBoundSized(fp, s) peaks at s = f's size
+// and falls monotonically on both sides of it, so the walk starts at f's
+// size in the size-sorted index and advances whichever frontier (smaller or
+// larger members) has the higher bound. Once the higher bound is below the
+// insertion floor — MinSimilarity, or the list tail once the list is full —
+// no unvisited member can enter, and the walk stops. The result is exactly
+// the pool-order bounded scan's: both compute the top-depth of the same set
+// under the same total key; only the visiting order (and so how fast the
+// floor rises) differs. Safe for concurrent use against a frozen pool.
+func (c *rankCache) scanExact(f *ir.Func, depth int) []candidate {
 	r := c.r
 	fp := r.fpOf(f)
+	ix := c.bySize
+	n := len(ix.sizes)
+	hi, _ := slices.BinarySearch(ix.sizes, fp.Total)
+	lo := hi - 1
 	best := make([]candidate, 0, min(depth, 16)+1)
-	var probes, skips int64
-	for i, g := range r.pool {
-		if g == f || !r.poolLive[i] || !samePartition(r.opts, f, g) {
+	var probes int64
+	self := false
+	for lo >= 0 || hi < n {
+		floor := r.opts.MinSimilarity
+		if len(best) == depth && best[len(best)-1].sim > floor {
+			floor = best[len(best)-1].sim
+		}
+		// A candidate bounded exactly at the floor may still tie its way
+		// in (size, then pool index), so only a strictly lower bound stops.
+		k := -1
+		ubLo, ubHi := -1.0, -1.0
+		if lo >= 0 {
+			ubLo = fingerprint.SimilarityUpperBoundSized(fp, ix.sizes[lo])
+		}
+		if hi < n {
+			ubHi = fingerprint.SimilarityUpperBoundSized(fp, ix.sizes[hi])
+		}
+		if hi < n && ubHi >= ubLo {
+			if ubHi >= floor {
+				k = hi
+				hi++
+			}
+		} else if ubLo >= floor {
+			k = lo
+			lo--
+		}
+		if k < 0 {
+			break
+		}
+		pi := ix.idx[k]
+		g := r.pool[pi]
+		if g == f {
+			self = true
+			continue
+		}
+		if !samePartition(r.opts, f, g) {
 			continue
 		}
 		probes++
-		best = r.consider(fp, best, g, r.poolFPs[i], r.poolSizes[i], depth, &skips)
+		s := fingerprint.SimilarityFloor(fp, r.poolFPs[pi], floor)
+		if s < floor {
+			continue
+		}
+		best = c.insertKeyed(best, candidate{fn: g, sim: s, size: ix.sizes[k]}, pi, depth)
 	}
-	atomic.AddInt64(&r.rankProbes, probes)
+	// The members the bound dismissed without a visit count as probes and
+	// prefilter skips, as they did when a scan visited every pool member.
+	skips := int64(lo + 1 + n - hi)
+	if !self {
+		skips--
+	}
+	atomic.AddInt64(&r.rankProbes, probes+skips)
 	atomic.AddInt64(&r.rankSkips, skips)
 	return best
 }
 
+// insertKeyed inserts cand (pool index pi) into best — sorted by
+// (similarity desc, size desc, pool index asc) — keeping at most depth
+// entries. Candidates arrive in size-walk order, not pool order, so an exact
+// (similarity, size) tie compares pool indices explicitly.
+func (c *rankCache) insertKeyed(best []candidate, cand candidate, pi int32, depth int) []candidate {
+	pos := len(best)
+	for pos > 0 {
+		prev := best[pos-1]
+		if prev.sim > cand.sim || (prev.sim == cand.sim && (prev.size > cand.size ||
+			(prev.size == cand.size && c.r.poolIdx[prev.fn] < pi))) {
+			break
+		}
+		pos--
+	}
+	if pos >= depth {
+		return best
+	}
+	best = append(best, candidate{})
+	copy(best[pos+1:], best[pos:])
+	best[pos] = cand
+	if len(best) > depth {
+		best = best[:depth]
+	}
+	return best
+}
+
+// sizeIndex lists the live pool members sorted by (instruction count asc,
+// pool index asc) as two parallel slices, so scanExact can start at a size
+// by binary search and walk outward. Built once per run; commits keep it
+// current by removing the consumed pair and binary-inserting the merged
+// function.
+type sizeIndex struct {
+	sizes []int32
+	idx   []int32
+}
+
+// newSizeIndex indexes every member of a freshly set-up (all-live) pool.
+func newSizeIndex(poolSizes []int32) *sizeIndex {
+	ix := &sizeIndex{sizes: make([]int32, len(poolSizes)), idx: make([]int32, len(poolSizes))}
+	for i := range ix.idx {
+		ix.idx[i] = int32(i)
+	}
+	slices.SortFunc(ix.idx, func(a, b int32) int {
+		if poolSizes[a] != poolSizes[b] {
+			return int(poolSizes[a] - poolSizes[b])
+		}
+		return int(a - b)
+	})
+	for i, pi := range ix.idx {
+		ix.sizes[i] = poolSizes[pi]
+	}
+	return ix
+}
+
+// search returns the position of (size, pi) in key order.
+func (ix *sizeIndex) search(size, pi int32) int {
+	return sort.Search(len(ix.sizes), func(m int) bool {
+		return ix.sizes[m] > size || (ix.sizes[m] == size && ix.idx[m] >= pi)
+	})
+}
+
+// insert adds pool member pi of the given size.
+func (ix *sizeIndex) insert(size, pi int32) {
+	k := ix.search(size, pi)
+	ix.sizes = slices.Insert(ix.sizes, k, size)
+	ix.idx = slices.Insert(ix.idx, k, pi)
+}
+
+// remove drops pool member pi (of the given size) if indexed.
+func (ix *sizeIndex) remove(size, pi int32) {
+	k := ix.search(size, pi)
+	if k < len(ix.idx) && ix.idx[k] == pi {
+		ix.sizes = slices.Delete(ix.sizes, k, k+1)
+		ix.idx = slices.Delete(ix.idx, k, k+1)
+	}
+}
+
 // rankIDs ranks the probed bucket-mates of f. ids arrive sorted ascending —
 // pool insertion order — so the bounded insertion produces exactly the
-// ordering scanTopExact would give the same candidate set. The ids come from
+// ordering scanExact would give the same candidate set. The ids come from
 // a probe of the live index, which holds exactly the live pool members, so no
 // inPool check is needed; fingerprints come from the id-indexed mirror.
 func (c *rankCache) rankIDs(f *ir.Func, ids []int32) []candidate {

@@ -126,7 +126,9 @@ func DefaultOptions() Options {
 // Phases is the per-phase breakdown of an exploration run (Fig. 13).
 // Fingerprint, Ranking and UpdateCalls are wall-clock; Linearize, Align and
 // CodeGen sum per-attempt time across workers, so under parallel
-// exploration they can exceed the run's wall-clock time.
+// exploration they can exceed the run's wall-clock time. CodeGen includes
+// the teardown of rejected trial bodies (Result.Discard), so the phases sum
+// to the run's wall time apart from loop overhead.
 type Phases struct {
 	Fingerprint time.Duration
 	Ranking     time.Duration
@@ -195,7 +197,9 @@ type Report struct {
 	// in LSH mode. The exact/LSH ratio is the ranking work LSH avoided.
 	RankProbes int64
 	// RankPrefilterSkips counts visited pairs dismissed by the cheap
-	// alignment-avoidance bounds before exact similarity scoring.
+	// alignment-avoidance bounds before exact similarity scoring. In exact
+	// mode that includes the members a size-ordered scan never reached
+	// because the size-ratio bound had already fallen below its floor.
 	RankPrefilterSkips int64
 	// RankFallbacks counts explorations that requested LSH ranking but fell
 	// back to the exact scan because the pool was below Options.LSHMinPool.
@@ -463,7 +467,7 @@ func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 			ok := r.audit(win.res)
 			r.rep.Phases.Audit += time.Since(tAudit)
 			if !ok {
-				win.res.Discard()
+				discard(win.res, r.opts.Merge.Timings)
 				continue
 			}
 		}
@@ -501,6 +505,18 @@ func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 	r.rep.VerifiedFuncs = tm.VerifyFuncs
 	r.flushRankCounters()
 	return r.rep
+}
+
+// discard tears down a rejected trial merge. The time counts toward the
+// CodeGen phase: dropping a materialized body is the last step of a trial
+// merge that did not pay off, and leaving it out would hide it from every
+// phase.
+func discard(res *core.Result, tm *core.Timings) {
+	t0 := time.Now()
+	res.Discard()
+	if tm != nil {
+		tm.AddCodeGen(time.Since(t0))
+	}
 }
 
 // verifyFunc runs the staged verifier over one function (a winning merged

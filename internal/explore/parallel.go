@@ -176,7 +176,7 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 			}
 			profit := res.ProfitWithStatsMemo(opts.Target, fStats, cStats[i], costs)
 			if profit <= 0 {
-				res.Discard()
+				discard(res, opts.Merge.Timings)
 				if memoOK {
 					neg.insert(nk)
 				}
@@ -199,11 +199,11 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 			// held attempt already has the lower rank.
 			if local.res == nil || profit > local.profit {
 				if local.res != nil {
-					local.res.Discard()
+					discard(local.res, opts.Merge.Timings)
 				}
 				local = attempt{rank: i, profit: profit, res: res}
 			} else {
-				res.Discard()
+				discard(res, opts.Merge.Timings)
 			}
 		}
 		locals[slot] = local
@@ -240,11 +240,11 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 		}
 		if better {
 			if win.res != nil {
-				win.res.Discard()
+				discard(win.res, opts.Merge.Timings)
 			}
 			win = a
 		} else {
-			a.res.Discard()
+			discard(a.res, opts.Merge.Timings)
 		}
 	}
 

@@ -1,8 +1,9 @@
 package explore
 
-// Sub-quadratic candidate ranking. The exact ranking path scores every pool
-// member against every other (newRankCache builds all top-t lists by full
-// scans, O(n²) similarity computations); the LSH path replaces each full
+// Sub-quadratic candidate ranking. The exact ranking path ranks every pool
+// member against the whole pool (newRankCache builds all top-t lists by
+// size-ordered threshold walks, see scanExact — still O(n²) in the worst
+// case, when most members are close in size); the LSH path replaces each
 // scan with a probe of a banded MinHash index (internal/lsh), so only
 // likely-similar bucket-mates are exactly scored. Exact remains the default
 // and the recall oracle; LSH is selected with Options.Ranking = RankLSH and

@@ -29,6 +29,12 @@ func (f *Func) removeUse(u Use) {
 	sharedUseMu.Unlock()
 }
 
+func (f *Func) dropUses(moved []Use) {
+	sharedUseMu.Lock()
+	f.usable.dropUses(moved)
+	sharedUseMu.Unlock()
+}
+
 // Uses returns a snapshot of the active uses of the function value.
 func (f *Func) Uses() []Use {
 	sharedUseMu.Lock()
@@ -52,6 +58,12 @@ func (g *Global) addUse(u Use) {
 func (g *Global) removeUse(u Use) {
 	sharedUseMu.Lock()
 	g.usable.removeUse(u)
+	sharedUseMu.Unlock()
+}
+
+func (g *Global) dropUses(moved []Use) {
+	sharedUseMu.Lock()
+	g.usable.dropUses(moved)
 	sharedUseMu.Unlock()
 }
 
@@ -239,23 +251,59 @@ func (f *Func) Callers() []*Inst {
 }
 
 // DropBody removes all blocks from the function, turning it into a shell
-// ready for a replacement body (used when thunkifying merged functions).
+// ready for a replacement body (used when thunkifying merged functions and
+// when discarding trial merges).
+//
+// Teardown is linear in the body size. Every use of a body-local definition
+// (a parameter, block or instruction of f) lies inside the dying body, so
+// those use lists are cleared wholesale instead of entry by entry — removing
+// the thousands of uses of one entry-block alloca front first with the
+// order-preserving removeUse would shift the list tail once per use.
+// Operands naming anything else — functions, globals, another function's
+// definitions — go through removeUse (under sharedUseMu for the shared
+// kinds), so the surviving use lists keep their order exactly.
 func (f *Func) DropBody() {
-	// Two passes: first drop all operand uses so inter-block references
-	// (branches, phis) disappear, then detach blocks.
 	for _, b := range f.Blocks {
 		for _, in := range b.Insts {
-			in.dropAllOperands()
+			for i, v := range in.operands {
+				if v != nil && !f.ownsDef(v) {
+					untrackUse(v, Use{User: in, Index: i})
+				}
+				in.operands[i] = nil
+			}
+			in.operands = in.operands[:0]
 		}
+	}
+	for _, p := range f.Params {
+		// The shell keeps its parameters (a thunk body reuses them), so
+		// keep the list's storage but release the dead users.
+		clear(p.uses)
+		p.uses = p.uses[:0]
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Insts {
+			in.uses = nil
 			in.parent = nil
 		}
+		b.uses = nil
 		b.Insts = nil
 		b.parent = nil
 	}
 	f.Blocks = nil
+}
+
+// ownsDef reports whether v is a parameter, block or attached instruction
+// of f's body — a definition whose every use lies inside that body.
+func (f *Func) ownsDef(v Value) bool {
+	switch d := v.(type) {
+	case *Inst:
+		return d.parent != nil && d.parent.parent == f
+	case *Block:
+		return d.parent == f
+	case *Param:
+		return d.parent == f
+	}
+	return false
 }
 
 // Global is a module-level global variable. Only the properties needed by

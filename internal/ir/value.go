@@ -49,6 +49,28 @@ func (u *usable) removeUse(use Use) {
 	}
 }
 
+// dropUses removes moved — a subsequence of the use list, in list order —
+// in one order-preserving compaction pass: the result equals removing each
+// entry with removeUse in turn, at O(len) total instead of O(len) per entry.
+// Entries appended after the subsequence was taken (a rewrite that re-adds
+// a use of this same value) sit behind every match, so they survive.
+func (u *usable) dropUses(moved []Use) {
+	if len(moved) == 0 {
+		return
+	}
+	w, k := 0, 0
+	for _, x := range u.uses {
+		if k < len(moved) && x == moved[k] {
+			k++
+			continue
+		}
+		u.uses[w] = x
+		w++
+	}
+	clear(u.uses[w:])
+	u.uses = u.uses[:w]
+}
+
 // Uses returns the active uses of the value. The returned slice is owned by
 // the value and must not be mutated.
 func (u *usable) Uses() []Use { return u.uses }
@@ -86,6 +108,7 @@ type userTracked interface {
 	Value
 	addUse(Use)
 	removeUse(Use)
+	dropUses([]Use)
 	Uses() []Use
 }
 
@@ -107,10 +130,36 @@ func untrackUse(v Value, u Use) {
 // old and new must have the same type unless new is a constant of a
 // bitcast-compatible type.
 func ReplaceAllUsesWith(old userTracked, newV Value) {
-	uses := append([]Use(nil), old.Uses()...)
-	for _, u := range uses {
-		u.User.SetOperand(u.Index, newV)
+	RewriteUses(old, func(Use) Value { return newV })
+}
+
+// RewriteUses visits the uses of old in use-list order and points each one
+// at to(u) instead; a nil result leaves that use in place. to may create
+// instructions (their operand uses are tracked as usual) but must not
+// otherwise change old's use list. The moved uses are appended to their new
+// values' lists in visit order and leave old's list in one order-preserving
+// compaction pass, so every use list ends up exactly as a loop of SetOperand
+// calls would leave it, at O(n) for n uses instead of that loop's O(n)
+// search and tail shift per use.
+func RewriteUses(old Value, to func(Use) Value) {
+	t, ok := old.(userTracked)
+	if !ok {
+		return
 	}
+	uses := append([]Use(nil), t.Uses()...)
+	// moved reuses the snapshot's storage: it is written at or behind the
+	// read position.
+	moved := uses[:0]
+	for _, u := range uses {
+		v := to(u)
+		if v == nil {
+			continue
+		}
+		u.User.operands[u.Index] = v
+		trackUse(v, u)
+		moved = append(moved, u)
+	}
+	t.dropUses(moved)
 }
 
 // Param is a formal parameter of a function.

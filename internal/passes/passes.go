@@ -221,12 +221,12 @@ func forwardTrivialBlocks(f *ir.Func) bool {
 			continue // infinite self-loop; leave alone
 		}
 		// Redirect all branch uses of b to target.
-		for _, u := range append([]ir.Use(nil), b.Uses()...) {
+		ir.RewriteUses(b, func(u ir.Use) ir.Value {
 			if u.User == t {
-				continue
+				return nil
 			}
-			u.User.SetOperand(u.Index, target)
-		}
+			return target
+		})
 		changed = changed || true
 	}
 	if changed {

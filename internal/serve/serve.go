@@ -354,7 +354,7 @@ func (s *Server) openSession(payload []byte) (*explore.Session, error) {
 }
 
 // sessionWorker owns one explore.Session: submits run strictly FIFO, each
-// releasing its admission slot after the response is written.
+// releasing its admission slot just before its response is written.
 func (s *Server) sessionWorker(se *session, write func(wire.Frame), wg *sync.WaitGroup) {
 	defer wg.Done()
 	for job := range se.queue {
@@ -366,12 +366,27 @@ func (s *Server) sessionWorker(se *session, write func(wire.Frame), wg *sync.Wai
 	}
 }
 
-// runSubmit decodes, merges and responds for one admitted submit.
-func (s *Server) runSubmit(se *session, job submitJob, write func(wire.Frame)) {
+// runSubmit decodes, merges and responds for one admitted submit. The
+// admission slot is freed before the response goes out: a client that holds
+// its response may submit again at once and must not be refused for a slot
+// its own finished submit still occupies. Drain (inFlight) still waits for
+// the write.
+func (s *Server) runSubmit(se *session, job submitJob, writeFrame func(wire.Frame)) {
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			<-s.sem
+		}
+	}
 	defer func() {
-		<-s.sem
+		release()
 		s.inFlight.Done()
 	}()
+	write := func(f wire.Frame) {
+		release()
+		writeFrame(f)
+	}
 	start := time.Now()
 	m, err := wire.Decode(job.payload, wire.Options{Workers: se.sess.Options().Workers})
 	if err != nil {

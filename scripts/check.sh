@@ -41,6 +41,11 @@
 #    from-scratch index, merge-decision bit-identity across worker counts
 #    on a shared segment. The 3x startup-speedup floor applies to the
 #    full-size run (fmsa-bench -exp simdb), not quick mode.
+#  - perfbench-selftest: the layered benchmark's own self-tests in short
+#    mode (its output checks and metric schema, about 2 s). perfbench is a
+#    separate Go module, so the root `go test ./...` never runs them; an IR
+#    or explore change that breaks the benchmark fails here instead of first
+#    in the benchmark pipeline.
 #
 # Run this before every commit that touches internal/explore, internal/ir,
 # internal/align, internal/encode, internal/core, internal/analysis or
@@ -90,5 +95,6 @@ gate fuzz-serve-frame   go test -run '^$' -fuzz 'FuzzServeFrame' -fuzztime 10s .
 gate serve              go run ./cmd/fmsa-bench -exp serve -quick
 gate fuzz-simdb         go test -run '^$' -fuzz 'FuzzSimDBSegment' -fuzztime 10s ./internal/wire/
 gate simdb              go run ./cmd/fmsa-bench -exp simdb -quick
+gate perfbench-selftest env GOTOOLCHAIN=local GOPROXY=off GOWORK=off go -C perfbench test -short ./...
 
 echo "all gates passed"

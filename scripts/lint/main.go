@@ -85,7 +85,7 @@ func lintUseLists(dir string) []string {
 			switch x := n.(type) {
 			case *ast.CallExpr:
 				if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-					if sel.Sel.Name == "addUse" || sel.Sel.Name == "removeUse" {
+					if sel.Sel.Name == "addUse" || sel.Sel.Name == "removeUse" || sel.Sel.Name == "dropUses" {
 						report(x, fmt.Sprintf("use-list mutation %s outside ir/value.go+ir/func.go (bypasses sharedUseMu)", sel.Sel.Name))
 					}
 				}

@@ -35,14 +35,15 @@ func (u *usable) addUse(x int) { u.uses = append(u.uses, x) }
 	write(t, dir, "rogue.go", `package ir
 func rogue(u *usable) {
 	u.addUse(1)
+	u.dropUses(nil)
 	u.uses = nil
 	_ = &u.uses
 }
 func reader(u *usable) int { return len(u.uses) }
 `)
 	bad := lintUseLists(dir)
-	if len(bad) != 3 {
-		t.Fatalf("want 3 violations (call, assign, address-of), got %d: %v", len(bad), bad)
+	if len(bad) != 4 {
+		t.Fatalf("want 4 violations (two calls, assign, address-of), got %d: %v", len(bad), bad)
 	}
 	for _, b := range bad {
 		if !strings.Contains(b, "rogue.go") {
