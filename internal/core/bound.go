@@ -27,7 +27,16 @@ package core
 //     branches (branch forwarding and straight-line merging delete exactly
 //     those) and landingpads (dispatch-block hoisting replaces two pad
 //     clones with one; a matched pad in diverged blocks is demoted to two
-//     gap pads and the hoist then removes both). Conditional branches and
+//     gap pads and the hoist then removes both). The one exception is the
+//     branch floor (brFloors.gapFloor): a gap column `A: br B` counts in
+//     full when B is a non-landing block with at least two distinct
+//     predecessors, each keeping two instructions besides a landingpad,
+//     and no matched column lies in B or any of its predecessors — such a
+//     branch is cloned 1:1 into a block that is never trivial, targeting
+//     a block that never has a single predecessor, so neither cleanup
+//     rewrite can reach it (the full argument is on gapFloor). Huge bodies
+//     keep most of their branches, and without this floor their bound
+//     overshoots by thousands of bytes. Conditional branches and
 //     switches count in full — SimplifyCFG only folds them over a constant
 //     condition, and constant-condition pairs are the one cascade hazard
 //     (folding a cloned br/switch on a ConstInt makes whole cloned blocks
@@ -57,6 +66,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 
 	"fmsa/internal/align"
 	"fmsa/internal/ir"
@@ -85,6 +95,9 @@ type PruneSpec struct {
 	MinProfit int
 	// Costs optionally memoizes the FuncSize terms (nil computes directly).
 	Costs *tti.CostMemo
+	// Floors optionally memoizes each function's static branch-floor facts
+	// (nil recomputes them per pair). Same drop discipline as Costs.
+	Floors *FloorMemo
 }
 
 // boundCtx carries the alignment correspondence needed to decide operand
@@ -113,21 +126,41 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 
 	// First pass: record which columns were aligned with each other, so
 	// operand divergence (select and dispatch-block floors) is decided the
-	// same way the merger's value maps will decide it.
+	// same way the merger's value maps will decide it, and which blocks
+	// hold a matched column (the branch floor's per-pair condition). Blocks
+	// are numbered by label order in their sequence: every entry appears in
+	// exactly one step, in sequence order, so counting label steps per side
+	// yields the block of each column without a lookup.
 	ctx := &boundCtx{
 		matchedI: make(map[*ir.Inst]*ir.Inst),
 		matchedB: make(map[*ir.Block]*ir.Block),
 		plan:     plan,
 		f1:       f1, f2: f2,
 	}
+	fl1, fl2 := spec.Floors.lookup(f1, seq1), spec.Floors.lookup(f2, seq2)
+	var buf1, buf2 [4]uint64
+	touched1, touched2 := fl1.touchedSet(buf1[:0]), fl2.touchedSet(buf2[:0])
+	ord1, ord2 := -1, -1
 	for _, s := range steps {
-		if s.Op != align.OpMatch {
-			continue
-		}
-		if e1 := seq1[s.I]; e1.IsLabel() {
-			ctx.matchedB[e1.Block] = seq2[s.J].Block
-		} else {
-			ctx.matchedI[e1.Inst] = seq2[s.J].Inst
+		switch s.Op {
+		case align.OpMatch:
+			if e1 := seq1[s.I]; e1.IsLabel() {
+				ord1++
+				ord2++
+				ctx.matchedB[e1.Block] = seq2[s.J].Block
+			} else {
+				ctx.matchedI[e1.Inst] = seq2[s.J].Inst
+			}
+			touched1.add(ord1)
+			touched2.add(ord2)
+		case align.OpGapA:
+			if seq1[s.I].IsLabel() {
+				ord1++
+			}
+		case align.OpGapB:
+			if seq2[s.J].IsLabel() {
+				ord2++
+			}
 		}
 	}
 
@@ -144,11 +177,14 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 	gapSteps, selects := 0, 0
 	var dispatch map[[2]*ir.Block]bool // distinct diverging target pairs
 	cur1, cur2, next := 0, 0, 0        // block ids; equal ⇔ sides share a block
+	ord1, ord2 = -1, -1
 	for _, s := range steps {
 		switch s.Op {
 		case align.OpMatch:
 			e1 := seq1[s.I]
 			if e1.IsLabel() {
+				ord1++
+				ord2++
 				next++
 				cur1, cur2 = next, next
 				continue
@@ -169,10 +205,11 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 		case align.OpGapA:
 			gapSteps++
 			if e := seq1[s.I]; e.IsLabel() {
+				ord1++
 				next++
 				cur1 = next
 			} else {
-				mergedLB += instFloor(t, e.Inst)
+				mergedLB += fl1.gapFloor(t, e.Inst, ord1, touched1)
 				if cur1 == cur2 {
 					mergedLB += condBr // func_id diamond split
 					cur1, cur2 = next+1, next+2
@@ -182,10 +219,11 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 		case align.OpGapB:
 			gapSteps++
 			if e := seq2[s.J]; e.IsLabel() {
+				ord2++
 				next++
 				cur2 = next
 			} else {
-				mergedLB += instFloor(t, e.Inst)
+				mergedLB += fl2.gapFloor(t, e.Inst, ord2, touched2)
 				if cur1 == cur2 {
 					mergedLB += condBr // func_id diamond split
 					cur1, cur2 = next+1, next+2
@@ -225,8 +263,9 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 
 // instFloor is the size an aligned instruction column provably contributes
 // to the merged body. Unconditional branches floor at zero — block
-// forwarding and straight-line merging delete exactly those — and so do
-// landingpads (dispatch-block hoisting replaces two pad clones with one; a
+// forwarding and straight-line merging delete exactly those; gapFloor
+// raises the floor of the gap-column branches cleanup provably keeps — and
+// so do landingpads (dispatch-block hoisting replaces two pad clones with one; a
 // matched pad in diverged blocks is demoted to two gap pads and the hoist
 // then removes both). Conditional branches and switches survive cleanup in
 // full: SimplifyCFG only folds them over a constant condition, and
@@ -241,6 +280,253 @@ func instFloor(t tti.Target, in *ir.Inst) int {
 		}
 	}
 	return t.InstSize(in)
+}
+
+// brFloors holds the static half of one function's branch floor: for every
+// block whose unconditional branch cleanup provably keeps once the per-pair
+// condition holds, the blocks that condition inspects. Blocks are numbered
+// by label order in the function's linearization (ordinals); unreachable
+// blocks have none — they are never linearized, so never cloned.
+//
+// A block A with terminator `br B` is a candidate when B is a non-landing
+// block with at least two distinct linearized predecessors, each keeping at
+// least two instructions that are not a landingpad — A among them, so A
+// keeps two as well. The per-pair condition is that none of B and its
+// predecessors holds a matched column; see gapFloor.
+type brFloors struct {
+	seqLen int
+	labels []*ir.Block // block of each ordinal, to validate a memo hit
+	at     []int32     // sequence index of each ordinal's label
+	// target[a] is the ordinal of candidate block a's branch target, or -1.
+	target []int32
+	// guards[start[b]:start[b+1]] lists the ordinals of target b and its
+	// distinct predecessors; empty when b cannot anchor the floor.
+	start, guards []int32
+}
+
+// noBrFloors is the shared entry of a function without candidates: every
+// unconditional branch floors at zero, as instFloor prices it.
+var noBrFloors = &brFloors{}
+
+// keptLen counts the instructions of b that cleanup can never remove: all of
+// them but a landingpad, which dispatch-block hoisting may take out of the
+// block.
+func keptLen(b *ir.Block) int {
+	if b.IsLandingBlock() {
+		return len(b.Insts) - 1
+	}
+	return len(b.Insts)
+}
+
+// buildBrFloors computes a function's candidates from its linearization.
+func buildBrFloors(seq []linearize.Entry) *brFloors {
+	ord := make(map[*ir.Block]int32)
+	fl := &brFloors{seqLen: len(seq)}
+	for i, e := range seq {
+		if e.IsLabel() {
+			ord[e.Block] = int32(len(fl.labels))
+			fl.labels = append(fl.labels, e.Block)
+			fl.at = append(fl.at, int32(i))
+		}
+	}
+	n := len(fl.labels)
+	fl.start = make([]int32, n+1)
+	seen := make([]int32, n) // stamp k+1: predecessor already listed for target k
+	for k, b := range fl.labels {
+		fl.start[k] = int32(len(fl.guards))
+		if b.IsLandingBlock() {
+			continue
+		}
+		mark := len(fl.guards)
+		fl.guards = append(fl.guards, int32(k))
+		preds, ok := 0, true
+		for _, u := range b.Uses() { // one entry per edge, as in Preds
+			p := u.User.Parent()
+			if !u.User.IsTerminator() || p == nil {
+				continue
+			}
+			op, reach := ord[p]
+			if !reach {
+				continue // unreachable: never cloned, so never an edge
+			}
+			if keptLen(p) < 2 {
+				ok = false // forwarding could delete this edge's block
+				break
+			}
+			if seen[op] != int32(k+1) {
+				seen[op] = int32(k + 1)
+				preds++
+				if op != int32(k) {
+					fl.guards = append(fl.guards, op)
+				}
+			}
+		}
+		if !ok || preds < 2 {
+			fl.guards = fl.guards[:mark]
+		}
+	}
+	fl.start[n] = int32(len(fl.guards))
+
+	fl.target = make([]int32, n)
+	found := false
+	for k, a := range fl.labels {
+		fl.target[k] = -1
+		t := a.Terminator()
+		if t == nil || t.Op != ir.OpBr || t.NumOperands() != 1 {
+			continue
+		}
+		if b, ok := ord[t.Operand(0).(*ir.Block)]; ok && fl.start[b] < fl.start[b+1] {
+			fl.target[k] = b
+			found = true
+		}
+	}
+	if !found {
+		return noBrFloors
+	}
+	return fl
+}
+
+// matches reports whether fl was built from a linearization with seq's
+// block layout (same length, same labels at the same positions).
+func (fl *brFloors) matches(seq []linearize.Entry) bool {
+	if fl.target == nil {
+		return true // no candidates: nothing ordinal-dependent to misapply
+	}
+	if len(seq) != fl.seqLen {
+		return false
+	}
+	for k, i := range fl.at {
+		if seq[i].Block != fl.labels[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// blockSet is a bitset over block ordinals; a nil set ignores additions.
+type blockSet []uint64
+
+func (s blockSet) add(k int) {
+	if s != nil {
+		s[k>>6] |= 1 << (k & 63)
+	}
+}
+
+func (s blockSet) has(k int32) bool { return s[k>>6]&(1<<(k&63)) != 0 }
+
+// touchedSet returns an empty set over fl's blocks backed by buf when it
+// fits, or nil when fl has no candidates (the pair never consults it).
+func (fl *brFloors) touchedSet(buf []uint64) blockSet {
+	if fl.target == nil {
+		return nil
+	}
+	words := (len(fl.labels) + 63) / 64
+	if words > cap(buf) {
+		return make(blockSet, words)
+	}
+	return blockSet(buf[:words])
+}
+
+// gapFloor is the floor of a gap instruction column in block ordinal a of
+// fl's function, given the pair's matched-column blocks: instFloor, except
+// that a candidate's unconditional branch counts in full when no matched
+// column lies in its target or any of the target's predecessors.
+//
+// Why the branch survives. Let A: `br B` meet the candidate conditions
+// with B and every predecessor of B (A included) free of matched columns.
+// Every column of those blocks is a gap column of one side, so passOne
+// clones each of them 1:1 into a block of its own: a gap label opens a
+// fresh block that only its own side's columns enter (the other side's
+// cursor is elsewhere), no diamond splits it (the sides already differ), no
+// reconnect branch enters it (its own terminator ends it), and selects are
+// only inserted before matched instructions. Value maps are injective and
+// B's clone B' is reached through side-1 (say) resolution only, so the
+// edges into B' are exactly the clones of B's edges from its linearized
+// predecessors: only terminators take block operands, a dispatch block
+// would need a matched terminator in a predecessor, and the entry dispatch
+// only adds an edge. Afterwards, demoteNonDominated only adds instructions,
+// except that it may route an invoke's normal edge to B' through a fresh
+// [store, br B'] block — still one distinct predecessor per invoke, and
+// never trivial. Dispatch-block hoisting removes a landingpad at most,
+// which keptLen already discounts.
+//
+// SimplifyCFG (constant folding is excluded by the bail) then deletes an
+// unconditional branch in only two ways: forwarding a block holding
+// nothing else (len(Insts) == 1), and straight-line merging of its target
+// into it (len(Preds()) == 1 && NumUses() == 1). Each predecessor
+// terminator of B' lives in a block with at least two other-than-pad
+// instructions; merging only ever moves whole blocks into others and
+// forwarding only deletes single-instruction blocks, so none of these
+// terminators is ever deleted, and they stay in distinct blocks (a block
+// has one terminator). Forwarding B' itself (when B is a lone branch)
+// rewrites all of them to the same new target together. Hence A's branch
+// always targets a block with at least two distinct predecessors — at
+// least two Preds() entries, since Preds() lists one per edge — so it is
+// never straight-line merged away, and it never sits in a trivial block. Self-loops
+// change nothing: B among its own predecessors counts once, and a trivial
+// self-loop fails the instruction count. Reachability is preserved (the
+// func_id-true paths run through the clones), so removeUnreachable never
+// takes them either.
+func (fl *brFloors) gapFloor(t tti.Target, in *ir.Inst, a int, touched blockSet) int {
+	if in.Op != ir.OpBr || in.NumOperands() != 1 || touched == nil {
+		return instFloor(t, in)
+	}
+	b := fl.target[a]
+	if b < 0 {
+		return 0
+	}
+	for _, g := range fl.guards[fl.start[b]:fl.start[b+1]] {
+		if touched.has(g) {
+			return 0
+		}
+	}
+	return t.InstSize(in)
+}
+
+// FloorMemo caches each function's brFloors across the bound evaluations
+// of one exploration run, like tti.CostMemo caches its sizes. Invalidation
+// follows the same drop-only contract: Drop every function whose body a
+// commit changes (the staleAfterCommit set), between evaluation waves.
+// Lookups are safe concurrently; an entry is also validated against the
+// sequence it is asked for, so a mismatched linearization recomputes
+// instead of misapplying ordinals.
+type FloorMemo struct {
+	mu      sync.RWMutex
+	entries map[*ir.Func]*brFloors
+}
+
+// NewFloorMemo returns an empty memo.
+func NewFloorMemo() *FloorMemo {
+	return &FloorMemo{entries: map[*ir.Func]*brFloors{}}
+}
+
+// lookup returns f's floors for the linearization seq, computing and
+// caching them on a miss. A nil memo computes without caching.
+func (m *FloorMemo) lookup(f *ir.Func, seq []linearize.Entry) *brFloors {
+	if m == nil {
+		return buildBrFloors(seq)
+	}
+	m.mu.RLock()
+	fl := m.entries[f]
+	m.mu.RUnlock()
+	if fl != nil && fl.matches(seq) {
+		return fl
+	}
+	fl = buildBrFloors(seq)
+	m.mu.Lock()
+	m.entries[f] = fl
+	m.mu.Unlock()
+	return fl
+}
+
+// Drop invalidates f's entry. Nil-safe.
+func (m *FloorMemo) Drop(f *ir.Func) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	delete(m.entries, f)
+	m.mu.Unlock()
 }
 
 // diverges reports whether a (a side-1 operand) and b (a side-2 operand)

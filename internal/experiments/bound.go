@@ -28,6 +28,12 @@ type BoundCheckResult struct {
 	// Inadmissible counts audited pairs whose exact profit exceeded the
 	// bound — each one is a pair pruning could wrongly discard. Must be 0.
 	Inadmissible int64 `json:"inadmissible"`
+	// LoosePairs counts audited pairs the bound failed to prune: bound
+	// above the pruning threshold (0) while the exact profit is not. Each
+	// one paid for code generation a tighter bound could have skipped.
+	LoosePairs int64 `json:"loose_pairs"`
+	// MaxSlack is the largest bound − exact profit over audited pairs.
+	MaxSlack int64 `json:"max_slack"`
 	// Match reports bit-identical records and final module text between the
 	// bounding and non-bounding pipelines.
 	Match bool `json:"match"`
@@ -67,11 +73,20 @@ func BoundCrossCheck(profiles []workload.Profile, target tti.Target, threshold, 
 		ref, refMod := runOne(true, nil)
 		got, gotMod := runOne(false, nil)
 
-		var pairs, inadmissible int64
+		var pairs, inadmissible, loose, maxSlack atomic.Int64
 		runOne(false, func(f1, f2 *ir.Func, bound, exact int) {
-			atomic.AddInt64(&pairs, 1)
+			pairs.Add(1)
 			if exact > bound {
-				atomic.AddInt64(&inadmissible, 1)
+				inadmissible.Add(1)
+			}
+			if bound > 0 && exact <= 0 {
+				loose.Add(1)
+			}
+			for slack := int64(bound - exact); ; {
+				cur := maxSlack.Load()
+				if slack <= cur || maxSlack.CompareAndSwap(cur, slack) {
+					break
+				}
 			}
 		})
 
@@ -80,14 +95,16 @@ func BoundCrossCheck(profiles []workload.Profile, target tti.Target, threshold, 
 			MergeOps:     got.MergeOps,
 			BoundEvals:   got.BoundEvals,
 			CodegenSkips: got.CodegenSkips,
-			AuditedPairs: pairs,
-			Inadmissible: inadmissible,
+			AuditedPairs: pairs.Load(),
+			Inadmissible: inadmissible.Load(),
+			LoosePairs:   loose.Load(),
+			MaxSlack:     maxSlack.Load(),
 			Match:        true,
 		}
 		switch {
-		case inadmissible > 0:
+		case r.Inadmissible > 0:
 			r.Match, r.Detail = false,
-				fmt.Sprintf("%d/%d audited pairs have exact profit above the bound", inadmissible, pairs)
+				fmt.Sprintf("%d/%d audited pairs have exact profit above the bound", r.Inadmissible, r.AuditedPairs)
 		case !reflect.DeepEqual(ref.Records, got.Records):
 			r.Match, r.Detail = false, "merge records diverge"
 		case ref.SizeAfter != got.SizeAfter:

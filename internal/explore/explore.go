@@ -317,6 +317,9 @@ type runner struct {
 	// bound and the exact profit evaluation; nil when the runner only
 	// snapshots rankings. Invalidated alongside seqs (same stale set).
 	costs *tti.CostMemo
+	// floors memoizes each function's static branch-floor facts for the
+	// bound; same lifetime and invalidation as costs.
+	floors *core.FloorMemo
 	// rankProbes and rankSkips accumulate scan counters atomically (scans
 	// run inside parallelFor); flushRankCounters folds them into rep. The
 	// totals are deterministic: the same set of scans runs at every Workers
@@ -449,7 +452,7 @@ func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 		// Candidate evaluation: speculative merge attempts fan out across
 		// the worker pool; the winner is selected deterministically (first
 		// profitable rank in greedy mode, best profit in oracle mode).
-		win, evaluated := evalCandidates(f, cands, r.opts, r.costs, r.workers, !r.opts.Oracle, r.neg, r.keys)
+		win, evaluated := evalCandidates(f, cands, r.opts, r.costs, r.floors, r.workers, !r.opts.Oracle, r.neg, r.keys)
 		r.rep.CandidatesEvaluated += evaluated
 		if win.res == nil {
 			continue

@@ -123,6 +123,7 @@ func (r *runner) setupCaches() {
 	// shares the linearization cache's stale set — a rewritten call site
 	// changes a caller's size just like it changes its sequence.
 	r.costs = tti.NewCostMemo()
+	r.floors = core.NewFloorMemo()
 }
 
 // encodeFunc linearizes (and, on the coded path, encodes) one function for
@@ -174,6 +175,7 @@ func (r *runner) refreshSeqs(stale []*ir.Func) {
 			}
 		}
 		r.costs.Drop(f) // nil-safe
+		r.floors.Drop(f)
 	}
 }
 

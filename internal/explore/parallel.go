@@ -99,7 +99,7 @@ type attempt struct {
 // and the sequential-semantics evaluated count derives from the winner's
 // rank, not from which attempts ran — so the skip is invisible in the
 // merge records.
-func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.CostMemo, w int, greedy bool, neg *negMemo, keys *keyTable) (attempt, int) {
+func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.CostMemo, floors *core.FloorMemo, w int, greedy bool, neg *negMemo, keys *keyTable) (attempt, int) {
 	n := len(cands)
 	if n == 0 {
 		return attempt{rank: -1}, 0
@@ -165,6 +165,7 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 					S1:     fStats,
 					S2:     cStats[i],
 					Costs:  costs,
+					Floors: floors,
 				}
 			}
 			res, err := core.Merge(f, cands[i].fn, mo)

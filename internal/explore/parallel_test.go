@@ -277,7 +277,7 @@ func TestRankCacheMatchesFullRescan(t *testing.T) {
 							pops, i, got[i].fn.Name(), want[i].fn.Name())
 					}
 				}
-				win, evaluated := evalCandidates(f, got, r.opts, r.costs, 1, true, nil, nil)
+				win, evaluated := evalCandidates(f, got, r.opts, r.costs, r.floors, 1, true, nil, nil)
 				r.rep.CandidatesEvaluated += evaluated
 				if win.res != nil {
 					r.commit(win.res, win.profit, win.rank+1)

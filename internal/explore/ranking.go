@@ -65,8 +65,16 @@ func ParseRankingMode(s string) (RankingMode, error) {
 // falls back to the exact scan. Small pools rank faster by scanning than by
 // building signatures and an index, and their sparse candidate structure is
 // also where bucket probing misses the most moderate-similarity best
-// candidates — measured on the synthetic suites, LSH only wins on both wall
-// time and recall from roughly a thousand pool members up.
+// candidates. The value was set against the pool-order exact scan, which
+// LSH beat from roughly a thousand pool members up. The size-ordered exact
+// scan has since overtaken LSH at that scale: on 483.xalancbmk (3,548
+// functions, t=1, `fmsa-bench -exp rank -quick`) LSH ranks at 0.84–0.90×
+// the exact speed while visiting 23% of its pairs, at 99.0% top-1 recall.
+// The cutoff stays put regardless. It only applies when a caller asks for
+// RankLSH, and the callers that do (fmsa-serve sessions and the similarity
+// database) need LSH for its stored signatures and incremental index, not
+// for ranking speed. Moving it would change which pools those callers
+// rank exactly, and so their merge decisions.
 const DefaultLSHMinPool = 512
 
 // lshState is the LSH ranking machinery of one exploration run: the banded

@@ -20,6 +20,9 @@
 #    merge decisions, and the fast level stays within its overhead budget.
 #  - rank/kernels/bound/ingest: the cross-check experiments (LSH recall,
 #    kernel equivalence, bound admissibility, fmir ingest bit-identity).
+#  - bound-huge: the profitability bound must prune 483.xalancbmk's @main
+#    against its closest partners and stay admissible there, so a loosened
+#    branch floor fails by name rather than somewhere inside race-tests.
 #  - fuzz-stablehash: short smoke-fuzz of the cross-TU stable hash (hash
 #    equality on self-comparable functions must imply structural equality,
 #    and hashing must survive print->reparse).
@@ -89,6 +92,7 @@ gate verify-sweep       go run ./cmd/fmsa-bench -exp verify -quick -runs 3
 gate rank               go run ./cmd/fmsa-bench -exp rank -quick
 gate kernels            go run ./cmd/fmsa-bench -exp kernels -quick
 gate bound              go run ./cmd/fmsa-bench -exp bound -quick
+gate bound-huge         go test -run TestBoundPrunesHugeBodyPairs -count=1 ./internal/core/
 gate ingest             go run ./cmd/fmsa-bench -exp ingest -quick
 gate global             go run ./cmd/fmsa-bench -exp global -quick
 gate fuzz-serve-frame   go test -run '^$' -fuzz 'FuzzServeFrame' -fuzztime 10s ./internal/wire/
