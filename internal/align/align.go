@@ -208,7 +208,13 @@ func Score(steps []Step, sc Scoring) int {
 // merged-code generation: every aligned column is then either an exact
 // match or code unique to one input.
 func DecomposeMismatches(steps []Step) []Step {
-	out := make([]Step, 0, len(steps))
+	mis := 0
+	for _, s := range steps {
+		if s.Op == OpMismatch {
+			mis++
+		}
+	}
+	out := make([]Step, 0, len(steps)+mis)
 	for _, s := range steps {
 		if s.Op == OpMismatch {
 			out = append(out, Step{Op: OpGapA, I: s.I, J: -1}, Step{Op: OpGapB, I: -1, J: s.J})

@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,9 @@ func TestDecomposeMismatches(t *testing.T) {
 	}
 	if !Validate(out, 3, 3) {
 		t.Error("decomposed alignment is invalid")
+	}
+	if cap(out) != len(out) {
+		t.Errorf("output capacity %d, want exactly its %d columns", cap(out), len(out))
 	}
 }
 
@@ -244,6 +248,154 @@ func TestScoreComputation(t *testing.T) {
 	}
 	if got := Score(steps, DefaultScoring); got != 2-1-1-1 {
 		t.Errorf("Score = %d, want -1", got)
+	}
+}
+
+// refNW is the reference Needleman–Wunsch the coded kernels are
+// property-tested against: the textbook full score matrix in int, then a
+// traceback that re-derives each column from the scores — diagonal when the
+// diagonal move attains the cell's score, else up (a gap in b), else left —
+// instead of replaying recorded directions. It also returns the matrix's
+// last row, which refHirschberg splits on.
+func refNW(a, b []uint32, sc Scoring) ([]Step, []int) {
+	n, m := len(a), len(b)
+	h := make([][]int, n+1)
+	for i := range h {
+		h[i] = make([]int, m+1)
+		h[i][0] = i * sc.Gap
+	}
+	for j := range h[0] {
+		h[0][j] = j * sc.Gap
+	}
+	sub := func(i, j int) int {
+		if a[i-1] == b[j-1] {
+			return sc.Match
+		}
+		return sc.Mismatch
+	}
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= m; j++ {
+			h[i][j] = max(h[i-1][j-1]+sub(i, j), h[i-1][j]+sc.Gap, h[i][j-1]+sc.Gap)
+		}
+	}
+	var steps []Step
+	for i, j := n, m; i > 0 || j > 0; {
+		switch {
+		case i > 0 && j > 0 && h[i][j] == h[i-1][j-1]+sub(i, j):
+			op := OpMismatch
+			if a[i-1] == b[j-1] {
+				op = OpMatch
+			}
+			steps = append(steps, Step{Op: op, I: i - 1, J: j - 1})
+			i, j = i-1, j-1
+		case i > 0 && h[i][j] == h[i-1][j]+sc.Gap:
+			steps = append(steps, Step{Op: OpGapA, I: i - 1, J: -1})
+			i--
+		default:
+			steps = append(steps, Step{Op: OpGapB, I: -1, J: j - 1})
+			j--
+		}
+	}
+	slices.Reverse(steps)
+	return steps, h[n]
+}
+
+// refHirschberg is Hirschberg's recursion over refNW: split a at its middle
+// and b at the first column maximizing prefix plus suffix score, down to
+// direct alignment once either side has at most one element.
+func refHirschberg(a, b []uint32, sc Scoring) []Step {
+	n, m := len(a), len(b)
+	if n <= 1 || m <= 1 {
+		steps, _ := refNW(a, b, sc)
+		return steps
+	}
+	mid := n / 2
+	_, pre := refNW(a[:mid], b, sc)
+	_, suf := refNW(reversed(a[mid:]), reversed(b), sc)
+	split := 0
+	for j := range pre {
+		if pre[j]+suf[m-j] > pre[split]+suf[m-split] {
+			split = j
+		}
+	}
+	steps := refHirschberg(a[:mid], b[:split], sc)
+	for _, s := range refHirschberg(a[mid:], b[split:], sc) {
+		if s.I >= 0 {
+			s.I += mid
+		}
+		if s.J >= 0 {
+			s.J += split
+		}
+		steps = append(steps, s)
+	}
+	return steps
+}
+
+func reversed(s []uint32) []uint32 {
+	r := slices.Clone(s)
+	slices.Reverse(r)
+	return r
+}
+
+// dirtyPools hands garbage-filled buffers to the scratch pools, so the next
+// kernel calls draw recycled memory that any missed initialization would
+// read. Byte garbage is drawn from the valid direction codes as well as
+// invalid ones, so a stale direction can yield a wrong path, not a panic.
+func dirtyPools(rng *rand.Rand) {
+	bs := getBytes(1 << 14)
+	for i := range bs {
+		bs[i] = byte(rng.Intn(5))
+	}
+	putBytes(bs)
+	is := getInt32(1 << 10)
+	for i := range is {
+		is[i] = rng.Int31() - 1<<30
+	}
+	putInt32(is)
+	cs := getCells(1 << 10)
+	for i := range cs {
+		cs[i] = nwCell{code: uint32(rng.Intn(4)), score: rng.Int31() - 1<<30}
+	}
+	putCells(cs)
+}
+
+// TestCodedKernelsMatchOracle property-tests the coded kernels against the
+// reference for exact step equality: tie-heavy alphabets of 1–3 codes,
+// empty and single-element sides, odd and even row counts (Hirschberg's
+// middle split), the lopsided 300×2 and 2×300 shapes, random sizes, and a
+// scoring whose gap undercuts two mismatches — all on dirty pooled scratch.
+func TestCodedKernelsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	check := func(name string, a, b []uint32, sc Scoring, got, want []Step) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s diverges from the reference on a=%v b=%v %+v:\ngot  %v\nwant %v",
+				name, a, b, sc, got, want)
+		}
+	}
+	shapes := [][2]int{
+		{0, 0}, {0, 6}, {6, 0}, {1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 3},
+		{5, 8}, {8, 5}, {16, 17}, {17, 16}, {300, 2}, {2, 300},
+	}
+	for trial := 0; trial < 40; trial++ {
+		shapes = append(shapes, [2]int{rng.Intn(40), rng.Intn(40)})
+	}
+	for _, sc := range []Scoring{DefaultScoring, {Match: 3, Mismatch: -2, Gap: -4}} {
+		for alphabet := 1; alphabet <= 3; alphabet++ {
+			for _, sh := range shapes {
+				for trial := 0; trial < 2; trial++ {
+					a := randCodes(rng, sh[0], alphabet)
+					b := randCodes(rng, sh[1], alphabet)
+					want, _ := refNW(a, b, sc)
+					dirtyPools(rng)
+					check("NeedlemanWunschCodes", a, b, sc, NeedlemanWunschCodes(a, b, sc), want)
+					dirtyPools(rng)
+					check("AlignCodes", a, b, sc, AlignCodes(a, b, sc), want) // direct route at these sizes
+					dirtyPools(rng)
+					check("HirschbergCodes", a, b, sc, HirschbergCodes(a, b, sc), refHirschberg(a, b, sc))
+				}
+			}
+		}
 	}
 }
 

@@ -7,13 +7,14 @@ package align
 // merge attempt. Here equivalence is one integer comparison on a flat slice,
 // which the compiler keeps in registers and branch predictors resolve.
 //
-// Every coded kernel is a line-for-line twin of its closure counterpart —
-// same recurrences, same deterministic tie-breaks (diagonal, then up, then
-// left; gap-open preferred over extend on ties), same traceback order, same
-// pooled scratch discipline — so for any code assignment with
-// codes(a)[i] == codes(b)[j] ⇔ eq(i, j), the returned []Step is
-// bit-identical to the closure kernel's. The cross-check tests in
-// coded_test.go and the explore-level kernel experiment enforce this.
+// Every coded kernel is a twin of its closure counterpart — same
+// recurrences in the same int32 arithmetic, same deterministic tie-breaks
+// (diagonal, then up, then left; gap-open preferred over extend on ties),
+// same traceback order, same pooled scratch discipline — so for any code
+// assignment with codes(a)[i] == codes(b)[j] ⇔ eq(i, j), the returned []Step
+// is bit-identical to the closure kernel's. The cross-check tests in
+// coded_test.go, the reference-oracle property test in align_test.go and the
+// explore-level kernel experiment enforce this.
 
 // CodedFunc is the signature of a coded-sequence global-alignment algorithm,
 // the fast-path analogue of core.AlignFunc.
@@ -49,79 +50,140 @@ func NeedlemanWunschCodes(a, b []uint32, sc Scoring) []Step {
 
 	// Same scratch discipline as the closure kernel: every cell the
 	// traceback can reach is written before it is read, so dirty pooled
-	// buffers are harmless.
-	prev := getInt32(m + 1)
-	cur := getInt32(m + 1)
+	// buffers are harmless. The score rows roll in place through cells
+	// (see nwCell), so only the direction matrix is O(n·m).
+	cells := loadCells(m, b, sc.Gap, false)
 	dirs := getBytes((n + 1) * (m + 1))
-
-	prev[0] = 0
 	for j := 1; j <= m; j++ {
-		prev[j] = int32(j * sc.Gap)
 		dirs[j] = dirLeft
 	}
 	mat, mis, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
 	for i := 1; i <= n; i++ {
-		// pd and left carry prev[j-1] and cur[j-1] in registers — the same
-		// values the closure kernel re-reads from the rows each cell — and
-		// the re-slicing lets the compiler drop the inner bounds checks.
 		row := dirs[i*(m+1):][: m+1 : m+1]
-		prevR := prev[: m+1 : m+1]
-		curR := cur[: m+1 : m+1]
-		ai := a[i-1]
-		pd := prevR[0]
-		left := int32(i) * gap
-		curR[0] = left
 		row[0] = dirUp
-		for j := 1; j <= m; j++ {
-			pj := prevR[j]
-			sub := mis
-			if ai == b[j-1] {
-				sub = mat
-			}
-			best, dir := pd+sub, dirDiag
-			if up := pj + gap; up > best {
-				best, dir = up, dirUp
-			}
-			if lf := left + gap; lf > best {
-				best, dir = lf, dirLeft
-			}
-			curR[j] = best
-			row[j] = dir
-			pd = pj
-			left = best
-		}
-		prev, cur = cur, prev
+		nwRowCodes(row[1:], cells, a[i-1], int32(i-1)*gap, mat, mis, gap)
 	}
 
-	var rev []Step
-	i, j := n, m
-	for i > 0 || j > 0 {
+	// Walk the path once to count its columns, then again to fill an
+	// exact-size result from the back: the steps come out in order with no
+	// append growth, no reversal pass and no slack capacity.
+	k := 0
+	for i, j := n, m; i > 0 || j > 0; k++ {
+		switch dirs[i*(m+1)+j] {
+		case dirDiag:
+			i, j = i-1, j-1
+		case dirUp:
+			i--
+		case dirLeft:
+			j--
+		default:
+			panic("align: corrupt traceback")
+		}
+	}
+	steps := make([]Step, k)
+	for i, j := n, m; i > 0 || j > 0; {
+		k--
 		switch dirs[i*(m+1)+j] {
 		case dirDiag:
 			op := OpMismatch
 			if a[i-1] == b[j-1] {
 				op = OpMatch
 			}
-			rev = append(rev, Step{Op: op, I: i - 1, J: j - 1})
-			i--
-			j--
+			steps[k] = Step{Op: op, I: i - 1, J: j - 1}
+			i, j = i-1, j-1
 		case dirUp:
-			rev = append(rev, Step{Op: OpGapA, I: i - 1, J: -1})
+			steps[k] = Step{Op: OpGapA, I: i - 1, J: -1}
 			i--
-		case dirLeft:
-			rev = append(rev, Step{Op: OpGapB, I: -1, J: j - 1})
-			j--
 		default:
-			panic("align: corrupt traceback")
+			steps[k] = Step{Op: OpGapB, I: -1, J: j - 1}
+			j--
 		}
 	}
-	putInt32(prev)
-	putInt32(cur)
+	putCells(cells)
 	putBytes(dirs)
-	for x, y := 0, len(rev)-1; x < y; x, y = x+1, y-1 {
-		rev[x], rev[y] = rev[y], rev[x]
+	return steps
+}
+
+// nwCell is one column j ≥ 1 of the rolling dynamic-programming row that the
+// coded Needleman–Wunsch kernels share: b's code for the column and the score
+// of the column's cell in the row above, which the row pass overwrites with
+// the current row's score. Keeping the code beside the score, and rolling one
+// row in place instead of swapping two, leaves the inner loop two streams to
+// walk, so its per-cell state stays in registers.
+type nwCell struct {
+	code  uint32
+	score int32
+}
+
+// loadCells returns pooled cells for an m-column row, scored as row 0
+// (cell j holds j·gap) and coded with b, or b reversed when rev is set.
+func loadCells(m int, b []uint32, gap int, rev bool) []nwCell {
+	cells := getCells(m)
+	for j := range cells {
+		c := b[j]
+		if rev {
+			c = b[m-1-j]
+		}
+		cells[j] = nwCell{code: c, score: int32((j + 1) * gap)}
 	}
-	return rev
+	return cells
+}
+
+// nwRowCodes advances cells by one Needleman–Wunsch row for a's element ai
+// and writes the direction of each of the row's cells 1..m to row. pd enters
+// as the column-0 score of the row above; this row's column-0 score is
+// pd + gap. pd and left then carry the previous column's score in the row
+// above and in this row in registers — the values the closure kernel
+// re-reads from its rows.
+func nwRowCodes(row []byte, cells []nwCell, ai uint32, pd, mat, mis, gap int32) {
+	row = row[:len(cells)]
+	left := pd + gap
+	for j := range cells {
+		c := &cells[j]
+		sub := mis
+		if ai == c.code {
+			sub = mat
+		}
+		// Branch-free select (DESIGN.md §8): the closure kernel's strict
+		// "up > diag" and "left > max(diag, up)" tests become 0/1 bits, and
+		// with dirDiag/dirUp/dirLeft = 1/2/3, 1+upW picks diag or up while
+		// OR-ing in 3 forces left — so ties still resolve diagonal, then up,
+		// then left. Both tests compile to a compare and a flag set.
+		d, u, l := pd+sub, c.score+gap, left+gap
+		best := max(d, u)
+		upW, lfW := b2u(u > d), b2u(l > best)
+		best = max(best, l)
+		pd = c.score
+		c.score = best
+		row[j] = (1 + upW) | lfW*3
+		left = best
+	}
+}
+
+// nwScoreRowCodes is nwRowCodes without directions, for the score-only
+// passes of Hirschberg: the same values through the same max.
+func nwScoreRowCodes(cells []nwCell, ai uint32, pd, mat, mis, gap int32) {
+	left := pd + gap
+	for j := range cells {
+		c := &cells[j]
+		sub := mis
+		if ai == c.code {
+			sub = mat
+		}
+		best := max(pd+sub, c.score+gap, left+gap)
+		pd = c.score
+		c.score = best
+		left = best
+	}
+}
+
+// b2u is the 0/1 value of a comparison; the compiler lowers it to a
+// flag-setting instruction, not a branch.
+func b2u(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // HirschbergCodes is the coded twin of Hirschberg: O(n+m) space, identical
@@ -179,58 +241,24 @@ func hirschRecCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, out *[]St
 // scratch — the caller passes it to putInt32 when done.
 func nwLastRowCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, rev bool) []int32 {
 	n, m := aHi-aLo, bHi-bLo
-	prev := getInt32(m + 1)
-	cur := getInt32(m + 1)
-	prev[0] = 0
-	for j := 1; j <= m; j++ {
-		prev[j] = int32(j * sc.Gap)
-	}
-	// bSeg is the band of b this recursion reads, oriented so the inner loop
-	// indexes it forward in both directions — the direction branch is hoisted
-	// out of the row loop and the slice bounds let the compiler elide the
-	// inner bounds checks. pd and left carry prev[j-1] and cur[j-1] in
-	// registers, exactly the values the closure twin re-reads per cell.
-	bSeg := b[bLo:bHi]
+	// Loading b's band reversed for the suffix pass lets both directions
+	// share one forward row kernel.
+	cells := loadCells(m, b[bLo:bHi], sc.Gap, rev)
 	mat, mis, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
 	for i := 1; i <= n; i++ {
-		var ai uint32
+		ai := a[aLo+i-1]
 		if rev {
 			ai = a[aHi-i]
-		} else {
-			ai = a[aLo+i-1]
 		}
-		prevR := prev[: m+1 : m+1]
-		curR := cur[: m+1 : m+1]
-		pd := prevR[0]
-		left := int32(i) * gap
-		curR[0] = left
-		for j := 1; j <= m; j++ {
-			pj := prevR[j]
-			var bj uint32
-			if rev {
-				bj = bSeg[m-j]
-			} else {
-				bj = bSeg[j-1]
-			}
-			sub := mis
-			if ai == bj {
-				sub = mat
-			}
-			best := pd + sub
-			if up := pj + gap; up > best {
-				best = up
-			}
-			if lf := left + gap; lf > best {
-				best = lf
-			}
-			curR[j] = best
-			pd = pj
-			left = best
-		}
-		prev, cur = cur, prev
+		nwScoreRowCodes(cells, ai, int32(i-1)*gap, mat, mis, gap)
 	}
-	putInt32(cur)
-	return prev
+	out := getInt32(m + 1)
+	out[0] = int32(n) * gap
+	for j, c := range cells {
+		out[j+1] = c.score
+	}
+	putCells(cells)
+	return out
 }
 
 // GotohCodes is the coded twin of Gotoh (affine gap penalties, three-matrix

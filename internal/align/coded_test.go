@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -75,6 +76,19 @@ func TestCodedKernelsBitIdentical(t *testing.T) {
 		a := randCodes(rng, 41, 4)
 		b := randCodes(rng, 29, 4)
 		checkTwin(t, p.name+"/odd-scoring", a, b, p.closure, p.coded, odd)
+	}
+	// Weights this large wrap the int32 scores within a few cells: the
+	// linear-gap coded kernels must still replay the closure kernels' int32
+	// arithmetic and strict comparisons exactly, whatever the Scoring. (The
+	// Gotoh and banded kernels reserve a -2^29 sentinel, so they are not
+	// defined at this scale.)
+	wrap := Scoring{Match: 1 << 29, Mismatch: -(1 << 30) + 7, Gap: -(1 << 30)}
+	for _, p := range pairs[:3] {
+		for trial := 0; trial < 4; trial++ {
+			a := randCodes(rng, 23+trial, 3)
+			b := randCodes(rng, 30-trial, 3)
+			checkTwin(t, p.name+"/wrapping-scoring", a, b, p.closure, p.coded, wrap)
+		}
 	}
 }
 
@@ -156,5 +170,61 @@ func TestAlignCodesRouting(t *testing.T) {
 	got := AlignCodes(a, b, DefaultScoring)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("AlignCodes diverges from Align on the direct route")
+	}
+}
+
+// relatedCodes returns a copy of base with roughly one position in rate
+// substituted, deleted or followed by an insertion — the shape of a merge
+// candidate aligned against its partner, where runs of matches alternate
+// with short divergent stretches.
+func relatedCodes(rng *rand.Rand, base []uint32, rate, alphabet int) []uint32 {
+	out := make([]uint32, 0, len(base)+len(base)/rate+1)
+	for _, c := range base {
+		switch rng.Intn(3 * rate) {
+		case 0:
+			out = append(out, uint32(rng.Intn(alphabet)))
+		case 1:
+		case 2:
+			out = append(out, c, uint32(rng.Intn(alphabet)))
+		default:
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// alignSink keeps benchmarked alignments live.
+var alignSink []Step
+
+// BenchmarkAlignCodes times the coded dispatcher on the shapes exploration
+// feeds it: mid-size pairs, a large square pair, and 54912×80 — a huge
+// function (lto-t10's @main) against a typical partner — and reports the
+// cost per dynamic-programming cell.
+func BenchmarkAlignCodes(b *testing.B) {
+	const alphabet = 24
+	for _, shape := range [][2]int{{300, 300}, {2000, 2000}, {54912, 80}} {
+		n, m := shape[0], shape[1]
+		b.Run(fmt.Sprintf("%dx%d", n, m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(n*7 + m)))
+			a := randCodes(rng, n, alphabet)
+			// The partner is a mutated copy of a window of a, cut or padded
+			// to exactly m codes.
+			off := 0
+			if n > m {
+				off = rng.Intn(n - m)
+			}
+			c := relatedCodes(rng, a[off:min(n, off+m+m/4)], 5, alphabet)
+			for len(c) < m {
+				c = append(c, uint32(rng.Intn(alphabet)))
+			}
+			c = c[:m]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				alignSink = AlignCodes(a, c, DefaultScoring)
+			}
+			cells := float64(n) * float64(m) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cells, "ns/cell")
+		})
 	}
 }

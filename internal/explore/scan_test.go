@@ -58,6 +58,7 @@ func randomFingerprint(rng *rand.Rand, types []*ir.Type) *fingerprint.Fingerprin
 		fp.OpFreq[ir.OpRet] = 1
 		fp.Total = 1
 	}
+	fp.IndexOps()
 	for _, ty := range types {
 		if c := int32(rng.Intn(3)); c > 0 {
 			fp.TypeFreq = append(fp.TypeFreq, fingerprint.TypeCount{Type: ty, Key: ty.String(), Count: c})

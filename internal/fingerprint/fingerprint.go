@@ -18,9 +18,17 @@ type Fingerprint struct {
 	// TypeFreq holds (type, count) pairs sorted by type identity for
 	// linear-merge comparison.
 	TypeFreq []TypeCount
-	// Total is the instruction count.
+	// Total is the instruction count: the sum of OpFreq.
 	Total int32
+	// nz holds, in its first nnz bytes, the opcodes whose OpFreq entry is
+	// non-zero in ascending order — the sparse walk of upperBoundOps.
+	// IndexOps builds it.
+	nz  [ir.NumOpcodes]uint8
+	nnz uint8
 }
+
+// Every opcode must fit a byte of nz.
+var _ [256 - ir.NumOpcodes]struct{}
 
 // TypeCount is one entry of the type-frequency table.
 type TypeCount struct {
@@ -47,6 +55,7 @@ func Compute(f *ir.Func) *Fingerprint {
 			types[t]++
 		}
 	})
+	fp.IndexOps()
 	fp.TypeFreq = make([]TypeCount, 0, len(types))
 	for t, c := range types {
 		fp.TypeFreq = append(fp.TypeFreq, TypeCount{Type: t, Key: t.String(), Count: c})
@@ -57,24 +66,38 @@ func Compute(f *ir.Func) *Fingerprint {
 	return fp
 }
 
+// IndexOps rebuilds the sparse opcode index from OpFreq. Compute calls it;
+// code that fills OpFreq by hand (a decoder, a test) must call it before the
+// fingerprint is compared, and must keep Total equal to the sum of OpFreq.
+func (fp *Fingerprint) IndexOps() {
+	fp.nnz = 0
+	for k, c := range fp.OpFreq {
+		if c != 0 {
+			fp.nz[fp.nnz] = uint8(k)
+			fp.nnz++
+		}
+	}
+}
+
 // upperBoundOps computes UB(f1, f2, Opcodes):
 //
 //	Σ min(freq(k,f1), freq(k,f2)) / Σ (freq(k,f1) + freq(k,f2))
 //
 // the best-case merge ratio if every same-opcode instruction pair matched.
+// An opcode absent from either side adds 0 to the numerator, so the sum
+// walks only the sparser side's non-zero opcodes, and the denominator is
+// Total_1 + Total_2 — the same integers as the dense sum, so the same float.
 func upperBoundOps(a, b *Fingerprint) float64 {
-	var minSum, totSum int32
-	for k := 0; k < int(ir.NumOpcodes); k++ {
-		fa, fb := a.OpFreq[k], b.OpFreq[k]
-		if fa < fb {
-			minSum += fa
-		} else {
-			minSum += fb
-		}
-		totSum += fa + fb
-	}
+	totSum := a.Total + b.Total
 	if totSum == 0 {
 		return 0
+	}
+	if b.nnz < a.nnz {
+		a, b = b, a
+	}
+	var minSum int32
+	for _, k := range a.nz[:a.nnz] {
+		minSum += min(a.OpFreq[k], b.OpFreq[k])
 	}
 	return float64(minSum) / float64(totSum)
 }

@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -224,5 +225,60 @@ func BenchmarkSimilarity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Similarity(pa, pb)
+	}
+}
+
+// denseUpperBoundOps is the opcode bound summed over every opcode, the
+// form the sparse walk in upperBoundOps must reproduce bit for bit.
+func denseUpperBoundOps(a, b *Fingerprint) float64 {
+	var minSum, totSum int32
+	for k := range a.OpFreq {
+		minSum += min(a.OpFreq[k], b.OpFreq[k])
+		totSum += a.OpFreq[k] + b.OpFreq[k]
+	}
+	if totSum == 0 {
+		return 0
+	}
+	return float64(minSum) / float64(totSum)
+}
+
+// TestUpperBoundOpsSparseMatchesDense pits the sparse opcode bound against
+// the dense sum on random histograms, from empty to every opcode present,
+// and on fingerprints Compute builds.
+func TestUpperBoundOpsSparseMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := func() *Fingerprint {
+		fp := &Fingerprint{}
+		density := rng.Intn(int(ir.NumOpcodes) + 1)
+		for k := range fp.OpFreq {
+			if rng.Intn(int(ir.NumOpcodes)) < density {
+				fp.OpFreq[k] = int32(rng.Intn(50))
+				fp.Total += fp.OpFreq[k]
+			}
+		}
+		fp.IndexOps()
+		return fp
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, b := random(), random()
+		if got, want := upperBoundOps(a, b), denseUpperBoundOps(a, b); got != want {
+			t.Fatalf("sparse bound %v, dense %v for %v vs %v", got, want, a.OpFreq, b.OpFreq)
+		}
+	}
+	m := ir.NewModule("fp")
+	var fps []*Fingerprint
+	for i := 0; i < 12; i++ {
+		f := workload.Generate(m, workload.FuncSpec{
+			Name: "g" + string(rune('a'+i)), Seed: int64(i), Scalar: ir.I32(),
+			NumParams: 1 + i%3, Regions: 1 + i%4, OpsPerBlock: 3 + i,
+		})
+		fps = append(fps, Compute(f))
+	}
+	for _, a := range fps {
+		for _, b := range fps {
+			if got, want := upperBoundOps(a, b), denseUpperBoundOps(a, b); got != want {
+				t.Fatalf("sparse bound %v, dense %v on computed fingerprints", got, want)
+			}
+		}
 	}
 }

@@ -34,6 +34,7 @@ package simdb
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -645,24 +646,42 @@ func (a *replayArena) bandKeys(n int) []uint64 {
 	return out
 }
 
-// wireToRecord validates and lifts a wire record: opcodes must be in range,
-// and the lane count must be exactly fingerprint.SigLanes or zero. Key bytes
-// alias the segment buffer (zero-copy); the wire record's scratch slices are
-// copied into arena-backed state.
+// wireToRecord validates and lifts a wire record: opcodes must be in range
+// and ascending, their counts non-negative and summing to the record's Size
+// (every writer stores Size = Total = Σ OpFreq, so a damaged count cannot
+// slip through as a different fingerprint), and the lane count must be
+// exactly fingerprint.SigLanes or zero. Key bytes alias the segment buffer
+// (zero-copy); the wire record's scratch slices are copied into
+// arena-backed state.
 func (a *replayArena) wireToRecord(w *wire.DBRecord) (*Record, error) {
 	rec := a.record()
 	*rec = Record{
 		Hash: w.Hash, Name: w.Name, Linkage: ir.Linkage(w.Linkage),
 		SelfEq: w.Flags&wire.DBSelfEq != 0, Size: int32(w.Size), Key: w.Key,
 	}
+	if w.Size > math.MaxInt32 {
+		return nil, fmt.Errorf("record %q: size %d out of range", w.Name, w.Size)
+	}
 	fp := a.fingerprint()
 	fp.Total = int32(w.Size)
-	for _, oc := range w.Ops {
+	var sum int64
+	for i, oc := range w.Ops {
 		if oc.Op < 0 || oc.Op >= int32(ir.NumOpcodes) {
 			return nil, fmt.Errorf("record %q: opcode %d out of range", w.Name, oc.Op)
 		}
+		if i > 0 && oc.Op <= w.Ops[i-1].Op {
+			return nil, fmt.Errorf("record %q: opcode %d out of order", w.Name, oc.Op)
+		}
+		if oc.Count < 0 {
+			return nil, fmt.Errorf("record %q: opcode %d has negative count %d", w.Name, oc.Op, oc.Count)
+		}
 		fp.OpFreq[oc.Op] = oc.Count
+		sum += int64(oc.Count)
 	}
+	if sum != int64(w.Size) {
+		return nil, fmt.Errorf("record %q: opcode counts sum to %d, want size %d", w.Name, sum, w.Size)
+	}
+	fp.IndexOps()
 	if n := len(w.Types); n > 0 {
 		fp.TypeFreq = a.typeCounts(n)
 		for i, tc := range w.Types {

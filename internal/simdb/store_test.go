@@ -2,11 +2,13 @@ package simdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fmsa/internal/fingerprint"
@@ -511,6 +513,59 @@ func TestStoreRejectsCorruptFile(t *testing.T) {
 	}
 	if _, err := Open(path, "", Options{}); err == nil {
 		t.Fatal("non-fmdb file accepted")
+	}
+}
+
+// TestStoreRejectsFlippedOpcodeCount flips one bit of one opcode count in a
+// flushed segment. The wire layer still decodes the record cleanly, and the
+// flipped count would silently change the record's similarity to every
+// candidate; Open must instead reject the segment and name the record.
+func TestStoreRejectsFlippedOpcodeCount(t *testing.T) {
+	recs := genRecords(t, 4, 0)
+	s := tmpStore(t, Options{})
+	for _, r := range recs {
+		s.Put(r)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The victim's content key followed by its sparse opcode table, encoded
+	// as the segment writer lays them out.
+	victim := recs[2]
+	w := recordToWire(&victim)
+	pat := binary.AppendUvarint(append([]byte(nil), victim.Key...), uint64(len(w.Ops)))
+	countAt := -1 // offset of the first count within pat
+	for _, oc := range w.Ops {
+		pat = binary.AppendUvarint(pat, uint64(oc.Op))
+		if countAt < 0 {
+			countAt = len(pat)
+		}
+		pat = binary.AppendUvarint(pat, uint64(oc.Count))
+	}
+	at := bytes.Index(data, pat)
+	if at < 0 || bytes.Contains(data[at+1:], pat) {
+		t.Fatalf("victim's opcode table found %d times, want once", bytes.Count(data, pat))
+	}
+	if data[at+countAt] >= 0x80 {
+		t.Fatal("first opcode count spans several varint bytes")
+	}
+	data[at+countAt] ^= 1
+	if _, err := wire.WalkDB(data, nil, nil); err != nil {
+		t.Fatalf("the flip should still decode at the wire layer: %v", err)
+	}
+	if err := os.WriteFile(s.Path(), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(s.Path(), "", Options{})
+	if err == nil {
+		t.Fatal("segment with a flipped opcode count accepted")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("%q", victim.Name)) {
+		t.Fatalf("error %q does not name record %q", err, victim.Name)
 	}
 }
 
