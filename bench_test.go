@@ -22,15 +22,7 @@ import (
 
 // benchSpec subsamples the SPEC-like suite (every 4th profile) to keep
 // benchmark iterations to seconds.
-func benchSpec() []workload.Profile {
-	var out []workload.Profile
-	for i, p := range workload.SPECLike() {
-		if i%4 == 0 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func benchSpec() []workload.Profile { return workload.Quick(workload.SPECLike()) }
 
 // benchMiBench subsamples the MiBench-like suite, always keeping rijndael
 // (its twin pair is the Fig. 11 headline).

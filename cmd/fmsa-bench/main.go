@@ -6,28 +6,21 @@
 //	fmsa-bench -exp all -csv results/
 //
 // Experiments: fig8, fig10, fig11, fig12, fig13, fig14, table1, table2,
-// ablation, hotexclusion, perf, rank, audit, kernels, bound, ingest,
-// verify, global, serve, simdb, all.
+// ablation, hotexclusion, perf, rank, audit, bound, ingest, verify, global,
+// serve, simdb, all.
 //
 // The perf experiment measures the exploration pipeline itself (serial vs
 // parallel) and emits one machine-readable JSON line per configuration —
 // ns/op, merges/s, DP-cell and cache-hit counters, and the per-phase
 // breakdown — for tracking the performance trajectory across revisions.
-// -alignkernel and -nocaches select the alignment kernel (coded or closure)
-// and toggle the linearization cache plus alignment memo; -nobound disables
-// pre-codegen profitability bounding; -runs repeats each measurement and
-// reports the median (ns_per_op) plus the minimum (ns_per_op_min);
-// -percorpus emits one line per corpus instead of one per suite:
+// -nobound disables pre-codegen profitability bounding; -runs repeats each
+// measurement and reports the median (ns_per_op) plus the minimum
+// (ns_per_op_min); -percorpus emits one line per corpus instead of one per
+// suite:
 //
 //	fmsa-bench -exp perf -workers 8 -json BENCH_explore.json
 //	fmsa-bench -exp perf -percorpus -runs 3 -json BENCH_PR5.json
 //	fmsa-bench -exp perf -percorpus -runs 3 -nobound -json BENCH_PR5.json
-//
-// The kernels experiment cross-checks the coded kernel (caches on) against
-// the closure kernel (caches off) corpus by corpus and fails on the first
-// divergence in merge records or final module text:
-//
-//	fmsa-bench -exp kernels -quick
 //
 // The bound experiment is the profitability-bound differential check: each
 // corpus runs with bounding off, with pruning on (must commit bit-identical
@@ -122,8 +115,6 @@ func main() {
 		jsonPath  = flag.String("json", "", "append experiment JSON lines (perf, rank, audit) to this file")
 		auditMode = flag.String("audit", "committed", "audit experiment mode: committed or deep")
 		ranking   = flag.String("ranking", "exact", "perf experiment candidate ranking: exact or lsh")
-		kernel    = flag.String("alignkernel", "coded", "alignment kernel: coded or closure")
-		noCaches  = flag.Bool("nocaches", false, "disable the linearization cache and alignment memo")
 		noBound   = flag.Bool("nobound", false, "disable pre-codegen profitability bounding")
 		runs      = flag.Int("runs", 1, "perf experiment: repeat each measurement, report median and min")
 		perCorpus = flag.Bool("percorpus", false, "perf experiment: emit one JSON line per corpus")
@@ -145,8 +136,8 @@ func main() {
 	spec := workload.SPECLike()
 	mibench := workload.MiBenchLike()
 	if *quickly {
-		spec = subsample(spec)
-		mibench = subsample(mibench)
+		spec = workload.Quick(spec)
+		mibench = workload.Quick(mibench)
 	}
 
 	run := func(name string) bool { return *exp == "all" || *exp == name }
@@ -286,8 +277,6 @@ func main() {
 		section("Exploration pipeline performance: serial vs parallel (t=10)")
 		mode, err := explore.ParseRankingMode(*ranking)
 		fatalIf(err)
-		km, err := explore.ParseKernelMode(*kernel)
-		fatalIf(err)
 		lvl, err := ir.ParseVerifyLevel(*verifyLvl)
 		fatalIf(err)
 		w := *workers
@@ -296,7 +285,7 @@ func main() {
 		}
 		cfg := experiments.PerfConfig{
 			Threshold: 10, Workers: 1, Runs: *runs,
-			Ranking: mode, Kernel: km, NoCaches: *noCaches, NoBound: *noBound,
+			Ranking: mode, NoBound: *noBound,
 			Verify: lvl,
 		}
 		if *perCorpus {
@@ -315,16 +304,6 @@ func main() {
 				emitPerf(par, *jsonPath)
 			}
 		}
-	}
-
-	if run("kernels") {
-		ran = true
-		section("Kernel cross-check: coded+caches vs closure+nocaches, bit-identical merges (t=5)")
-		rows, err := experiments.KernelCrossCheck(spec, tgt, 5, *workers)
-		for _, r := range rows {
-			emitJSON(r, *jsonPath)
-		}
-		fatalIf(err)
 	}
 
 	if run("bound") {
@@ -511,16 +490,6 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-func subsample(ps []workload.Profile) []workload.Profile {
-	var out []workload.Profile
-	for i, p := range ps {
-		if i%4 == 0 {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func section(title string) {

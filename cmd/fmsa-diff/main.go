@@ -19,7 +19,7 @@ import (
 	"strings"
 
 	"fmsa/internal/align"
-	"fmsa/internal/core"
+	"fmsa/internal/encode"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
 	"fmsa/internal/passes"
@@ -72,11 +72,17 @@ func main() {
 
 	seq1 := linearize.Linearize(f1)
 	seq2 := linearize.Linearize(f2)
-	eq := func(i, j int) bool { return core.EntriesEquivalent(seq1[i], seq2[j]) }
-	steps := align.DecomposeMismatches(
-		align.Align(len(seq1), len(seq2), eq, align.DefaultScoring))
-
+	steps := alignEntries(seq1, seq2)
 	fmt.Print(Render(steps, seq1, seq2, *width, f1.Name(), f2.Name()))
+}
+
+// alignEntries aligns two linearized functions the way the merger does:
+// both are encoded through one interning table, aligned over their codes,
+// and mismatch columns split into gap pairs.
+func alignEntries(seq1, seq2 []linearize.Entry) []align.Step {
+	in := encode.NewInterner()
+	a, b := in.Encode(seq1).Codes, in.Encode(seq2).Codes
+	return align.DecomposeMismatches(align.AlignCodes(a, b, align.DefaultScoring))
 }
 
 // Render builds the two-column alignment listing.

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"fmsa/internal/align"
-	"fmsa/internal/core"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
 )
@@ -33,10 +31,7 @@ func renderFixture(t *testing.T) string {
 	f1, f2 := mod.FuncByName("a"), mod.FuncByName("b")
 	seq1 := linearize.Linearize(f1)
 	seq2 := linearize.Linearize(f2)
-	eq := func(i, j int) bool { return core.EntriesEquivalent(seq1[i], seq2[j]) }
-	steps := align.DecomposeMismatches(
-		align.Align(len(seq1), len(seq2), eq, align.DefaultScoring))
-	return Render(steps, seq1, seq2, 40, f1.Name(), f2.Name())
+	return Render(alignEntries(seq1, seq2), seq1, seq2, 40, f1.Name(), f2.Name())
 }
 
 func TestRenderAlignmentView(t *testing.T) {

@@ -41,27 +41,24 @@ import (
 
 func main() {
 	var (
-		technique   = flag.String("technique", "fmsa", "merging technique: identical, soa, fmsa")
-		threshold   = flag.Int("threshold", 1, "FMSA exploration threshold (t)")
-		target      = flag.String("target", "x86-64", "cost-model target: x86-64 or thumb")
-		oracle      = flag.Bool("oracle", false, "use exhaustive (oracle) exploration")
-		workers     = flag.Int("workers", 0, "exploration worker goroutines (0 = all cores; results are identical for any value)")
-		ranking     = flag.String("ranking", "exact", "candidate ranking: exact (quadratic scan) or lsh (MinHash index, sub-quadratic)")
-		audit       = flag.String("audit", "off", "merge auditing: off, committed (static checks, diagnostics reported) or deep (reject merges whose behavior diverges)")
-		kernel      = flag.String("alignkernel", "coded", "alignment kernel: coded (interned codes, default) or closure (reference); results are bit-identical")
-		noSeqCache  = flag.Bool("noseqcache", false, "disable the per-function linearization cache (measurement/debugging only)")
-		noAlignMemo = flag.Bool("noalignmemo", false, "disable the alignment-result memo (measurement/debugging only)")
-		noBound     = flag.Bool("nobound", false, "disable pre-codegen profitability bounding (measurement/debugging only; results are identical either way)")
-		verifyLvl   = flag.String("verify", "full", "IR verification at pipeline boundaries and inside exploration: off, fast or full")
-		globalMode  = flag.Bool("global", false, "two-round sharded cross-TU merging: each input file is one translation unit")
-		shards      = flag.Int("shards", 1, "round-2 shard count for -global (results are bit-identical for any value)")
-		mergePair   = flag.String("merge", "", "merge exactly this comma-separated function pair")
-		out         = flag.String("o", "", "write the optimized module to this file (default: stdout)")
-		quiet       = flag.Bool("q", false, "suppress the statistics report")
-		cgDot       = flag.Bool("callgraph", false, "print the call graph as Graphviz DOT instead of optimizing")
-		dbPath      = flag.String("db", "", "persistent similarity database segment: reuse fingerprint/signature state across runs (fmsa technique only)")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
+		technique  = flag.String("technique", "fmsa", "merging technique: identical, soa, fmsa")
+		threshold  = flag.Int("threshold", 1, "FMSA exploration threshold (t)")
+		target     = flag.String("target", "x86-64", "cost-model target: x86-64 or thumb")
+		oracle     = flag.Bool("oracle", false, "use exhaustive (oracle) exploration")
+		workers    = flag.Int("workers", 0, "exploration worker goroutines (0 = all cores; results are identical for any value)")
+		ranking    = flag.String("ranking", "exact", "candidate ranking: exact (quadratic scan) or lsh (MinHash index, sub-quadratic)")
+		audit      = flag.String("audit", "off", "merge auditing: off, committed (static checks, diagnostics reported) or deep (reject merges whose behavior diverges)")
+		noBound    = flag.Bool("nobound", false, "disable pre-codegen profitability bounding (measurement/debugging only; results are identical either way)")
+		verifyLvl  = flag.String("verify", "full", "IR verification at pipeline boundaries and inside exploration: off, fast or full")
+		globalMode = flag.Bool("global", false, "two-round sharded cross-TU merging: each input file is one translation unit")
+		shards     = flag.Int("shards", 1, "round-2 shard count for -global (results are bit-identical for any value)")
+		mergePair  = flag.String("merge", "", "merge exactly this comma-separated function pair")
+		out        = flag.String("o", "", "write the optimized module to this file (default: stdout)")
+		quiet      = flag.Bool("q", false, "suppress the statistics report")
+		cgDot      = flag.Bool("callgraph", false, "print the call graph as Graphviz DOT instead of optimizing")
+		dbPath     = flag.String("db", "", "persistent similarity database segment: reuse fingerprint/signature state across runs (fmsa technique only)")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
+		memProf    = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -130,19 +127,16 @@ func main() {
 
 	before, _ := fmsa.ModuleSize(mod, *target)
 	rep, err := fmsa.Optimize(mod, fmsa.Options{
-		Technique:   fmsa.Technique(*technique),
-		Threshold:   *threshold,
-		Target:      *target,
-		Oracle:      *oracle,
-		Workers:     *workers,
-		Ranking:     *ranking,
-		Audit:       *audit,
-		AlignKernel: *kernel,
-		NoSeqCache:  *noSeqCache,
-		NoAlignMemo: *noAlignMemo,
-		NoBound:     *noBound,
-		Verify:      *verifyLvl,
-		Store:       store,
+		Technique: fmsa.Technique(*technique),
+		Threshold: *threshold,
+		Target:    *target,
+		Oracle:    *oracle,
+		Workers:   *workers,
+		Ranking:   *ranking,
+		Audit:     *audit,
+		NoBound:   *noBound,
+		Verify:    *verifyLvl,
+		Store:     store,
 	})
 	fatal(err)
 	if len(rep.VerifyDiags) > 0 {

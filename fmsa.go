@@ -124,20 +124,9 @@ type Options struct {
 	// Only TechniqueFMSA audits; the baselines have no merge bodies to
 	// check.
 	Audit string
-	// AlignKernel selects FMSA's alignment kernel: "" or "coded" (interned
-	// equivalence codes, flat integer inner loops — the default), or
-	// "closure" (the per-cell equivalence-predicate kernels). Both produce
-	// bit-identical merges; closure exists as the cross-check reference.
-	AlignKernel string
-	// NoSeqCache disables the per-function linearization+encoding cache and
-	// NoAlignMemo the alignment-result memo. Both caches are semantically
-	// invisible — results are identical either way — and exist to be turned
-	// off only for measurement and debugging.
-	NoSeqCache  bool
-	NoAlignMemo bool
 	// NoBound disables pre-codegen profitability bounding. Bounding never
 	// changes the optimized module — it only skips materializing merge
-	// candidates the cost model would reject — so this too exists only for
+	// candidates the cost model would reject — so this exists only for
 	// measurement and debugging.
 	NoBound bool
 	// Verify selects the opt-in IR verification gates inside FMSA's
@@ -184,10 +173,6 @@ func Optimize(m *Module, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fmsa: %w", err)
 		}
-		kernel, err := explore.ParseKernelMode(opts.AlignKernel)
-		if err != nil {
-			return nil, fmt.Errorf("fmsa: %w", err)
-		}
 		verify, err := ir.ParseVerifyLevel(opts.Verify)
 		if err != nil {
 			return nil, fmt.Errorf("fmsa: %w", err)
@@ -203,9 +188,6 @@ func Optimize(m *Module, opts Options) (*Report, error) {
 		eopts.Workers = opts.Workers
 		eopts.Audit = audit
 		eopts.Ranking = ranking
-		eopts.Kernel = kernel
-		eopts.NoSeqCache = opts.NoSeqCache
-		eopts.NoAlignMemo = opts.NoAlignMemo
 		eopts.NoBound = opts.NoBound
 		eopts.Verify = verify
 		if opts.Store != nil {

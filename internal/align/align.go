@@ -1,11 +1,14 @@
-// Package align implements pairwise sequence alignment algorithms over
-// abstract sequences: the Needleman–Wunsch global alignment used by the
-// paper (§III-C), a Hirschberg linear-space variant for long sequences, and
-// Smith–Waterman local alignment for the alignment-algorithm ablation.
+// Package align implements pairwise global alignment of two sequences of
+// equivalence-class codes: the Needleman–Wunsch alignment used by the paper
+// (§III-C), a Hirschberg linear-space variant for long sequences, and the
+// affine-gap (Gotoh) and banded variants of the alignment-algorithm
+// ablation.
 //
-// Sequences are abstract: callers supply lengths and an equivalence
-// predicate over index pairs, so the package never copies the underlying
-// elements (linearized IR entries).
+// Sequences are flat []uint32 slices: the caller interns each element
+// (a linearized IR entry) into a code such that two elements are equivalent
+// exactly when their codes are equal (internal/encode), so a
+// dynamic-programming cell compares two integers. Every aligner has the
+// CodedFunc signature; AlignCodes is the one production uses.
 package align
 
 // Op classifies one column of an alignment.
@@ -59,31 +62,16 @@ type Scoring struct {
 // gaps equally penalized.
 var DefaultScoring = Scoring{Match: 1, Mismatch: -1, Gap: -1}
 
-// EqFunc reports whether A[i] and B[j] are equivalent.
-type EqFunc func(i, j int) bool
-
 // maxDirectCells bounds the traceback matrix of direct Needleman–Wunsch;
 // larger problems are routed to the linear-space Hirschberg algorithm.
 const maxDirectCells = 1 << 24 // 16M cells ≈ 16 MiB of direction bytes
-
-// Align computes an optimal global alignment of two sequences of lengths n
-// and m, choosing between direct Needleman–Wunsch and the linear-space
-// Hirschberg variant based on problem size.
-func Align(n, m int, eq EqFunc, sc Scoring) []Step {
-	if useDirect(n, m) {
-		return NeedlemanWunsch(n, m, eq, sc)
-	}
-	return Hirschberg(n, m, eq, sc)
-}
 
 // useDirect reports whether an n×m problem fits the direct Needleman–Wunsch
 // traceback matrix. The bound is checked by division rather than as
 // n*m <= maxDirectCells: for very long sequences the product can overflow
 // int and wrap to a small (or negative) value, which would route a
 // multi-gigabyte problem to the direct kernel. For every non-overflowing
-// pair the two forms agree exactly, so the routing of all realistic inputs
-// is unchanged. AlignCodes shares this predicate so both dispatchers always
-// pick twin kernels.
+// pair the two forms agree exactly.
 func useDirect(n, m int) bool {
 	return n == 0 || m == 0 || n <= maxDirectCells/m
 }
@@ -94,97 +82,6 @@ const (
 	dirUp        // gap in B (consume A)
 	dirLeft      // gap in A (consume B)
 )
-
-// NeedlemanWunsch computes an optimal global alignment with full dynamic
-// programming (O(n·m) time and traceback space).
-func NeedlemanWunsch(n, m int, eq EqFunc, sc Scoring) []Step {
-	if n == 0 {
-		steps := make([]Step, 0, m)
-		for j := 0; j < m; j++ {
-			steps = append(steps, Step{Op: OpGapB, I: -1, J: j})
-		}
-		return steps
-	}
-	if m == 0 {
-		steps := make([]Step, 0, n)
-		for i := 0; i < n; i++ {
-			steps = append(steps, Step{Op: OpGapA, I: i, J: -1})
-		}
-		return steps
-	}
-
-	// Rolling score rows plus a full direction matrix for traceback, all
-	// recycled scratch. Every cell the traceback can reach is written below
-	// — dirs[at(0,0)] is the only unwritten cell, and the traceback stops
-	// before reading it — so stale pooled contents are harmless.
-	prev := getInt32(m + 1)
-	cur := getInt32(m + 1)
-	dirs := getBytes((n + 1) * (m + 1))
-	at := func(i, j int) int { return i*(m+1) + j }
-
-	prev[0] = 0
-	for j := 1; j <= m; j++ {
-		prev[j] = int32(j * sc.Gap)
-		dirs[at(0, j)] = dirLeft
-	}
-	for i := 1; i <= n; i++ {
-		cur[0] = int32(i * sc.Gap)
-		dirs[at(i, 0)] = dirUp
-		for j := 1; j <= m; j++ {
-			sub := sc.Mismatch
-			if eq(i-1, j-1) {
-				sub = sc.Match
-			}
-			diag := prev[j-1] + int32(sub)
-			up := prev[j] + int32(sc.Gap)
-			left := cur[j-1] + int32(sc.Gap)
-			// Tie-break toward diagonal, then up, matching the classic
-			// formulation; determinism matters for reproducibility.
-			best, dir := diag, dirDiag
-			if up > best {
-				best, dir = up, dirUp
-			}
-			if left > best {
-				best, dir = left, dirLeft
-			}
-			cur[j] = best
-			dirs[at(i, j)] = dir
-		}
-		prev, cur = cur, prev
-	}
-
-	// Traceback.
-	var rev []Step
-	i, j := n, m
-	for i > 0 || j > 0 {
-		switch dirs[at(i, j)] {
-		case dirDiag:
-			op := OpMismatch
-			if eq(i-1, j-1) {
-				op = OpMatch
-			}
-			rev = append(rev, Step{Op: op, I: i - 1, J: j - 1})
-			i--
-			j--
-		case dirUp:
-			rev = append(rev, Step{Op: OpGapA, I: i - 1, J: -1})
-			i--
-		case dirLeft:
-			rev = append(rev, Step{Op: OpGapB, I: -1, J: j - 1})
-			j--
-		default:
-			panic("align: corrupt traceback")
-		}
-	}
-	putInt32(prev)
-	putInt32(cur)
-	putBytes(dirs)
-	// Reverse in place.
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
-	return rev
-}
 
 // Score computes the total score of an alignment under sc.
 func Score(steps []Step, sc Scoring) int {

@@ -7,14 +7,19 @@ import (
 	"testing/quick"
 )
 
-// strEq builds an EqFunc over two strings.
-func strEq(a, b string) EqFunc {
-	return func(i, j int) bool { return a[i] == b[j] }
+// codesOf turns a string into one code per byte, so tests can spell
+// sequences as literals.
+func codesOf(s string) []uint32 {
+	c := make([]uint32, len(s))
+	for i := range s {
+		c[i] = uint32(s[i])
+	}
+	return c
 }
 
 func alignStrings(t *testing.T, a, b string) []Step {
 	t.Helper()
-	steps := NeedlemanWunsch(len(a), len(b), strEq(a, b), DefaultScoring)
+	steps := NeedlemanWunschCodes(codesOf(a), codesOf(b), DefaultScoring)
 	if !Validate(steps, len(a), len(b)) {
 		t.Fatalf("invalid alignment of %q and %q: %v", a, b, steps)
 	}
@@ -111,8 +116,9 @@ func TestValidateRejectsBadAlignments(t *testing.T) {
 	}
 }
 
-// optimal score via slow recursion for cross-checking on small inputs.
-func slowScore(a, b string, sc Scoring) int {
+// slowScore is the optimal linear-gap score by memoized recursion, for
+// cross-checking the kernels on small inputs.
+func slowScore(a, b []uint32, sc Scoring) int {
 	memo := map[[2]int]int{}
 	var rec func(i, j int) int
 	rec = func(i, j int) int {
@@ -142,27 +148,19 @@ func slowScore(a, b string, sc Scoring) int {
 	return rec(0, 0)
 }
 
-func randSeq(r *rand.Rand, n int, alphabet string) string {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = alphabet[r.Intn(len(alphabet))]
-	}
-	return string(buf)
-}
-
 func TestNWOptimality(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
-		a := randSeq(r, r.Intn(12), "abcd")
-		b := randSeq(r, r.Intn(12), "abcd")
-		steps := NeedlemanWunsch(len(a), len(b), strEq(a, b), DefaultScoring)
+		a := randCodes(r, r.Intn(12), 4)
+		b := randCodes(r, r.Intn(12), 4)
+		steps := NeedlemanWunschCodes(a, b, DefaultScoring)
 		if !Validate(steps, len(a), len(b)) {
-			t.Fatalf("invalid alignment of %q, %q", a, b)
+			t.Fatalf("invalid alignment of %v, %v", a, b)
 		}
 		got := Score(steps, DefaultScoring)
 		want := slowScore(a, b, DefaultScoring)
 		if got != want {
-			t.Fatalf("NW score %d != optimal %d for %q, %q", got, want, a, b)
+			t.Fatalf("NW score %d != optimal %d for %v, %v", got, want, a, b)
 		}
 	}
 }
@@ -170,75 +168,67 @@ func TestNWOptimality(t *testing.T) {
 func TestHirschbergMatchesNW(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 200; iter++ {
-		a := randSeq(r, r.Intn(40), "abc")
-		b := randSeq(r, r.Intn(40), "abc")
-		h := Hirschberg(len(a), len(b), strEq(a, b), DefaultScoring)
+		a := randCodes(r, r.Intn(40), 3)
+		b := randCodes(r, r.Intn(40), 3)
+		h := HirschbergCodes(a, b, DefaultScoring)
 		if !Validate(h, len(a), len(b)) {
-			t.Fatalf("hirschberg invalid for %q, %q: %v", a, b, h)
+			t.Fatalf("hirschberg invalid for %v, %v: %v", a, b, h)
 		}
-		nw := NeedlemanWunsch(len(a), len(b), strEq(a, b), DefaultScoring)
+		nw := NeedlemanWunschCodes(a, b, DefaultScoring)
 		if Score(h, DefaultScoring) != Score(nw, DefaultScoring) {
-			t.Fatalf("hirschberg score %d != NW %d for %q, %q",
+			t.Fatalf("hirschberg score %d != NW %d for %v, %v",
 				Score(h, DefaultScoring), Score(nw, DefaultScoring), a, b)
 		}
 	}
+}
+
+// quickConfig is a testing/quick configuration with a fixed seed, so a
+// property test checks the same inputs on every run.
+func quickConfig(maxCount int, seed int64) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
+}
+
+// quickCodes truncates a quick-generated byte string to at most n elements
+// and reduces it to an alphabet of k codes, so matches are common.
+func quickCodes(raw []byte, n, k int) []uint32 {
+	c := make([]uint32, min(len(raw), n))
+	for i := range c {
+		c[i] = uint32(raw[i]) % uint32(k)
+	}
+	return c
 }
 
 func TestHirschbergProperty(t *testing.T) {
 	// Property: for any pair of byte strings, Hirschberg produces a valid
 	// alignment whose score equals the NW optimum.
 	f := func(aRaw, bRaw []byte) bool {
-		a := aRaw
-		b := bRaw
-		if len(a) > 60 {
-			a = a[:60]
-		}
-		if len(b) > 60 {
-			b = b[:60]
-		}
-		eq := func(i, j int) bool { return a[i]%8 == b[j]%8 }
-		h := Hirschberg(len(a), len(b), eq, DefaultScoring)
+		a, b := quickCodes(aRaw, 60, 8), quickCodes(bRaw, 60, 8)
+		h := HirschbergCodes(a, b, DefaultScoring)
 		if !Validate(h, len(a), len(b)) {
 			return false
 		}
-		nw := NeedlemanWunsch(len(a), len(b), eq, DefaultScoring)
+		nw := NeedlemanWunschCodes(a, b, DefaultScoring)
 		return Score(h, DefaultScoring) == Score(nw, DefaultScoring)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickConfig(150, 16)); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestAlignDispatch checks the dispatcher on the direct route: below the
+// size threshold AlignCodes is exactly NeedlemanWunschCodes.
 func TestAlignDispatch(t *testing.T) {
-	a := randSeq(rand.New(rand.NewSource(3)), 100, "ab")
-	b := randSeq(rand.New(rand.NewSource(4)), 100, "ab")
-	steps := Align(len(a), len(b), strEq(a, b), DefaultScoring)
-	if !Validate(steps, len(a), len(b)) {
-		t.Fatal("Align produced invalid alignment")
-	}
-}
-
-func TestSmithWatermanLocal(t *testing.T) {
-	// A shared core surrounded by noise: local alignment should recover
-	// exactly the core.
-	a := "xxxxCOMMONyyyy"
-	b := "ppppppCOMMONq"
-	steps := SmithWaterman(len(a), len(b), strEq(a, b), DefaultScoring)
-	matches := countOps(steps)[OpMatch]
-	if matches != 6 {
-		t.Errorf("expected 6 local matches, got %d: %v", matches, steps)
-	}
-	for _, s := range steps {
-		if s.Op == OpMatch && a[s.I] != b[s.J] {
-			t.Error("match step aligns unequal elements")
+	rng := rand.New(rand.NewSource(3))
+	for _, sh := range [][2]int{{0, 0}, {0, 7}, {7, 0}, {100, 100}, {200, 300}} {
+		a := randCodes(rng, sh[0], 2)
+		b := randCodes(rng, sh[1], 2)
+		steps := AlignCodes(a, b, DefaultScoring)
+		if !Validate(steps, len(a), len(b)) {
+			t.Fatalf("AlignCodes produced an invalid %dx%d alignment", sh[0], sh[1])
 		}
-	}
-}
-
-func TestSmithWatermanNoSimilarity(t *testing.T) {
-	steps := SmithWaterman(3, 3, func(i, j int) bool { return false }, DefaultScoring)
-	if steps != nil {
-		t.Errorf("expected nil for dissimilar inputs, got %v", steps)
+		if !slices.Equal(steps, NeedlemanWunschCodes(a, b, DefaultScoring)) {
+			t.Fatalf("AlignCodes diverges from NeedlemanWunschCodes at %dx%d", sh[0], sh[1])
+		}
 	}
 }
 
@@ -251,44 +241,77 @@ func TestScoreComputation(t *testing.T) {
 	}
 }
 
-// refNW is the reference Needleman–Wunsch the coded kernels are
-// property-tested against: the textbook full score matrix in int, then a
-// traceback that re-derives each column from the scores — diagonal when the
-// diagonal move attains the cell's score, else up (a gap in b), else left —
-// instead of replaying recorded directions. It also returns the matrix's
-// last row, which refHirschberg splits on.
-func refNW(a, b []uint32, sc Scoring) ([]Step, []int) {
+// refNW is the reference Needleman–Wunsch the kernels are property-tested
+// against: the textbook full score matrix, then a traceback that re-derives
+// each column from the scores — diagonal when the diagonal move attains the
+// cell's score, else up (a gap in b), else left — instead of replaying
+// recorded directions. It also returns the matrix's last row, which
+// refHirschberg splits on. Scores are int32, the kernels' arithmetic, so a
+// Scoring whose weights wrap within a few cells still compares exactly.
+func refNW(a, b []uint32, sc Scoring) ([]Step, []int32) {
+	return refBandNW(a, b, sc, -1)
+}
+
+// refNWSteps is refNW without its last row, in the kernels' shape.
+func refNWSteps(a, b []uint32, sc Scoring) []Step {
+	steps, _ := refNW(a, b, sc)
+	return steps
+}
+
+// refBandNW is refNW restricted to the cells with |i−j| ≤ band, or to every
+// cell when band < 0: a move may only come from a cell inside the band.
+func refBandNW(a, b []uint32, sc Scoring, band int) ([]Step, []int32) {
 	n, m := len(a), len(b)
-	h := make([][]int, n+1)
+	gap := int32(sc.Gap)
+	in := func(i, j int) bool { return band < 0 || abs(i-j) <= band }
+	h := make([][]int32, n+1)
 	for i := range h {
-		h[i] = make([]int, m+1)
-		h[i][0] = i * sc.Gap
+		h[i] = make([]int32, m+1)
 	}
-	for j := range h[0] {
-		h[0][j] = j * sc.Gap
-	}
-	sub := func(i, j int) int {
-		if a[i-1] == b[j-1] {
-			return sc.Match
+	// moves gives the score each in-band move into (i, j) reaches, in
+	// tie-break order: diagonal, up, left.
+	moves := func(i, j int) (val [3]int32, ok [3]bool) {
+		if i > 0 && j > 0 && in(i-1, j-1) {
+			sub := int32(sc.Mismatch)
+			if a[i-1] == b[j-1] {
+				sub = int32(sc.Match)
+			}
+			val[0], ok[0] = h[i-1][j-1]+sub, true
 		}
-		return sc.Mismatch
+		if i > 0 && in(i-1, j) {
+			val[1], ok[1] = h[i-1][j]+gap, true
+		}
+		if j > 0 && in(i, j-1) {
+			val[2], ok[2] = h[i][j-1]+gap, true
+		}
+		return val, ok
 	}
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			h[i][j] = max(h[i-1][j-1]+sub(i, j), h[i-1][j]+sc.Gap, h[i][j-1]+sc.Gap)
+	for i := 0; i <= n; i++ {
+		for j := 0; j <= m; j++ {
+			if i+j == 0 || !in(i, j) {
+				continue
+			}
+			val, ok := moves(i, j)
+			first := true
+			for k := range val {
+				if ok[k] && (first || val[k] > h[i][j]) {
+					h[i][j], first = val[k], false
+				}
+			}
 		}
 	}
 	var steps []Step
 	for i, j := n, m; i > 0 || j > 0; {
+		val, ok := moves(i, j)
 		switch {
-		case i > 0 && j > 0 && h[i][j] == h[i-1][j-1]+sub(i, j):
+		case ok[0] && val[0] == h[i][j]:
 			op := OpMismatch
 			if a[i-1] == b[j-1] {
 				op = OpMatch
 			}
 			steps = append(steps, Step{Op: op, I: i - 1, J: j - 1})
 			i, j = i-1, j-1
-		case i > 0 && h[i][j] == h[i-1][j]+sc.Gap:
+		case ok[1] && val[1] == h[i][j]:
 			steps = append(steps, Step{Op: OpGapA, I: i - 1, J: -1})
 			i--
 		default:
@@ -298,6 +321,113 @@ func refNW(a, b []uint32, sc Scoring) ([]Step, []int) {
 	}
 	slices.Reverse(steps)
 	return steps, h[n]
+}
+
+// refBanded is the reference for BandedCodes: the band widens to at least
+// one cell and to the length difference plus one, so (n, m) stays
+// reachable.
+func refBanded(band int) func(a, b []uint32, sc Scoring) []Step {
+	return func(a, b []uint32, sc Scoring) []Step {
+		steps, _ := refBandNW(a, b, sc, max(band, 1, abs(len(a)-len(b))+1))
+		return steps
+	}
+}
+
+// refGotoh is the reference affine-gap aligner: Gotoh's three full score
+// matrices — M ends in a match or mismatch column, X in a gap in b, Y in a
+// gap in a — then a traceback that re-derives each move from the scores:
+// the first of M, X, Y attaining the best score, and a gap opened from M
+// rather than extended when both attain it.
+func refGotoh(a, b []uint32, sc AffineScoring) []Step {
+	n, m := len(a), len(b)
+	const negInf = -1 << 40
+	open, ext := sc.GapOpen+sc.GapExtend, sc.GapExtend
+	mat := func() [][]int {
+		x := make([][]int, n+1)
+		for i := range x {
+			x[i] = make([]int, m+1)
+			for j := range x[i] {
+				x[i][j] = negInf
+			}
+		}
+		return x
+	}
+	M, X, Y := mat(), mat(), mat()
+	M[0][0] = 0
+	for i := 1; i <= n; i++ {
+		X[i][0] = open + (i-1)*ext
+	}
+	for j := 1; j <= m; j++ {
+		Y[0][j] = open + (j-1)*ext
+	}
+	sub := func(i, j int) int {
+		if a[i-1] == b[j-1] {
+			return sc.Match
+		}
+		return sc.Mismatch
+	}
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= m; j++ {
+			M[i][j] = max(M[i-1][j-1], X[i-1][j-1], Y[i-1][j-1]) + sub(i, j)
+			X[i][j] = max(M[i-1][j]+open, X[i-1][j]+ext)
+			Y[i][j] = max(M[i][j-1]+open, Y[i][j-1]+ext)
+		}
+	}
+	// best names the first of M, X, Y holding the cell's best score.
+	best := func(i, j int) byte {
+		top := max(M[i][j], X[i][j], Y[i][j])
+		switch top {
+		case M[i][j]:
+			return 'M'
+		case X[i][j]:
+			return 'X'
+		}
+		return 'Y'
+	}
+	var steps []Step
+	state := best(n, m)
+	for i, j := n, m; i > 0 || j > 0; {
+		switch state {
+		case 'M':
+			op := OpMismatch
+			if a[i-1] == b[j-1] {
+				op = OpMatch
+			}
+			steps = append(steps, Step{Op: op, I: i - 1, J: j - 1})
+			state = best(i-1, j-1)
+			i, j = i-1, j-1
+		case 'X':
+			steps = append(steps, Step{Op: OpGapA, I: i - 1, J: -1})
+			if X[i][j] != M[i-1][j]+open {
+				state = 'X'
+			} else {
+				state = 'M'
+			}
+			i--
+		default:
+			steps = append(steps, Step{Op: OpGapB, I: -1, J: j - 1})
+			if Y[i][j] != M[i][j-1]+open {
+				state = 'Y'
+			} else {
+				state = 'M'
+			}
+			j--
+		}
+	}
+	slices.Reverse(steps)
+	return steps
+}
+
+// refGotohAligner is refGotoh in GotohAlignerCodes' shape.
+func refGotohAligner(a, b []uint32, sc Scoring) []Step {
+	return refGotoh(a, b, AffineScoring{Match: sc.Match, Mismatch: sc.Mismatch, GapOpen: sc.Gap, GapExtend: sc.Gap})
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // refHirschberg is Hirschberg's recursion over refNW: split a at its middle
@@ -401,22 +531,20 @@ func TestCodedKernelsMatchOracle(t *testing.T) {
 
 func BenchmarkNeedlemanWunsch500(b *testing.B) {
 	r := rand.New(rand.NewSource(5))
-	s1 := randSeq(r, 500, "abcdefgh")
-	s2 := randSeq(r, 500, "abcdefgh")
-	eq := strEq(s1, s2)
+	s1 := randCodes(r, 500, 8)
+	s2 := randCodes(r, 500, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NeedlemanWunsch(len(s1), len(s2), eq, DefaultScoring)
+		NeedlemanWunschCodes(s1, s2, DefaultScoring)
 	}
 }
 
 func BenchmarkHirschberg500(b *testing.B) {
 	r := rand.New(rand.NewSource(6))
-	s1 := randSeq(r, 500, "abcdefgh")
-	s2 := randSeq(r, 500, "abcdefgh")
-	eq := strEq(s1, s2)
+	s1 := randCodes(r, 500, 8)
+	s2 := randCodes(r, 500, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Hirschberg(len(s1), len(s2), eq, DefaultScoring)
+		HirschbergCodes(s1, s2, DefaultScoring)
 	}
 }

@@ -9,12 +9,12 @@ import (
 func TestBandedValidAlignments(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 150; iter++ {
-		a := randSeq(r, r.Intn(30), "abcd")
-		b := randSeq(r, r.Intn(30), "abcd")
+		a := randCodes(r, r.Intn(30), 4)
+		b := randCodes(r, r.Intn(30), 4)
 		for _, band := range []int{1, 3, 8, 100} {
-			steps := Banded(len(a), len(b), strEq(a, b), DefaultScoring, band)
+			steps := BandedCodes(a, b, DefaultScoring, band)
 			if !Validate(steps, len(a), len(b)) {
-				t.Fatalf("invalid banded(%d) alignment of %q, %q: %v", band, a, b, steps)
+				t.Fatalf("invalid banded(%d) alignment of %v, %v: %v", band, a, b, steps)
 			}
 		}
 	}
@@ -23,36 +23,26 @@ func TestBandedValidAlignments(t *testing.T) {
 func TestBandedWideBandIsOptimal(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	for iter := 0; iter < 100; iter++ {
-		a := randSeq(r, r.Intn(20), "abc")
-		b := randSeq(r, r.Intn(20), "abc")
-		wide := Banded(len(a), len(b), strEq(a, b), DefaultScoring, 64)
-		nw := NeedlemanWunsch(len(a), len(b), strEq(a, b), DefaultScoring)
-		if Score(wide, DefaultScoring) != Score(nw, DefaultScoring) {
-			t.Fatalf("wide band not optimal for %q, %q: %d vs %d",
-				a, b, Score(wide, DefaultScoring), Score(nw, DefaultScoring))
+		a := randCodes(r, r.Intn(20), 3)
+		b := randCodes(r, r.Intn(20), 3)
+		wide := BandedCodes(a, b, DefaultScoring, 64)
+		if got, want := Score(wide, DefaultScoring), slowScore(a, b, DefaultScoring); got != want {
+			t.Fatalf("wide band not optimal for %v, %v: %d vs %d", a, b, got, want)
 		}
 	}
 }
 
 func TestBandedNeverBeatsOptimal(t *testing.T) {
 	f := func(aRaw, bRaw []byte, bandRaw uint8) bool {
-		a, b := aRaw, bRaw
-		if len(a) > 30 {
-			a = a[:30]
-		}
-		if len(b) > 30 {
-			b = b[:30]
-		}
+		a, b := quickCodes(aRaw, 30, 4), quickCodes(bRaw, 30, 4)
 		band := int(bandRaw%12) + 1
-		eq := func(i, j int) bool { return a[i]%4 == b[j]%4 }
-		banded := Banded(len(a), len(b), eq, DefaultScoring, band)
+		banded := BandedCodes(a, b, DefaultScoring, band)
 		if !Validate(banded, len(a), len(b)) {
 			return false
 		}
-		nw := NeedlemanWunsch(len(a), len(b), eq, DefaultScoring)
-		return Score(banded, DefaultScoring) <= Score(nw, DefaultScoring)
+		return Score(banded, DefaultScoring) <= slowScore(a, b, DefaultScoring)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickConfig(150, 24)); err != nil {
 		t.Error(err)
 	}
 }
@@ -60,8 +50,8 @@ func TestBandedNeverBeatsOptimal(t *testing.T) {
 func TestBandedIdenticalSequences(t *testing.T) {
 	// Identical sequences live on the main diagonal: even band 1 recovers
 	// the full match.
-	s := "mergemergemerge"
-	steps := Banded(len(s), len(s), strEq(s, s), DefaultScoring, 1)
+	s := codesOf("mergemergemerge")
+	steps := BandedCodes(s, s, DefaultScoring, 1)
 	if countOps(steps)[OpMatch] != len(s) {
 		t.Errorf("band-1 failed to match identical sequences: %v", steps)
 	}
@@ -69,22 +59,22 @@ func TestBandedIdenticalSequences(t *testing.T) {
 
 func TestBandedNarrowDegradesGracefully(t *testing.T) {
 	// A large shift (prefix insertion) exceeds the band: the result stays
-	// valid, just with fewer matches than the optimum.
-	a := "0123456789"
-	b := "XXXXXXXX0123456789"
-	narrow := Banded(len(a), len(b), strEq(a, b), DefaultScoring, 9) // just covers diff
+	// valid, just with no more matches than the optimum.
+	a := codesOf("0123456789")
+	b := codesOf("XXXXXXXX0123456789")
+	narrow := BandedCodes(a, b, DefaultScoring, 9) // just covers diff
 	if !Validate(narrow, len(a), len(b)) {
 		t.Fatal("invalid narrow alignment")
 	}
-	nw := NeedlemanWunsch(len(a), len(b), strEq(a, b), DefaultScoring)
+	nw := NeedlemanWunschCodes(a, b, DefaultScoring)
 	if countOps(narrow)[OpMatch] > countOps(nw)[OpMatch] {
 		t.Error("banded cannot out-match the optimum")
 	}
 }
 
 func TestBandedAligner(t *testing.T) {
-	fn := BandedAligner(16)
-	steps := fn(4, 4, strEq("abca", "abca"), DefaultScoring)
+	fn := BandedAlignerCodes(16)
+	steps := fn(codesOf("abca"), codesOf("abca"), DefaultScoring)
 	if countOps(steps)[OpMatch] != 4 {
 		t.Errorf("adapter misaligned: %v", steps)
 	}
@@ -92,11 +82,10 @@ func TestBandedAligner(t *testing.T) {
 
 func BenchmarkBanded500(b *testing.B) {
 	r := rand.New(rand.NewSource(23))
-	s1 := randSeq(r, 500, "abcdefgh")
-	s2 := randSeq(r, 500, "abcdefgh")
-	eq := strEq(s1, s2)
+	s1 := randCodes(r, 500, 8)
+	s2 := randCodes(r, 500, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Banded(len(s1), len(s2), eq, DefaultScoring, 32)
+		BandedCodes(s1, s2, DefaultScoring, 32)
 	}
 }

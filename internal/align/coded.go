@@ -1,28 +1,23 @@
 package align
 
-// Coded kernels: the same alignment algorithms specialized to pre-encoded
-// sequences of equivalence-class codes (internal/encode). The closure kernels
-// call an EqFunc per dynamic-programming cell — for IR sequences that is a
-// structural instruction walk behind an indirect call, millions of times per
-// merge attempt. Here equivalence is one integer comparison on a flat slice,
-// which the compiler keeps in registers and branch predictors resolve.
+// The alignment kernels. Equivalence is one integer comparison on a flat
+// slice of codes, which the compiler keeps in registers and branch
+// predictors resolve.
 //
-// Every coded kernel is a twin of its closure counterpart — same
-// recurrences in the same int32 arithmetic, same deterministic tie-breaks
-// (diagonal, then up, then left; gap-open preferred over extend on ties),
-// same traceback order, same pooled scratch discipline — so for any code
-// assignment with codes(a)[i] == codes(b)[j] ⇔ eq(i, j), the returned []Step
-// is bit-identical to the closure kernel's. The cross-check tests in
-// coded_test.go, the reference-oracle property test in align_test.go and the
-// explore-level kernel experiment enforce this.
+// Every kernel is deterministic: the same recurrences in int32 arithmetic,
+// the same tie-breaks (diagonal, then up, then left; gap-open preferred over
+// extend on ties) and the same traceback order for the same codes, whatever
+// the pooled scratch held before. TestCodedKernelsMatchOracle in
+// align_test.go pins Needleman–Wunsch and Hirschberg step for step to a
+// textbook reference; the Gotoh and banded kernels are property-tested
+// against exhaustive optimal scores.
 
-// CodedFunc is the signature of a coded-sequence global-alignment algorithm,
-// the fast-path analogue of core.AlignFunc.
+// CodedFunc is the signature of a global-alignment algorithm over two code
+// sequences.
 type CodedFunc func(a, b []uint32, sc Scoring) []Step
 
-// AlignCodes is the coded analogue of Align: it routes between direct
-// Needleman–Wunsch and linear-space Hirschberg with the same size rule, so
-// the two dispatchers always pick twin kernels for the same problem.
+// AlignCodes is the default aligner: it routes between direct
+// Needleman–Wunsch and linear-space Hirschberg by problem size (useDirect).
 func AlignCodes(a, b []uint32, sc Scoring) []Step {
 	if useDirect(len(a), len(b)) {
 		return NeedlemanWunschCodes(a, b, sc)
@@ -30,7 +25,8 @@ func AlignCodes(a, b []uint32, sc Scoring) []Step {
 	return HirschbergCodes(a, b, sc)
 }
 
-// NeedlemanWunschCodes is the coded twin of NeedlemanWunsch.
+// NeedlemanWunschCodes computes an optimal global alignment with full
+// dynamic programming (O(n·m) time and traceback space).
 func NeedlemanWunschCodes(a, b []uint32, sc Scoring) []Step {
 	n, m := len(a), len(b)
 	if n == 0 {
@@ -48,10 +44,9 @@ func NeedlemanWunschCodes(a, b []uint32, sc Scoring) []Step {
 		return steps
 	}
 
-	// Same scratch discipline as the closure kernel: every cell the
-	// traceback can reach is written before it is read, so dirty pooled
-	// buffers are harmless. The score rows roll in place through cells
-	// (see nwCell), so only the direction matrix is O(n·m).
+	// Every cell the traceback can reach is written before it is read, so
+	// dirty pooled buffers are harmless. The score rows roll in place
+	// through cells (see nwCell), so only the direction matrix is O(n·m).
 	cells := loadCells(m, b, sc.Gap, false)
 	dirs := getBytes((n + 1) * (m + 1))
 	for j := 1; j <= m; j++ {
@@ -133,8 +128,8 @@ func loadCells(m int, b []uint32, gap int, rev bool) []nwCell {
 // and writes the direction of each of the row's cells 1..m to row. pd enters
 // as the column-0 score of the row above; this row's column-0 score is
 // pd + gap. pd and left then carry the previous column's score in the row
-// above and in this row in registers — the values the closure kernel
-// re-reads from its rows.
+// above and in this row in registers instead of re-reading them from the
+// rows.
 func nwRowCodes(row []byte, cells []nwCell, ai uint32, pd, mat, mis, gap int32) {
 	row = row[:len(cells)]
 	left := pd + gap
@@ -144,11 +139,11 @@ func nwRowCodes(row []byte, cells []nwCell, ai uint32, pd, mat, mis, gap int32) 
 		if ai == c.code {
 			sub = mat
 		}
-		// Branch-free select (DESIGN.md §8): the closure kernel's strict
-		// "up > diag" and "left > max(diag, up)" tests become 0/1 bits, and
-		// with dirDiag/dirUp/dirLeft = 1/2/3, 1+upW picks diag or up while
-		// OR-ing in 3 forces left — so ties still resolve diagonal, then up,
-		// then left. Both tests compile to a compare and a flag set.
+		// Branch-free select (DESIGN.md §8): the strict "up > diag" and
+		// "left > max(diag, up)" tests become 0/1 bits, and with
+		// dirDiag/dirUp/dirLeft = 1/2/3, 1+upW picks diag or up while OR-ing
+		// in 3 forces left — so ties still resolve diagonal, then up, then
+		// left. Both tests compile to a compare and a flag set.
 		d, u, l := pd+sub, c.score+gap, left+gap
 		best := max(d, u)
 		upW, lfW := b2u(u > d), b2u(l > best)
@@ -186,8 +181,11 @@ func b2u(b bool) byte {
 	return 0
 }
 
-// HirschbergCodes is the coded twin of Hirschberg: O(n+m) space, identical
-// split choices (the first maximizing split wins), so identical steps.
+// HirschbergCodes computes an optimal global alignment in O(n+m) space
+// with Hirschberg's divide-and-conquer refinement of Needleman–Wunsch: split
+// a at its middle and b at the first column maximizing prefix plus suffix
+// score, and recurse. Its score equals NeedlemanWunschCodes'; the columns may
+// differ among co-optimal alignments.
 func HirschbergCodes(a, b []uint32, sc Scoring) []Step {
 	var out []Step
 	hirschRecCodes(0, len(a), 0, len(b), a, b, sc, &out)
@@ -237,8 +235,10 @@ func hirschRecCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, out *[]St
 	hirschRecCodes(mid, aHi, bLo+bestJ, bHi, a, b, sc, out)
 }
 
-// nwLastRowCodes is the coded twin of nwLastRow. The returned row is pooled
-// scratch — the caller passes it to putInt32 when done.
+// nwLastRowCodes computes the final row of the score matrix for
+// a[aLo:aHi] × b[bLo:bHi], or of both ranges reversed (suffix alignment
+// scores) when rev is set. The returned row is pooled scratch — the caller
+// passes it to putInt32 when done.
 func nwLastRowCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, rev bool) []int32 {
 	n, m := aHi-aLo, bHi-bLo
 	// Loading b's band reversed for the suffix pass lets both directions
@@ -261,8 +261,11 @@ func nwLastRowCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, rev bool)
 	return out
 }
 
-// GotohCodes is the coded twin of Gotoh (affine gap penalties, three-matrix
-// dynamic program with the same open-over-extend tie preference).
+// GotohCodes computes an optimal global alignment under affine gap
+// penalties using Gotoh's three-matrix dynamic program, O(n·m) time and
+// traceback space. M[i][j] is the best score ending in a match/mismatch
+// column, X[i][j] in a gap in B (consuming a[i-1]) and Y[i][j] in a gap in A
+// (consuming b[j-1]); ties prefer opening a gap over extending one.
 func GotohCodes(a, b []uint32, sc AffineScoring) []Step {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
@@ -273,6 +276,12 @@ func GotohCodes(a, b []uint32, sc AffineScoring) []Step {
 
 	const negInf = int32(-1 << 29)
 	w := m + 1
+	// All six matrices are recycled scratch: the score matrices are fully
+	// written (borders in the init loops, the rest in the DP loop), and the
+	// traceback never reads the unwritten border cells of tbM because no
+	// optimal path enters a negInf score cell. Each tb matrix records where
+	// its value came from: tbM 1=M, 2=X, 3=Y (diagonal predecessor), tbX
+	// 1=M-open, 2=X-extend, tbY 1=M-open, 3=Y-extend.
 	M := getInt32((n + 1) * w)
 	X := getInt32((n + 1) * w)
 	Y := getInt32((n + 1) * w)
@@ -386,8 +395,9 @@ func GotohCodes(a, b []uint32, sc AffineScoring) []Step {
 	return rev
 }
 
-// GotohAlignerCodes is the coded twin of GotohAligner: linear Scoring's Gap
-// as the extension penalty and one extra gap penalty as the opening cost.
+// GotohAlignerCodes adapts GotohCodes to the CodedFunc shape: the linear
+// Scoring's Gap is the extension penalty and one extra gap penalty the
+// opening cost.
 func GotohAlignerCodes(a, b []uint32, sc Scoring) []Step {
 	return GotohCodes(a, b, AffineScoring{
 		Match:     sc.Match,
@@ -397,9 +407,15 @@ func GotohAlignerCodes(a, b []uint32, sc Scoring) []Step {
 	})
 }
 
-// BandedCodes is the coded twin of Banded, with the same band widening and
-// the same fallbacks (direct NW when the band covers the whole matrix, the
-// standard dispatcher when the banded matrix would be oversized).
+// BandedCodes computes a global alignment restricted to a diagonal band of
+// the dynamic-programming matrix, widened to cover the length difference so
+// the corner cell stays reachable. Cost drops from O(n·m) to O((n+m)·band)
+// at the price of optimality — alignments that would need to shift code by
+// more than the band width degrade into gaps. Sequence alignment dominates
+// FMSA's compile time (paper Fig. 13, §V-C); banding is the classic
+// bioinformatics response to that trade-off. When the band covers the whole
+// matrix it runs direct Needleman–Wunsch, and when the banded matrix would be
+// oversized it falls back to AlignCodes.
 func BandedCodes(a, b []uint32, sc Scoring, band int) []Step {
 	n, m := len(a), len(b)
 	if band <= 0 {
@@ -424,6 +440,12 @@ func BandedCodes(a, b []uint32, sc Scoring, band int) []Step {
 	}
 
 	const negInf = int32(-1 << 29)
+	// score[i][k] holds the score of cell (i, j) with j = i - band + k,
+	// clipped to valid j. Both matrices are recycled scratch: score is
+	// explicitly initialized to negInf below, and dirs cells are only read
+	// at cells the traceback reaches — all of which were written, because
+	// unwritten cells keep score negInf and negInf cells are never chosen
+	// as predecessors.
 	score := getInt32((n + 1) * width)
 	dirs := getBytes((n + 1) * width)
 	at := func(i, k int) int { return i*width + k }
@@ -517,8 +539,7 @@ func BandedCodes(a, b []uint32, sc Scoring, band int) []Step {
 	return rev
 }
 
-// BandedAlignerCodes returns a CodedFunc-shaped adapter with a fixed band,
-// the coded twin of BandedAligner.
+// BandedAlignerCodes returns a CodedFunc-shaped adapter with a fixed band.
 func BandedAlignerCodes(band int) CodedFunc {
 	return func(a, b []uint32, sc Scoring) []Step {
 		return BandedCodes(a, b, sc, band)

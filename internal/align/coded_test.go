@@ -3,7 +3,7 @@ package align
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -17,100 +17,107 @@ func randCodes(rng *rand.Rand, n, alphabet int) []uint32 {
 	return s
 }
 
-// codesEq adapts two code slices to the closure-kernel interface.
-func codesEq(a, b []uint32) EqFunc {
-	return func(i, j int) bool { return a[i] == b[j] }
-}
-
-// checkTwin runs one closure kernel and its coded twin on the same input and
-// requires bit-identical steps — not just equal score. The merger's output is
-// a pure function of the []Step slice, so this is the property that makes
-// the kernels interchangeable.
-func checkTwin(t *testing.T, name string, a, b []uint32,
-	closure func(n, m int, eq EqFunc, sc Scoring) []Step, coded CodedFunc, sc Scoring) {
+// checkColumns requires a valid alignment whose match columns pair equal
+// codes and whose mismatch columns pair different ones.
+func checkColumns(t *testing.T, name string, a, b []uint32, steps []Step) {
 	t.Helper()
-	want := closure(len(a), len(b), codesEq(a, b), sc)
-	got := coded(a, b, sc)
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("%s: coded kernel diverges on n=%d m=%d:\nclosure: %v\ncoded:   %v",
-			name, len(a), len(b), want, got)
+	if !Validate(steps, len(a), len(b)) {
+		t.Fatalf("%s: invalid alignment (n=%d m=%d): %v", name, len(a), len(b), steps)
 	}
-	if !Validate(got, len(a), len(b)) {
-		t.Errorf("%s: coded kernel produced invalid alignment (n=%d m=%d)", name, len(a), len(b))
+	for _, s := range steps {
+		if (s.Op == OpMatch) != (s.Op <= OpMismatch && a[s.I] == b[s.J]) {
+			t.Fatalf("%s: column %v mislabels codes %d/%d", name, s, a[s.I], b[s.J])
+		}
 	}
 }
 
 // TestCodedKernelsBitIdentical sweeps random sequences — including empty and
-// degenerate sizes — through every closure/coded kernel pair.
+// degenerate sizes — through every kernel and requires the steps of its
+// reference, not just an equal score: refNW and refHirschberg for the
+// linear-gap kernels, refGotoh for the affine kernel and refBanded for the
+// banded ones. The merger's output is a pure function of the []Step slice,
+// so this pins every ablation's merges, tie-breaks included.
 func TestCodedKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	pairs := []struct {
-		name    string
-		closure func(n, m int, eq EqFunc, sc Scoring) []Step
-		coded   CodedFunc
+	kernels := []struct {
+		name string
+		fn   CodedFunc
+		ref  func(a, b []uint32, sc Scoring) []Step
 	}{
-		{"align", Align, AlignCodes},
-		{"nw", NeedlemanWunsch, NeedlemanWunschCodes},
-		{"hirschberg", Hirschberg, HirschbergCodes},
-		{"gotoh", GotohAligner, GotohAlignerCodes},
-		{"banded-8", BandedAligner(8), BandedAlignerCodes(8)},
-		{"banded-1", BandedAligner(1), BandedAlignerCodes(1)},
+		{"align", AlignCodes, refNWSteps},
+		{"nw", NeedlemanWunschCodes, refNWSteps},
+		{"hirschberg", HirschbergCodes, refHirschberg},
+		{"gotoh", GotohAlignerCodes, refGotohAligner},
+		{"banded-8", BandedAlignerCodes(8), refBanded(8)},
+		{"banded-1", BandedAlignerCodes(1), refBanded(1)},
+	}
+	check := func(name string, a, b []uint32, sc Scoring, fn, ref func(a, b []uint32, sc Scoring) []Step) {
+		t.Helper()
+		got, want := fn(a, b, sc), ref(a, b, sc)
+		if !slices.Equal(want, got) {
+			t.Errorf("%s: kernel diverges from the reference on n=%d m=%d:\nref:    %v\nkernel: %v",
+				name, len(a), len(b), want, got)
+		}
+		checkColumns(t, name, a, b, got)
 	}
 	sizes := [][2]int{
 		{0, 0}, {0, 5}, {5, 0}, {1, 1}, {1, 7}, {7, 1},
 		{13, 13}, {20, 33}, {64, 64}, {100, 37},
 	}
-	for _, p := range pairs {
+	for _, k := range kernels {
 		for _, sz := range sizes {
 			for trial := 0; trial < 4; trial++ {
 				alphabet := 2 + trial*3
 				a := randCodes(rng, sz[0], alphabet)
 				b := randCodes(rng, sz[1], alphabet)
-				checkTwin(t, p.name, a, b, p.closure, p.coded, DefaultScoring)
+				check(k.name, a, b, DefaultScoring, k.fn, k.ref)
 			}
 		}
 	}
 	// Non-default scoring exercises tie-break arithmetic differently.
 	odd := Scoring{Match: 3, Mismatch: -2, Gap: -4}
-	for _, p := range pairs {
+	for _, k := range kernels {
 		a := randCodes(rng, 41, 4)
 		b := randCodes(rng, 29, 4)
-		checkTwin(t, p.name+"/odd-scoring", a, b, p.closure, p.coded, odd)
+		check(k.name+"/odd-scoring", a, b, odd, k.fn, k.ref)
 	}
 	// Weights this large wrap the int32 scores within a few cells: the
-	// linear-gap coded kernels must still replay the closure kernels' int32
-	// arithmetic and strict comparisons exactly, whatever the Scoring. (The
-	// Gotoh and banded kernels reserve a -2^29 sentinel, so they are not
-	// defined at this scale.)
+	// linear-gap kernels must still replay the reference's int32 arithmetic
+	// and strict comparisons exactly, whatever the Scoring. (The Gotoh and
+	// banded kernels reserve a -2^29 sentinel, so they are not defined at
+	// this scale.)
 	wrap := Scoring{Match: 1 << 29, Mismatch: -(1 << 30) + 7, Gap: -(1 << 30)}
-	for _, p := range pairs[:3] {
+	for _, k := range kernels[:3] {
 		for trial := 0; trial < 4; trial++ {
 			a := randCodes(rng, 23+trial, 3)
 			b := randCodes(rng, 30-trial, 3)
-			checkTwin(t, p.name+"/wrapping-scoring", a, b, p.closure, p.coded, wrap)
+			check(k.name+"/wrapping-scoring", a, b, wrap, k.fn, k.ref)
 		}
 	}
 }
 
-// TestGotohCodesAffine pins the coded Gotoh against the closure Gotoh under a
-// scoring where opening and extension genuinely differ (GotohAligner
-// collapses them).
+// TestGotohCodesAffine checks GotohCodes under a scoring where opening and
+// extension genuinely differ (GotohAlignerCodes collapses them): the
+// reference's steps, at the exhaustive affine optimum.
 func TestGotohCodesAffine(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sc := AffineScoring{Match: 2, Mismatch: -1, GapOpen: -3, GapExtend: -1}
 	for trial := 0; trial < 8; trial++ {
 		a := randCodes(rng, 10+trial*7, 3)
 		b := randCodes(rng, 8+trial*9, 3)
-		want := Gotoh(len(a), len(b), codesEq(a, b), sc)
-		got := GotohCodes(a, b, sc)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: affine coded kernel diverges", trial)
+		steps := GotohCodes(a, b, sc)
+		if want := refGotoh(a, b, sc); !slices.Equal(steps, want) {
+			t.Fatalf("trial %d: diverges from the reference:\ngot  %v\nwant %v", trial, steps, want)
+		}
+		if got, want := AffineScore(steps, sc), slowAffineScore(a, b, sc); got != want {
+			t.Fatalf("trial %d: affine score %d != optimum %d", trial, got, want)
 		}
 	}
 }
 
-// TestBandedCodesWidening forces the band-widening retry path: sequences
-// whose optimal alignment needs a wide band, attacked with band=1.
+// TestBandedCodesWidening forces the band-widening path: sequences whose
+// optimal alignment needs a wide band, attacked with band=1. The band widens
+// to the length difference, which here still holds the optimal path.
 func TestBandedCodesWidening(t *testing.T) {
 	// b is a long prefix of junk followed by a copy of a: the optimal path
 	// leaves the initial narrow band.
@@ -123,10 +130,10 @@ func TestBandedCodesWidening(t *testing.T) {
 		junk[i] = 7
 	}
 	b := append(append([]uint32{}, junk...), a...)
-	want := BandedAligner(1)(len(a), len(b), codesEq(a, b), DefaultScoring)
 	got := BandedAlignerCodes(1)(a, b, DefaultScoring)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("banded widening path diverges between closure and coded kernels")
+	checkColumns(t, "banded-1", a, b, got)
+	if want := refNWSteps(a, b, DefaultScoring); !slices.Equal(want, got) {
+		t.Fatalf("widened band misses the optimal path:\ngot  %v\nwant %v", got, want)
 	}
 }
 
@@ -158,18 +165,31 @@ func TestUseDirectOverflow(t *testing.T) {
 	}
 }
 
-// TestAlignCodesRouting checks the dispatcher picks twin kernels with the
-// closure Align on both sides of the useDirect threshold (small direct case
-// here; the Hirschberg route is covered by sizes in the bit-identity sweep
-// and by the Hirschberg property test).
+// TestAlignCodesRouting checks the dispatcher's linear-space route: one
+// column past the direct kernel's cell budget, AlignCodes is exactly
+// HirschbergCodes, at the optimal score (TestAlignDispatch covers the direct
+// route).
 func TestAlignCodesRouting(t *testing.T) {
+	const n, m = 4097, 4096 // n·m just above maxDirectCells
+	if useDirect(n, m) {
+		t.Fatalf("useDirect(%d, %d) = true; the shape no longer exercises Hirschberg", n, m)
+	}
 	rng := rand.New(rand.NewSource(17))
-	a := randCodes(rng, 200, 5)
-	b := randCodes(rng, 300, 5)
-	want := Align(len(a), len(b), codesEq(a, b), DefaultScoring)
+	a := randCodes(rng, n, 5)
+	b := relatedCodes(rng, a, 6, 5)
+	for len(b) < m {
+		b = append(b, uint32(rng.Intn(5)))
+	}
+	b = b[:m]
 	got := AlignCodes(a, b, DefaultScoring)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("AlignCodes diverges from Align on the direct route")
+	if !slices.Equal(got, HirschbergCodes(a, b, DefaultScoring)) {
+		t.Fatal("AlignCodes diverges from HirschbergCodes above the direct threshold")
+	}
+	checkColumns(t, "align", a, b, got)
+	last := nwLastRowCodes(0, n, 0, m, a, b, DefaultScoring, false)
+	defer putInt32(last)
+	if score := Score(got, DefaultScoring); score != int(last[m]) {
+		t.Fatalf("score %d, optimum %d", score, last[m])
 	}
 }
 

@@ -17,141 +17,6 @@ type AffineScoring struct {
 // gaps.
 var DefaultAffineScoring = AffineScoring{Match: 1, Mismatch: -1, GapOpen: -1, GapExtend: -1}
 
-// Gotoh computes an optimal global alignment under affine gap penalties
-// using Gotoh's three-matrix dynamic program, O(n·m) time and traceback
-// space.
-func Gotoh(n, m int, eq EqFunc, sc AffineScoring) []Step {
-	if n == 0 || m == 0 {
-		return NeedlemanWunsch(n, m, eq, Scoring{
-			Match: sc.Match, Mismatch: sc.Mismatch, Gap: sc.GapExtend,
-		})
-	}
-
-	const negInf = int32(-1 << 29)
-	w := m + 1
-	// M[i][j]: best score ending in a match/mismatch column.
-	// X[i][j]: best score ending in a gap in B (consuming A[i-1]).
-	// Y[i][j]: best score ending in a gap in A (consuming B[j-1]).
-	// All six matrices are recycled scratch: the score matrices are fully
-	// written (borders in the init loops, the rest in the DP loop), and the
-	// traceback never reads the unwritten border cells of tbM because no
-	// optimal path enters a negInf score cell.
-	M := getInt32((n + 1) * w)
-	X := getInt32((n + 1) * w)
-	Y := getInt32((n + 1) * w)
-	// Traceback: for each matrix, where did the value come from.
-	tbM := getBytes((n + 1) * w) // 1=M, 2=X, 3=Y (diagonal predecessor)
-	tbX := getBytes((n + 1) * w) // 1=M-open, 2=X-extend
-	tbY := getBytes((n + 1) * w) // 1=M-open, 3=Y-extend
-	at := func(i, j int) int { return i*w + j }
-
-	open := int32(sc.GapOpen + sc.GapExtend)
-	ext := int32(sc.GapExtend)
-
-	M[at(0, 0)] = 0
-	X[at(0, 0)] = negInf
-	Y[at(0, 0)] = negInf
-	for i := 1; i <= n; i++ {
-		M[at(i, 0)] = negInf
-		Y[at(i, 0)] = negInf
-		X[at(i, 0)] = open + int32(i-1)*ext
-		tbX[at(i, 0)] = 2
-	}
-	for j := 1; j <= m; j++ {
-		M[at(0, j)] = negInf
-		X[at(0, j)] = negInf
-		Y[at(0, j)] = open + int32(j-1)*ext
-		tbY[at(0, j)] = 3
-	}
-
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			sub := int32(sc.Mismatch)
-			if eq(i-1, j-1) {
-				sub = int32(sc.Match)
-			}
-			// M: diagonal step from the best of the three.
-			bm, src := M[at(i-1, j-1)], byte(1)
-			if X[at(i-1, j-1)] > bm {
-				bm, src = X[at(i-1, j-1)], 2
-			}
-			if Y[at(i-1, j-1)] > bm {
-				bm, src = Y[at(i-1, j-1)], 3
-			}
-			M[at(i, j)] = bm + sub
-			tbM[at(i, j)] = src
-
-			// X: consume A[i-1] against a blank.
-			xo := M[at(i-1, j)] + open
-			xe := X[at(i-1, j)] + ext
-			if xo >= xe {
-				X[at(i, j)] = xo
-				tbX[at(i, j)] = 1
-			} else {
-				X[at(i, j)] = xe
-				tbX[at(i, j)] = 2
-			}
-
-			// Y: consume B[j-1] against a blank.
-			yo := M[at(i, j-1)] + open
-			ye := Y[at(i, j-1)] + ext
-			if yo >= ye {
-				Y[at(i, j)] = yo
-				tbY[at(i, j)] = 1
-			} else {
-				Y[at(i, j)] = ye
-				tbY[at(i, j)] = 3
-			}
-		}
-	}
-
-	// Traceback from the best of the three end states.
-	state := byte(1)
-	best := M[at(n, m)]
-	if X[at(n, m)] > best {
-		best, state = X[at(n, m)], 2
-	}
-	if Y[at(n, m)] > best {
-		state = 3
-	}
-
-	var rev []Step
-	i, j := n, m
-	for i > 0 || j > 0 {
-		switch state {
-		case 1:
-			op := OpMismatch
-			if eq(i-1, j-1) {
-				op = OpMatch
-			}
-			rev = append(rev, Step{Op: op, I: i - 1, J: j - 1})
-			state = tbM[at(i, j)]
-			i--
-			j--
-		case 2:
-			rev = append(rev, Step{Op: OpGapA, I: i - 1, J: -1})
-			state = tbX[at(i, j)]
-			i--
-		case 3:
-			rev = append(rev, Step{Op: OpGapB, I: -1, J: j - 1})
-			state = tbY[at(i, j)]
-			j--
-		default:
-			panic("align: corrupt gotoh traceback")
-		}
-	}
-	putInt32(M)
-	putInt32(X)
-	putInt32(Y)
-	putBytes(tbM)
-	putBytes(tbX)
-	putBytes(tbY)
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
-	return rev
-}
-
 // AffineScore computes the total affine-gap score of an alignment.
 func AffineScore(steps []Step, sc AffineScoring) int {
 	total := 0
@@ -186,16 +51,4 @@ func GapRuns(steps []Step) int {
 		inRun = gap
 	}
 	return runs
-}
-
-// GotohAligner adapts Gotoh to the AlignFunc shape used by the merger: the
-// linear Scoring's Gap is used as the extension penalty and one extra gap
-// penalty as the opening cost.
-func GotohAligner(n, m int, eq EqFunc, sc Scoring) []Step {
-	return Gotoh(n, m, eq, AffineScoring{
-		Match:     sc.Match,
-		Mismatch:  sc.Mismatch,
-		GapOpen:   sc.Gap,
-		GapExtend: sc.Gap,
-	})
 }

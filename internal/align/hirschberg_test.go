@@ -2,15 +2,17 @@ package align
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // TestHirschbergCodedTwinProperty is the core property of the linear-space
 // variant: on random sequences its alignments are valid and score-optimal
-// (equal to the full-matrix Needleman–Wunsch score), and the coded twin
-// reproduces the closure result bit for bit. Needleman–Wunsch and Hirschberg
-// may pick different co-optimal paths, so scores are compared, not steps.
+// (equal to the full-matrix Needleman–Wunsch score), and they follow the
+// reference recursion (refHirschberg) split for split. Needleman–Wunsch and
+// Hirschberg may pick different co-optimal paths, so only scores are
+// compared between the two.
 func TestHirschbergCodedTwinProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
@@ -19,27 +21,18 @@ func TestHirschbergCodedTwinProperty(t *testing.T) {
 		alphabet := 2 + rng.Intn(6)
 		a := randCodes(rng, n, alphabet)
 		b := randCodes(rng, m, alphabet)
-		eq := codesEq(a, b)
 
-		h := Hirschberg(n, m, eq, DefaultScoring)
+		h := HirschbergCodes(a, b, DefaultScoring)
 		if !Validate(h, n, m) {
 			t.Fatalf("trial %d: invalid Hirschberg alignment (n=%d m=%d)", trial, n, m)
 		}
-		nw := NeedlemanWunsch(n, m, eq, DefaultScoring)
+		nw := NeedlemanWunschCodes(a, b, DefaultScoring)
 		if hs, ns := Score(h, DefaultScoring), Score(nw, DefaultScoring); hs != ns {
 			t.Fatalf("trial %d: Hirschberg score %d != NW score %d (n=%d m=%d)",
 				trial, hs, ns, n, m)
 		}
-
-		hc := HirschbergCodes(a, b, DefaultScoring)
-		if len(hc) != len(h) {
-			t.Fatalf("trial %d: coded Hirschberg length %d != closure %d", trial, len(hc), len(h))
-		}
-		for i := range h {
-			if h[i] != hc[i] {
-				t.Fatalf("trial %d: coded Hirschberg diverges at step %d: %v vs %v",
-					trial, i, h[i], hc[i])
-			}
+		if want := refHirschberg(a, b, DefaultScoring); !slices.Equal(h, want) {
+			t.Fatalf("trial %d: Hirschberg diverges from the reference:\ngot  %v\nwant %v", trial, h, want)
 		}
 	}
 }
@@ -47,19 +40,18 @@ func TestHirschbergCodedTwinProperty(t *testing.T) {
 // TestHirschbergPooledBuffersConcurrent runs many alignments concurrently so
 // the sync.Pool scratch rows are constantly recycled across goroutines; under
 // -race this catches any sharing of a pooled buffer between two live
-// alignments, and the score check catches reuse of stale row contents.
+// alignments, and the reference check catches reuse of stale row contents.
 func TestHirschbergPooledBuffersConcurrent(t *testing.T) {
 	type job struct {
-		a, b []uint32
-		want int
+		a, b     []uint32
+		nw, hirs []Step
 	}
 	rng := rand.New(rand.NewSource(31))
 	jobs := make([]job, 48)
 	for i := range jobs {
 		a := randCodes(rng, 20+rng.Intn(60), 4)
 		b := randCodes(rng, 20+rng.Intn(60), 4)
-		want := Score(NeedlemanWunsch(len(a), len(b), codesEq(a, b), DefaultScoring), DefaultScoring)
-		jobs[i] = job{a: a, b: b, want: want}
+		jobs[i] = job{a: a, b: b, nw: refNWSteps(a, b, DefaultScoring), hirs: refHirschberg(a, b, DefaultScoring)}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -68,18 +60,12 @@ func TestHirschbergPooledBuffersConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
 				for _, j := range jobs {
-					var steps []Step
+					steps, want := HirschbergCodes(j.a, j.b, DefaultScoring), j.hirs
 					if (w+rep)%2 == 0 {
-						steps = Hirschberg(len(j.a), len(j.b), codesEq(j.a, j.b), DefaultScoring)
-					} else {
-						steps = HirschbergCodes(j.a, j.b, DefaultScoring)
+						steps, want = NeedlemanWunschCodes(j.a, j.b, DefaultScoring), j.nw
 					}
-					if !Validate(steps, len(j.a), len(j.b)) {
-						t.Errorf("worker %d: invalid alignment", w)
-						return
-					}
-					if got := Score(steps, DefaultScoring); got != j.want {
-						t.Errorf("worker %d: score %d, want %d (stale pooled row?)", w, got, j.want)
+					if !slices.Equal(steps, want) {
+						t.Errorf("worker %d: alignment diverges from the reference (stale pooled row?)", w)
 						return
 					}
 				}
@@ -100,20 +86,12 @@ func TestHirschbergDegenerate(t *testing.T) {
 		{[]uint32{5, 5, 5}, []uint32{5}},
 	}
 	for _, c := range cases {
-		h := Hirschberg(len(c.a), len(c.b), codesEq(c.a, c.b), DefaultScoring)
+		h := HirschbergCodes(c.a, c.b, DefaultScoring)
 		if !Validate(h, len(c.a), len(c.b)) {
 			t.Errorf("invalid alignment for %v vs %v", c.a, c.b)
 		}
-		hc := HirschbergCodes(c.a, c.b, DefaultScoring)
-		if len(h) != len(hc) {
-			t.Errorf("coded twin diverges for %v vs %v", c.a, c.b)
-			continue
-		}
-		for i := range h {
-			if h[i] != hc[i] {
-				t.Errorf("coded twin diverges at step %d for %v vs %v", i, c.a, c.b)
-				break
-			}
+		if want := refHirschberg(c.a, c.b, DefaultScoring); !slices.Equal(h, want) {
+			t.Errorf("%v vs %v: got %v, want %v", c.a, c.b, h, want)
 		}
 	}
 }

@@ -8,10 +8,8 @@ import "sync"
 // across attempts — and across the goroutines of a parallel evaluation wave.
 //
 // Pooled buffers come back dirty: each algorithm explicitly writes every
-// cell it will later read (see the prev[0] and border initializations in
-// the DP loops) instead of relying on make() zeroing. SmithWaterman is the
-// one algorithm whose recurrence depends on an all-zero initial matrix; it
-// is used only by the alignment ablation, so it keeps plain allocation.
+// cell it will later read (see the border initializations in the DP loops)
+// instead of relying on make() zeroing.
 var (
 	i32Pool  sync.Pool // *[]int32
 	bytePool sync.Pool // *[]byte

@@ -5,6 +5,7 @@ import (
 
 	"fmsa/internal/align"
 	"fmsa/internal/core"
+	"fmsa/internal/encode"
 	"fmsa/internal/explore"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
@@ -88,8 +89,11 @@ func SOAEligible(a, b *ir.Func) bool {
 
 // lockstepAlign produces the alignment the SOA technique implies: position i
 // pairs with position i (match when equivalent, gap-pair otherwise). It is
-// only used for pairs that passed SOAEligible.
-func lockstepAlign(n, m int, eq align.EqFunc, sc align.Scoring) []align.Step {
+// only used for pairs that passed SOAEligible. Equal codes mean equivalent
+// entries because the pair is two distinct phi-free functions (RunSOA
+// demotes phis first), the encode contract's domain.
+func lockstepAlign(a, b []uint32, sc align.Scoring) []align.Step {
+	n, m := len(a), len(b)
 	if n != m {
 		// Not lockstep-mergeable; an all-gap alignment makes the merge
 		// maximally unprofitable and it will be discarded.
@@ -97,7 +101,7 @@ func lockstepAlign(n, m int, eq align.EqFunc, sc align.Scoring) []align.Step {
 	}
 	steps := make([]align.Step, 0, n)
 	for i := 0; i < n; i++ {
-		if eq(i, i) {
+		if a[i] == b[i] {
 			steps = append(steps, align.Step{Op: align.OpMatch, I: i, J: i})
 		} else {
 			steps = append(steps,
@@ -131,7 +135,7 @@ func RunSOA(m *ir.Module, target tti.Target) *explore.Report {
 
 	mergeOpts := core.DefaultOptions()
 	mergeOpts.Align = lockstepAlign
-	mergeOpts.AlignCoded = nil // no coded twin for the lockstep aligner
+	mergeOpts.Interner = encode.NewInterner()
 	mergeOpts.NamePrefix = "__soa_merged"
 	mergeOpts.ReuseParams = true
 

@@ -198,9 +198,8 @@ func TestNormalizePadsDegenerateAlignment(t *testing.T) {
 	f2 := m.FuncByName("guard_mul")
 
 	opts := DefaultOptions()
-	opts.AlignCoded = nil // the degenerate closure aligner below must run
-	opts.Align = func(n, mm int, eq align.EqFunc, sc align.Scoring) []align.Step {
-		steps := align.Align(n, mm, eq, sc)
+	opts.Align = func(a, b []uint32, sc align.Scoring) []align.Step {
+		steps := align.AlignCodes(a, b, sc)
 		// Degenerate rewrite: split every matched landingpad column into
 		// a gap pair.
 		seq1 := linearize.Linearize(f1)

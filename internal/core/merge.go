@@ -67,7 +67,12 @@ func Merge(f1, f2 *ir.Func, opts Options) (*Result, error) {
 		return nil, err
 	}
 	if opts.Align == nil {
-		opts.Align = align.Align
+		opts.Align = align.AlignCodes
+	}
+	if opts.Interner == nil {
+		// Both sequences must draw codes from one table; a per-call table
+		// lives exactly as long as the merge.
+		opts.Interner = encode.NewInterner()
 	}
 
 	// Step 1: linearization (§III-B), through the provider cache when the
@@ -82,11 +87,9 @@ func Merge(f1, f2 *ir.Func, opts Options) (*Result, error) {
 		opts.Timings.AddLinearize(time.Since(tLin))
 	}
 
-	// Step 2: sequence alignment (§III-C) — the coded integer kernel when
-	// both sequences carry equivalence codes, the EqFunc closure walk
-	// otherwise; both produce bit-identical steps. Mismatch columns are then
-	// decomposed into gap pairs so that every column is either an exact
-	// match or code unique to one function.
+	// Step 2: sequence alignment (§III-C) over the equivalence codes.
+	// Mismatch columns are then decomposed into gap pairs so that every
+	// column is either an exact match or code unique to one function.
 	tAlign := time.Now()
 	steps := alignSeqs(enc1, enc2, &opts)
 	steps = align.DecomposeMismatches(steps)
@@ -143,10 +146,10 @@ func Merge(f1, f2 *ir.Func, opts Options) (*Result, error) {
 	return res, err
 }
 
-// obtainSeq resolves one function's linearization (and, on the coded path,
-// its equivalence-code encoding): from the provider cache when wired and
-// warm, inline otherwise. The boolean reports ownership — inline sequences
-// are the merge's scratch to recycle, cache entries are borrowed.
+// obtainSeq resolves one function's linearization and equivalence-code
+// encoding: from the provider cache when wired and warm, inline otherwise.
+// The boolean reports ownership — inline sequences are the merge's scratch
+// to recycle, cache entries are borrowed.
 func obtainSeq(f *ir.Func, opts *Options) (*encode.Encoded, bool) {
 	// The provider counts its own hits and misses (Timings.CountSeqCache):
 	// a compute-on-miss provider returns non-nil either way, so counting
@@ -156,46 +159,29 @@ func obtainSeq(f *ir.Func, opts *Options) (*encode.Encoded, bool) {
 			return enc, false
 		}
 	}
-	seq := linearize.LinearizeOrder(f, opts.Order)
-	if opts.AlignCoded == nil {
-		return &encode.Encoded{Seq: seq}, true
-	}
-	in := opts.Interner
-	if in == nil {
-		in = encode.Default()
-	}
-	return in.Encode(seq), true
+	return opts.Interner.Encode(linearize.LinearizeOrder(f, opts.Order)), true
 }
 
-// alignSeqs runs the alignment kernel: the coded fast path (with optional
-// memoization) when both encodings carry codes, the closure path otherwise.
+// alignSeqs runs the alignment kernel over the two code sequences, through
+// the alignment memo when one is wired.
 func alignSeqs(enc1, enc2 *encode.Encoded, opts *Options) []align.Step {
-	if opts.AlignCoded != nil && enc1.Codes != nil && enc2.Codes != nil {
-		if opts.AlignMemo != nil {
-			if steps, ok := opts.AlignMemo.Lookup(enc1, enc2); ok {
-				if opts.Timings != nil {
-					opts.Timings.CountAlignMemo(true)
-				}
-				return steps
-			}
+	if opts.AlignMemo != nil {
+		if steps, ok := opts.AlignMemo.Lookup(enc1, enc2); ok {
 			if opts.Timings != nil {
-				opts.Timings.CountAlignMemo(false)
+				opts.Timings.CountAlignMemo(true)
 			}
+			return steps
 		}
-		steps := opts.AlignCoded(enc1.Codes, enc2.Codes, opts.Scoring)
 		if opts.Timings != nil {
-			opts.Timings.AddAlignCells(int64(len(enc1.Codes)) * int64(len(enc2.Codes)))
+			opts.Timings.CountAlignMemo(false)
 		}
-		if opts.AlignMemo != nil {
-			opts.AlignMemo.Store(enc1, enc2, steps)
-		}
-		return steps
 	}
-	seq1, seq2 := enc1.Seq, enc2.Seq
-	eq := func(i, j int) bool { return EntriesEquivalent(seq1[i], seq2[j]) }
-	steps := opts.Align(len(seq1), len(seq2), eq, opts.Scoring)
+	steps := opts.Align(enc1.Codes, enc2.Codes, opts.Scoring)
 	if opts.Timings != nil {
-		opts.Timings.AddAlignCells(int64(len(seq1)) * int64(len(seq2)))
+		opts.Timings.AddAlignCells(int64(len(enc1.Codes)) * int64(len(enc2.Codes)))
+	}
+	if opts.AlignMemo != nil {
+		opts.AlignMemo.Store(enc1, enc2, steps)
 	}
 	return steps
 }

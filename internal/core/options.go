@@ -106,9 +106,6 @@ func (t *Timings) CountBound(pruned bool) {
 	}
 }
 
-// AlignFunc is the signature of a pairwise global-alignment algorithm.
-type AlignFunc func(n, m int, eq align.EqFunc, sc align.Scoring) []align.Step
-
 // AlignMemo caches raw kernel results keyed by the content of the two code
 // sequences. Implementations must be safe for concurrent use and must verify
 // full code equality on hash hits (hash equality is only a hint); the steps
@@ -128,16 +125,10 @@ type AlignMemo interface {
 type Options struct {
 	// Scoring is the alignment scoring scheme.
 	Scoring align.Scoring
-	// Align is the alignment algorithm (defaults to align.Align, which
-	// picks Needleman–Wunsch or Hirschberg by problem size).
-	Align AlignFunc
-	// AlignCoded, when non-nil, is the coded fast path used instead of Align
-	// whenever both sequences carry equivalence codes: no per-cell closure
-	// calls, and alignment-memo eligibility. It MUST be the exact coded twin
-	// of Align (bit-identical []Step on equivalent inputs) — callers that
-	// override Align with an algorithm lacking a coded twin must set
-	// AlignCoded to nil, or the override is silently bypassed.
-	AlignCoded align.CodedFunc
+	// Align is the alignment algorithm, run over the two sequences'
+	// equivalence codes (defaults to align.AlignCodes, which picks
+	// Needleman–Wunsch or Hirschberg by problem size).
+	Align align.CodedFunc
 	// Order is the linearization traversal order (paper default: RPO).
 	Order linearize.Order
 	// ReuseParams enables sharing parameters of identical type between the
@@ -148,18 +139,19 @@ type Options struct {
 	NamePrefix string
 	// Timings, when non-nil, accumulates per-phase wall-clock time.
 	Timings *Timings
-	// SeqProvider, when non-nil, returns a cached linearization (and, on the
-	// coded path, encoding) of f under Order, or nil to make Merge linearize
-	// inline; a caching provider may also compute on miss and never return
-	// nil. Returned values are borrowed: Merge never mutates or recycles
-	// them, so one cache entry may serve many concurrent merges. The
-	// provider accounts its own SeqCacheHits/Misses (Timings.CountSeqCache).
+	// SeqProvider, when non-nil, returns a cached linearization and encoding
+	// of f under Order, or nil to make Merge linearize inline; a caching
+	// provider may also compute on miss and never return nil. Returned
+	// values are borrowed: Merge never mutates or recycles them, so one cache
+	// entry may serve many concurrent merges. The provider accounts its own
+	// SeqCacheHits/Misses (Timings.CountSeqCache), and must encode through
+	// Interner so its codes compare with inline ones.
 	SeqProvider func(f *ir.Func) *encode.Encoded
 	// Interner supplies equivalence codes for inline (provider-miss)
-	// encoding on the coded path. Nil means the shared process-wide table.
+	// encoding. Nil means a fresh table for each Merge call.
 	Interner *encode.Interner
-	// AlignMemo, when non-nil, caches coded-kernel results across merges.
-	// Only consulted on the coded path — memo keys are code contents.
+	// AlignMemo, when non-nil, caches alignment results across merges,
+	// keyed by code contents.
 	AlignMemo AlignMemo
 	// Prune, when non-nil, enables pre-codegen profitability bounding:
 	// Merge evaluates the admissible profit upper bound right after
@@ -181,8 +173,7 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Scoring:     align.DefaultScoring,
-		Align:       align.Align,
-		AlignCoded:  align.AlignCodes,
+		Align:       align.AlignCodes,
 		Order:       linearize.OrderRPO,
 		ReuseParams: true,
 		NamePrefix:  "__merged",

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fmsa/internal/align"
+	"fmsa/internal/encode"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
 )
@@ -14,11 +15,11 @@ func planFor(t *testing.T, src, n1, n2 string, reuse bool) (paramPlan, *ir.Func,
 	t.Helper()
 	m := ir.MustParseModule("pp", src)
 	f1, f2 := m.FuncByName(n1), m.FuncByName(n2)
-	seq1 := linearize.Linearize(f1)
-	seq2 := linearize.Linearize(f2)
-	eq := func(i, j int) bool { return EntriesEquivalent(seq1[i], seq2[j]) }
-	steps := align.DecomposeMismatches(align.Align(len(seq1), len(seq2), eq, align.DefaultScoring))
-	return buildParamPlan(f1, f2, seq1, seq2, steps, reuse), f1, f2
+	in := encode.NewInterner()
+	enc1 := in.Encode(linearize.Linearize(f1))
+	enc2 := in.Encode(linearize.Linearize(f2))
+	steps := align.DecomposeMismatches(align.AlignCodes(enc1.Codes, enc2.Codes, align.DefaultScoring))
+	return buildParamPlan(f1, f2, enc1.Seq, enc2.Seq, steps, reuse), f1, f2
 }
 
 func TestParamPlanFig6Shape(t *testing.T) {

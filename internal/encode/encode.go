@@ -21,8 +21,10 @@
 // Codes are only meaningful within one process: they intern *ir.Type pointer
 // identities, which is safe because interned types are structurally unique
 // and codes feed only equality comparisons, never persisted output. The
-// alignment result they induce is therefore bit-identical to the closure
-// kernels' regardless of the code values themselves.
+// alignment they induce therefore depends only on which entries are
+// equivalent, never on the code values themselves. Every caller owns its
+// table: an exploration run or session keeps one for the module's lifetime,
+// and a standalone core.Merge call makes a fresh one.
 package encode
 
 import (
@@ -61,14 +63,6 @@ func NewInterner() *Interner {
 		typeIDs: make(map[*ir.Type]uint32),
 	}
 }
-
-// defaultInterner serves standalone core.Merge calls that did not wire an
-// explicit table; exploration runs use a per-run Interner so the table's
-// lifetime matches the module's.
-var defaultInterner = NewInterner()
-
-// Default returns the shared process-wide interning table.
-func Default() *Interner { return defaultInterner }
 
 // Encode computes the equivalence-class codes of a linearized sequence. The
 // returned Encoded aliases seq (it does not copy the entries); Codes is

@@ -5,9 +5,9 @@ package encode_test
 //	codes[i] == codes[j]  ⇔  core.EntriesEquivalent(seq_a[i], seq_b[j])
 //
 // for every cross-function index pair and every distinct-index pair within a
-// function. This is the property the coded alignment kernels rest on — if it
-// holds, one uint32 comparison per DP cell reproduces the closure kernels'
-// per-cell structural walk exactly.
+// function. This is the property the alignment kernels rest on — if it
+// holds, one uint32 comparison per DP cell decides exactly what the §III-D
+// structural equivalence walk would.
 
 import (
 	"sync"

@@ -22,11 +22,6 @@ type PerfResult struct {
 	Workers int `json:"workers"`
 	// Ranking is the candidate-ranking mode: "exact" or "lsh".
 	Ranking string `json:"ranking"`
-	// Kernel is the alignment kernel: "coded" or "closure".
-	Kernel string `json:"kernel"`
-	// Caches reports whether the linearization cache and alignment memo
-	// were enabled.
-	Caches bool `json:"caches"`
 	// Threshold is the exploration threshold t.
 	Threshold int `json:"threshold"`
 	// Bound reports whether pre-codegen profitability bounding was enabled.
@@ -88,8 +83,6 @@ type PerfConfig struct {
 	Workers   int // <= 0 selects GOMAXPROCS
 	Runs      int // <= 0 means 1
 	Ranking   explore.RankingMode
-	Kernel    explore.KernelMode
-	NoCaches  bool // disable both the linearization cache and the align memo
 	NoBound   bool // disable pre-codegen profitability bounding
 	Verify    ir.VerifyLevel
 }
@@ -98,9 +91,6 @@ type PerfConfig struct {
 func (c PerfConfig) apply(opts *explore.Options) {
 	opts.Threshold = c.Threshold
 	opts.Ranking = c.Ranking
-	opts.Kernel = c.Kernel
-	opts.NoSeqCache = c.NoCaches
-	opts.NoAlignMemo = c.NoCaches
 	opts.NoBound = c.NoBound
 	opts.Verify = c.Verify
 }
@@ -118,7 +108,6 @@ func Perf(profiles []workload.Profile, target tti.Target, cfg PerfConfig) PerfRe
 	res := PerfResult{
 		Suite:   suiteName(profiles),
 		Workers: cfg.Workers, Ranking: cfg.Ranking.String(),
-		Kernel: cfg.Kernel.String(), Caches: !cfg.NoCaches,
 		Bound:     !cfg.NoBound,
 		Threshold: cfg.Threshold, Runs: cfg.Runs,
 		Verify:  cfg.Verify.String(),

@@ -133,13 +133,13 @@ func AblationTechniques() []Technique {
 		FMSA(1),
 		FMSAVariant("FMSA[no-param-reuse]", 1, func(o *core.Options) { o.ReuseParams = false }),
 		FMSAVariant("FMSA[hirschberg]", 1, func(o *core.Options) {
-			o.Align, o.AlignCoded = align.Hirschberg, align.HirschbergCodes
+			o.Align = align.HirschbergCodes
 		}),
 		FMSAVariant("FMSA[affine-gap]", 1, func(o *core.Options) {
-			o.Align, o.AlignCoded = align.GotohAligner, align.GotohAlignerCodes
+			o.Align = align.GotohAlignerCodes
 		}),
 		FMSAVariant("FMSA[banded-32]", 1, func(o *core.Options) {
-			o.Align, o.AlignCoded = align.BandedAligner(32), align.BandedAlignerCodes(32)
+			o.Align = align.BandedAlignerCodes(32)
 		}),
 		FMSAVariant("FMSA[order=dfs]", 1, func(o *core.Options) { o.Order = linearize.OrderDFS }),
 		FMSAVariant("FMSA[order=layout]", 1, func(o *core.Options) { o.Order = linearize.OrderLayout }),

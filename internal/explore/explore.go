@@ -18,6 +18,7 @@ import (
 
 	"fmsa/internal/analysis"
 	"fmsa/internal/core"
+	"fmsa/internal/encode"
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
 	"fmsa/internal/lsh"
@@ -82,19 +83,6 @@ type Options struct {
 	// back to the exact scan. Zero selects DefaultLSHMinPool; exploration
 	// never re-evaluates the cutoff as merges shrink the pool.
 	LSHMinPool int
-	// Kernel selects the alignment kernel (see kernel.go): KernelCoded (the
-	// default — flat integer kernels over interned equivalence codes) or
-	// KernelClosure (the EqFunc structural walk, the cross-check baseline).
-	// Both produce bit-identical merges; only speed differs. When
-	// Merge.AlignCoded was explicitly set to nil (a custom closure aligner
-	// without a coded twin), the closure path runs regardless of this knob.
-	Kernel KernelMode
-	// NoSeqCache disables the per-function linearization+encoding cache:
-	// every merge attempt re-linearizes both inputs, as before PR 4.
-	NoSeqCache bool
-	// NoAlignMemo disables the content-keyed alignment-result memo (only
-	// active on the coded kernel to begin with).
-	NoAlignMemo bool
 	// AlignMemoCap bounds the memo's entry count; zero selects
 	// DefaultAlignMemoCap.
 	AlignMemoCap int
@@ -110,6 +98,13 @@ type Options struct {
 	// auditing, verification only records diagnostics — it never changes
 	// merge decisions — so results stay bit-identical with it on or off.
 	Verify ir.VerifyLevel
+
+	// noSeqCache and noAlignMemo are test hooks that disable the
+	// per-function linearization+encoding cache (every merge attempt
+	// re-linearizes both inputs) and the content-keyed alignment memo (see
+	// caches.go). Both caches are semantically invisible; the hooks exist
+	// so tests can prove it.
+	noSeqCache, noAlignMemo bool
 }
 
 // DefaultOptions returns the paper's default configuration (t=1, Intel
@@ -310,8 +305,8 @@ type runner struct {
 	// lsh is the MinHash index state; nil when ranking is exact or the pool
 	// fell below the LSH cutoff.
 	lsh *lshState
-	// seqs is the per-function linearization+encoding cache; nil when
-	// Options.NoSeqCache is set or the runner only snapshots rankings.
+	// seqs is the per-function linearization+encoding cache; nil when the
+	// noSeqCache hook is set or the runner only snapshots rankings.
 	seqs *seqCache
 	// costs memoizes per-function cost-model sizes for the profitability
 	// bound and the exact profit evaluation; nil when the runner only
@@ -361,7 +356,10 @@ func setupSeeded(m *ir.Module, opts Options, seed *warmSeed) *runner {
 		r.keys = seed.keys
 	}
 	r.opts.Merge.Timings = &core.Timings{}
-	r.setupKernel()
+	if r.opts.Merge.Interner == nil {
+		// Per-run table: its lifetime (and memory) matches the module's.
+		r.opts.Merge.Interner = encode.NewInterner()
+	}
 
 	// Pre-processing: the merger requires φ-free input (§III-A). Sessions
 	// demote before diffing, so this is a no-op under a seed.

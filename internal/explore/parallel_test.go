@@ -80,21 +80,14 @@ func TestParallelDeterminism(t *testing.T) {
 			o.LSHMinPool = 1
 			return o
 		}()},
-		// Kernel/cache matrix: the default configs above already run the
-		// coded kernel with both caches on; these pin the closure baseline,
-		// the caches-off path and a tiny memo (constant insert rejection)
-		// to the same bit-identical requirement.
-		{"greedy-closure-kernel", func() Options {
-			o := DefaultOptions()
-			o.Threshold = 5
-			o.Kernel = KernelClosure
-			return o
-		}()},
+		// Cache matrix: the default configs above already run with both
+		// caches on; these pin the caches-off path and a tiny memo (constant
+		// insert rejection) to the same bit-identical requirement.
 		{"greedy-nocaches", func() Options {
 			o := DefaultOptions()
 			o.Threshold = 5
-			o.NoSeqCache = true
-			o.NoAlignMemo = true
+			o.noSeqCache = true
+			o.noAlignMemo = true
 			return o
 		}()},
 		{"greedy-memo-cap2", func() Options {

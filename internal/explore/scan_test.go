@@ -147,14 +147,7 @@ func TestScanExactMatchesPoolOrder(t *testing.T) {
 // the stored depth 2t, and each in-run rescan at t while commits reshape
 // the pool.
 func TestScanExactMatchesPoolOrderCorpus(t *testing.T) {
-	var profiles []workload.Profile
-	for _, suite := range [][]workload.Profile{workload.SPECLike(), workload.MiBenchLike()} {
-		for i, p := range suite {
-			if i%4 == 0 {
-				profiles = append(profiles, p)
-			}
-		}
-	}
+	profiles := append(workload.Quick(workload.SPECLike()), workload.Quick(workload.MiBenchLike())...)
 	for _, p := range profiles {
 		m := workload.Build(p)
 		opts := DefaultOptions()

@@ -170,7 +170,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if opts.AlignMemoCap == 0 {
 		opts.AlignMemoCap = DefaultSessionAlignMemoCap
 	}
-	if opts.Kernel != KernelClosure && opts.Merge.Interner == nil {
+	if opts.Merge.Interner == nil {
 		// Session-lived interning table: codes stay comparable across runs,
 		// which is what lets the alignment memo survive submissions.
 		opts.Merge.Interner = encode.NewInterner()
@@ -189,7 +189,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		neg:     newNegMemo(cfg.NegMemoCap),
 		entries: map[string]*sessEntry{},
 	}
-	if !opts.NoAlignMemo && opts.Merge.AlignCoded != nil && opts.Kernel != KernelClosure {
+	if !opts.noAlignMemo {
 		s.memo = newAlignMemo(opts.AlignMemoCap)
 	}
 	return s, nil

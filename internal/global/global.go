@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"fmsa/internal/core"
+	"fmsa/internal/encode"
 	"fmsa/internal/ir"
 	"fmsa/internal/passes"
 	"fmsa/internal/tti"
@@ -137,6 +138,7 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 	// barrier placement nor the worker interleaving can change an outcome.
 	timings := &core.Timings{}
 	memo := tti.NewCostMemo()
+	interner := encode.NewInterner()
 	stats := core.CallerStats{AddressTaken: true} // thunk-commit semantics
 	for s := 0; s < opts.Shards; s++ {
 		var wave []int
@@ -150,6 +152,7 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 			mo := core.DefaultOptions()
 			mo.NamePrefix = "gm"
 			mo.Timings = timings
+			mo.Interner = interner
 			if !opts.NoBound {
 				mo.Prune = &core.PruneSpec{
 					Target: opts.Target, S1: stats, S2: stats, Costs: memo,

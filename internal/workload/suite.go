@@ -102,6 +102,20 @@ func SPECLike() []Profile {
 	}
 }
 
+// Quick subsamples a suite to every fourth profile: the corpora of the
+// quick smoke runs (fmsa-bench -quick) and of the cross-check tests that
+// stand in for them. Of SPECLike it keeps 400.perlbench, 433.milc,
+// 450.soplex, 462.libquantum and 473.astar.
+func Quick(ps []Profile) []Profile {
+	var out []Profile
+	for i, p := range ps {
+		if i%4 == 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // UnscaledSmall returns paper-scale (ScaleFuncs=ScaleSize=1) profiles for
 // the suite's smaller benchmarks. At full function sizes the quadratic
 // Needleman–Wunsch cost dominates the pipeline the way Fig. 13 reports;

@@ -18,8 +18,14 @@
 #  - verify-sweep: the staged verifier finds zero diagnostics at every
 #    pipeline boundary on the quick corpus, verification never changes
 #    merge decisions, and the fast level stays within its overhead budget.
-#  - rank/kernels/bound/ingest: the cross-check experiments (LSH recall,
-#    kernel equivalence, bound admissibility, fmir ingest bit-identity).
+#  - rank/bound/ingest: the cross-check experiments (LSH recall, bound
+#    admissibility, fmir ingest bit-identity).
+#  - kernels: the alignment path's package tests — the coded kernels match
+#    the reference Needleman–Wunsch/Hirschberg oracle step for step, the
+#    equivalence codes obey the encode contract (equal codes exactly when
+#    the entries are equivalent), and on the quick corpora exploration with
+#    the linearization cache and alignment memo on commits the same merges
+#    and module as with both off.
 #  - bound-huge: the profitability bound must prune 483.xalancbmk's @main
 #    against its closest partners and stay admissible there, so a loosened
 #    branch floor fails by name rather than somewhere inside race-tests.
@@ -90,7 +96,7 @@ gate fuzz-decode-verify go test -run '^$' -fuzz 'FuzzDecodeVerify' -fuzztime 10s
 gate fuzz-stablehash    go test -run '^$' -fuzz 'FuzzStableHash' -fuzztime 10s ./internal/global/
 gate verify-sweep       go run ./cmd/fmsa-bench -exp verify -quick -runs 3
 gate rank               go run ./cmd/fmsa-bench -exp rank -quick
-gate kernels            go run ./cmd/fmsa-bench -exp kernels -quick
+gate kernels            go test -count=1 -run 'TestCodedKernelsMatchOracle|TestContract|TestKernelCrossCheck' ./internal/align/ ./internal/encode/ ./internal/explore/
 gate bound              go run ./cmd/fmsa-bench -exp bound -quick
 gate bound-huge         go test -run TestBoundPrunesHugeBodyPairs -count=1 ./internal/core/
 gate ingest             go run ./cmd/fmsa-bench -exp ingest -quick
