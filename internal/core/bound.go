@@ -173,7 +173,8 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 	// branch on func_id, and conditional branches survive cleanup (func_id
 	// is never constant).
 	mergedLB := t.FuncOverhead()
-	condBr := t.InstSize(ir.NewInst(ir.OpBr, ir.Void(), nil, nil, nil))
+	sz := spec.Floors.synth(t)
+	condBr := sz.condBr
 	gapSteps, selects := 0, 0
 	var dispatch map[[2]*ir.Block]bool // distinct diverging target pairs
 	cur1, cur2, next := 0, 0, 0        // block ids; equal ⇔ sides share a block
@@ -233,7 +234,7 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 		}
 	}
 	if selects > 0 {
-		mergedLB += selects * t.InstSize(ir.NewInst(ir.OpSelect, ir.Bool(), nil, nil, nil))
+		mergedLB += selects * sz.sel
 	}
 	// Each distinct diverging target pair materializes one memoized
 	// dispatch block holding a conditional branch on func_id.
@@ -253,10 +254,9 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 	if gapSteps > 0 || selects > 0 || len(dispatch) > 0 {
 		lbArity++
 	}
-	callOps := make([]ir.Value, lbArity+1) // nil callee + nil args: size only
-	callLB := t.InstSize(ir.NewInst(ir.OpCall, ir.Void(), callOps...))
-	epsLB := deltaLowerBound(t, f1, spec.S1, callLB) +
-		deltaLowerBound(t, f2, spec.S2, callLB)
+	callLB := sz.callSize(t, callShape{arity: lbArity})
+	epsLB := deltaLowerBound(t, f1, spec.S1, callLB, sz) +
+		deltaLowerBound(t, f2, spec.S2, callLB, sz)
 
 	return before - mergedLB - epsLB, true
 }
@@ -483,21 +483,100 @@ func (fl *brFloors) gapFloor(t tti.Target, in *ir.Inst, a int, touched blockSet)
 	return t.InstSize(in)
 }
 
-// FloorMemo caches each function's brFloors across the bound evaluations
-// of one exploration run, like tti.CostMemo caches its sizes. Invalidation
-// follows the same drop-only contract: Drop every function whose body a
-// commit changes (the staleAfterCommit set), between evaluation waves.
-// Lookups are safe concurrently; an entry is also validated against the
-// sequence it is asked for, so a mismatched linearization recomputes
-// instead of misapplying ordinals.
+// FloorMemo caches the bound's static facts across the bound evaluations
+// of one exploration run, like tti.CostMemo caches its sizes: each
+// function's brFloors and, per target, the sizes of the synthetic
+// instructions the bound prices (synthSizes). Invalidation follows the
+// same drop-only contract: Drop every function whose body a commit changes
+// (the staleAfterCommit set), between evaluation waves. Lookups are safe
+// concurrently; a floors entry is also validated against the sequence it
+// is asked for, so a mismatched linearization recomputes instead of
+// misapplying ordinals. A nil memo computes everything without caching.
 type FloorMemo struct {
 	mu      sync.RWMutex
 	entries map[*ir.Func]*brFloors
+	sizes   map[string]*synthSizes // by target name
+}
+
+// synthSizes holds one target's sizes of the instructions the bound prices
+// without building them: the func_id conditional branch, an operand
+// select, the thunk's ret and the calls of callShape. condBr, sel and ret
+// are fixed once created. Only a memo's entry caches calls; FloorMemo.Drop
+// deletes a dropped function's call sites from it.
+type synthSizes struct {
+	condBr, sel, ret int
+	mu               sync.RWMutex
+	calls            map[callShape]int // nil: measure every call
+}
+
+func newSynthSizes(t tti.Target) *synthSizes {
+	return &synthSizes{
+		condBr: t.InstSize(ir.NewInst(ir.OpBr, ir.Void(), nil, nil, nil)),
+		sel:    t.InstSize(ir.NewInst(ir.OpSelect, ir.Bool(), nil, nil, nil)),
+		ret:    t.InstSize(ir.NewInst(ir.OpRet, ir.Void())),
+	}
+}
+
+// callShape names a call the bound prices: an existing call site of callee
+// (syntheticCall), or, with a nil callee, a void call with arity arguments.
+type callShape struct {
+	callee *ir.Func
+	arity  int
+}
+
+// size builds the call on t and measures it.
+func (c callShape) size(t tti.Target) int {
+	if c.callee == nil {
+		return t.InstSize(ir.NewInst(ir.OpCall, ir.Void(), make([]ir.Value, c.arity+1)...))
+	}
+	call := syntheticCall(c.callee)
+	defer call.Detach()
+	return t.InstSize(call)
+}
+
+// callSize returns the size of the call c on the target of sz.
+func (sz *synthSizes) callSize(t tti.Target, c callShape) int {
+	if sz.calls == nil {
+		return c.size(t)
+	}
+	sz.mu.RLock()
+	size, ok := sz.calls[c]
+	sz.mu.RUnlock()
+	if !ok {
+		size = c.size(t)
+		sz.mu.Lock()
+		sz.calls[c] = size
+		sz.mu.Unlock()
+	}
+	return size
 }
 
 // NewFloorMemo returns an empty memo.
 func NewFloorMemo() *FloorMemo {
-	return &FloorMemo{entries: map[*ir.Func]*brFloors{}}
+	return &FloorMemo{entries: map[*ir.Func]*brFloors{}, sizes: map[string]*synthSizes{}}
+}
+
+// synth returns t's synthetic instruction sizes, creating them on first
+// use.
+func (m *FloorMemo) synth(t tti.Target) *synthSizes {
+	if m == nil {
+		return newSynthSizes(t)
+	}
+	name := t.Name()
+	m.mu.RLock()
+	sz := m.sizes[name]
+	m.mu.RUnlock()
+	if sz != nil {
+		return sz
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if sz = m.sizes[name]; sz == nil {
+		sz = newSynthSizes(t)
+		sz.calls = map[callShape]int{}
+		m.sizes[name] = sz
+	}
+	return sz
 }
 
 // lookup returns f's floors for the linearization seq, computing and
@@ -519,13 +598,18 @@ func (m *FloorMemo) lookup(f *ir.Func, seq []linearize.Entry) *brFloors {
 	return fl
 }
 
-// Drop invalidates f's entry. Nil-safe.
+// Drop invalidates f's entries. Nil-safe.
 func (m *FloorMemo) Drop(f *ir.Func) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	delete(m.entries, f)
+	for _, sz := range m.sizes {
+		sz.mu.Lock()
+		delete(sz.calls, callShape{callee: f})
+		sz.mu.Unlock()
+	}
 	m.mu.Unlock()
 }
 
@@ -657,18 +741,15 @@ func hasConstBranch(seq []linearize.Entry) bool {
 // against the arity-floor call size, plus the thunk floor (without the
 // non-negative return-cast term) when f cannot be deleted outright. Mirrors
 // Result.delta term for term.
-func deltaLowerBound(t tti.Target, f *ir.Func, s CallerStats, callLB int) int {
+func deltaLowerBound(t tti.Target, f *ir.Func, s CallerStats, callLB int, sz *synthSizes) int {
 	lb := 0
 	if s.Callers > 0 {
-		oldCall := syntheticCall(f)
-		growth := callLB - t.InstSize(oldCall)
-		oldCall.Detach()
-		if growth > 0 {
+		if growth := callLB - sz.callSize(t, callShape{callee: f}); growth > 0 {
 			lb += growth * s.Callers
 		}
 	}
 	if f.Linkage == ir.InternalLinkage && !s.AddressTaken {
 		return lb
 	}
-	return lb + t.FuncOverhead() + callLB + t.InstSize(ir.NewInst(ir.OpRet, ir.Void()))
+	return lb + t.FuncOverhead() + callLB + sz.ret
 }

@@ -208,6 +208,49 @@ func TestBoundAdmissibilityAdversarial(t *testing.T) {
 	}
 }
 
+// TestFloorMemoSyntheticSizes checks the memoized synthetic instruction
+// sizes against instructions built per query, per target on one shared
+// memo, and that Drop forgets a function's call sites.
+func TestFloorMemoSyntheticSizes(t *testing.T) {
+	m := ir.MustParseModule("adversarial", adversarialIR)
+	memo := NewFloorMemo()
+	for _, target := range boundTargets {
+		sz := memo.synth(target)
+		if sz != memo.synth(target) {
+			t.Fatalf("%s: sizes not memoized", target.Name())
+		}
+		fresh := newSynthSizes(target)
+		if sz.condBr != fresh.condBr || sz.sel != fresh.sel || sz.ret != fresh.ret {
+			t.Errorf("%s: fixed sizes %d/%d/%d, want %d/%d/%d", target.Name(),
+				sz.condBr, sz.sel, sz.ret, fresh.condBr, fresh.sel, fresh.ret)
+		}
+		for arity := 0; arity < 8; arity++ {
+			c := callShape{arity: arity}
+			want := target.InstSize(ir.NewInst(ir.OpCall, ir.Void(), make([]ir.Value, arity+1)...))
+			for range 2 {
+				if got := sz.callSize(target, c); got != want {
+					t.Errorf("%s: arity-%d call size %d, want %d", target.Name(), arity, got, want)
+				}
+			}
+		}
+		for _, f := range m.Funcs {
+			c := callShape{callee: f}
+			call := syntheticCall(f)
+			want := target.InstSize(call)
+			call.Detach()
+			for range 2 {
+				if got := sz.callSize(target, c); got != want {
+					t.Errorf("%s: call to %s size %d, want %d", target.Name(), f.Name(), got, want)
+				}
+			}
+			memo.Drop(f)
+			if _, ok := sz.calls[c]; ok {
+				t.Errorf("%s: Drop kept the call size of %s", target.Name(), f.Name())
+			}
+		}
+	}
+}
+
 // constBranchIR holds a pair whose bodies branch on integer constants —
 // SimplifyCFG folds such branches and can cascade-delete arbitrary cloned
 // blocks, so no sound per-column floor exists and bounding must bail

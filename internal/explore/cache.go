@@ -273,7 +273,7 @@ func (c *rankCache) scanExact(f *ir.Func, depth int) []candidate {
 			self = true
 			continue
 		}
-		if !samePartition(r.opts, f, g) {
+		if !r.samePartition(f, g) {
 			continue
 		}
 		probes++
@@ -398,7 +398,7 @@ func (c *rankCache) rankIDsDepth(f *ir.Func, ids []int32, depth int) []candidate
 		slices.Sort(pis)
 		for _, pi := range pis {
 			g := r.pool[pi]
-			if g == f || !samePartition(r.opts, f, g) {
+			if g == f || !r.samePartition(f, g) {
 				continue
 			}
 			probes++
@@ -407,7 +407,7 @@ func (c *rankCache) rankIDsDepth(f *ir.Func, ids []int32, depth int) []candidate
 	} else {
 		for _, id := range ids {
 			g := r.pool[id]
-			if g == f || !samePartition(r.opts, f, g) {
+			if g == f || !r.samePartition(f, g) {
 				continue
 			}
 			probes++
@@ -460,7 +460,7 @@ func (r *runner) consider(fp *fingerprint.Fingerprint, best []candidate, g *ir.F
 // tail-append (incomplete) or a truncated insert (full window).
 func (c *rankCache) offer(owner *ir.Func, rl *rankList, g *ir.Func, fpg *fingerprint.Fingerprint) {
 	r := c.r
-	if !samePartition(r.opts, owner, g) {
+	if !r.samePartition(owner, g) {
 		return
 	}
 	if ls := r.lsh; ls != nil && !lsh.Collide(ls.sigOf(owner), ls.sigOf(g), ls.params) {

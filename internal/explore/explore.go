@@ -440,7 +440,7 @@ func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 			cands = r.cache.take(f)
 		} else {
 			for i, g := range r.pool {
-				if g != f && r.poolLive[i] && samePartition(r.opts, f, g) {
+				if g != f && r.poolLive[i] && r.samePartition(f, g) {
 					cands = append(cands, candidate{fn: g})
 				}
 			}
@@ -623,12 +623,11 @@ func (r *runner) fpOf(f *ir.Func) *fingerprint.Fingerprint {
 }
 
 // samePartition reports whether two functions may merge under the
-// partition constraint.
-func samePartition(opts Options, a, b *ir.Func) bool {
-	if opts.Partition == nil {
-		return true
-	}
-	return opts.Partition[a] == opts.Partition[b]
+// partition constraint. It runs once per ranked pair, so it reads the
+// runner's Options in place rather than taking a copy.
+func (r *runner) samePartition(a, b *ir.Func) bool {
+	part := r.opts.Partition
+	return part == nil || part[a] == part[b]
 }
 
 // eligible reports whether f participates in exploration.

@@ -18,7 +18,7 @@ func poolOrderScan(r *runner, f *ir.Func, depth int) []candidate {
 	fp := r.fpOf(f)
 	var best []candidate
 	for i, g := range r.pool {
-		if g == f || !r.poolLive[i] || !samePartition(r.opts, f, g) {
+		if g == f || !r.poolLive[i] || !r.samePartition(f, g) {
 			continue
 		}
 		s := fingerprint.Similarity(fp, r.poolFPs[i])

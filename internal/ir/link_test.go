@@ -156,24 +156,41 @@ entry:
 	}
 }
 
+// linkBenchProfile is the corpus of the Fig. 9 round-trip benchmarks.
+var linkBenchProfile = workload.Profile{
+	Name: "linkbench", NumFuncs: 120, AvgSize: 18, MaxSize: 48,
+	Identical: 0.1, TypeVar: 0.1, InternalFrac: 0.6, Seed: 11,
+}
+
 // BenchmarkLink pins the relink-after-split hot path the pre-sized symbol
 // tables optimize: split a corpus-sized module into units, then time
 // relinking them (rebuilding fresh units per iteration — LinkModules
 // consumes its inputs).
 func BenchmarkLink(b *testing.B) {
-	p := workload.Profile{
-		Name: "linkbench", NumFuncs: 120, AvgSize: 18, MaxSize: 48,
-		Identical: 0.1, TypeVar: 0.1, InternalFrac: 0.6, Seed: 11,
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		units, err := ir.SplitModule(workload.Build(p), 8)
+		units, err := ir.SplitModule(workload.Build(linkBenchProfile), 8)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 		if _, err := ir.LinkModules("relinked", units...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSplit times the other half of the round trip: splitting the
+// BenchmarkLink corpus into 8 units (rebuilding the module per iteration —
+// SplitModule may promote its internal functions).
+func BenchmarkSplit(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := workload.Build(linkBenchProfile)
+		b.StartTimer()
+		if _, err := ir.SplitModule(m, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -16,6 +17,14 @@ import (
 // module's arrival order, so two modules that define the same functions in
 // different orders split into textually identical units — the invariant
 // sharded global merging builds its bit-identity on.
+//
+// Splitting costs O(n·functions + instructions). Each unit clones all of
+// its definitions through one value map, which CloneBody extends in place,
+// and prunes its unused declarations in one pass. Sharing the map is
+// sound: every key is a source value, and each parameter, block and
+// instruction belongs to exactly one function. A verified module never
+// names another function's locals, so entries of different bodies can
+// neither collide nor leak into each other's clones.
 //
 // Together with LinkModules this models the paper's Fig. 9 pipeline: a
 // program split into per-file units, compiled separately, then linked and
@@ -73,47 +82,40 @@ func SplitModule(m *Module, n int) ([]*Module, error) {
 	}
 
 	for k, unit := range units {
-		// Base value map: every module-level function maps to this unit's
+		// Value map: every module-level function maps to this unit's
 		// instance — a clone shell for assigned definitions, a declaration
-		// otherwise (pruned later if unused).
-		base := map[Value]Value{}
-		clones := map[*Func]*Func{}
+		// otherwise (pruned later if unused). CloneBody adds the locals.
+		vmap := map[Value]Value{}
+		var clones []*Func
 		for _, f := range sorted {
-			var local *Func
+			local := NewFunc(f.Name(), f.Sig())
 			if !f.IsDecl() && unitOf[f] == k {
-				local = NewFunc(f.Name(), f.Sig())
 				local.Linkage = f.Linkage
 				local.Hotness = f.Hotness
-				clones[f] = local
+				clones = append(clones, f)
 			} else {
-				local = NewFunc(f.Name(), f.Sig())
 				local.Linkage = ExternalLinkage
 			}
 			unit.AddFunc(local)
-			base[f] = local
+			vmap[f] = local
 		}
-		// Clone assigned bodies.
-		for _, f := range sorted {
-			dst, ok := clones[f]
-			if !ok {
-				continue
-			}
-			vmap := make(map[Value]Value, len(base)+f.NumInsts())
-			for key, v := range base {
-				vmap[key] = v
-			}
+		for _, f := range clones {
+			dst := vmap[f].(*Func)
 			for i, p := range f.Params {
 				dst.Params[i].SetName(p.Name())
 				vmap[p] = dst.Params[i]
 			}
 			CloneBody(f, dst, vmap)
 		}
-		// Prune unused declarations.
-		for _, f := range append([]*Func(nil), unit.Funcs...) {
-			if f.IsDecl() && f.NumUses() == 0 {
-				unit.RemoveFunc(f)
+		// Prune unused declarations in one pass.
+		unit.Funcs = slices.DeleteFunc(unit.Funcs, func(f *Func) bool {
+			if !f.IsDecl() || f.NumUses() > 0 {
+				return false
 			}
-		}
+			delete(unit.funcByName, f.name)
+			f.parent = nil
+			return true
+		})
 	}
 	return units, nil
 }

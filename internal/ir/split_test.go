@@ -1,11 +1,17 @@
 package ir_test
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
 	"fmsa/internal/interp"
 	"fmsa/internal/ir"
+	"fmsa/internal/wire"
 	"fmsa/internal/workload"
 )
 
@@ -221,5 +227,181 @@ entry:
 `)
 	if _, err := ir.SplitModule(m, 2); err == nil {
 		t.Error("modules with globals must be rejected")
+	}
+}
+
+// referenceSplit is the per-function-copy SplitModule that the shared
+// per-unit value map replaced: every cloned body gets a fresh copy of the
+// unit's function map, and unused declarations are removed one at a time.
+// It is quadratic in the function count and kept only as the oracle for
+// TestSplitModuleMatchesReference.
+func referenceSplit(m *ir.Module, n int) []*ir.Module {
+	sorted := append([]*ir.Func(nil), m.Funcs...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name() < sorted[j].Name() })
+	unitOf := map[*ir.Func]int{}
+	next := 0
+	for _, f := range sorted {
+		if f.IsDecl() {
+			continue
+		}
+		if f.Name() == "main" {
+			unitOf[f] = 0
+			continue
+		}
+		unitOf[f] = next % n
+		next++
+	}
+	for _, f := range m.Funcs {
+		if f.IsDecl() || f.Linkage != ir.InternalLinkage {
+			continue
+		}
+		for _, u := range f.Uses() {
+			if unitOf[u.User.Parent().Parent()] != unitOf[f] {
+				f.Linkage = ir.ExternalLinkage
+				break
+			}
+		}
+	}
+	units := make([]*ir.Module, n)
+	for k := range units {
+		unit := ir.NewModule(fmt.Sprintf("%s.unit%d", m.Name, k))
+		units[k] = unit
+		locals := make([]*ir.Func, len(sorted)) // base map: sorted[i] -> locals[i]
+		for i, f := range sorted {
+			local := ir.NewFunc(f.Name(), f.Sig())
+			if !f.IsDecl() && unitOf[f] == k {
+				local.Linkage = f.Linkage
+				local.Hotness = f.Hotness
+			} else {
+				local.Linkage = ir.ExternalLinkage
+			}
+			unit.AddFunc(local)
+			locals[i] = local
+		}
+		vmap := map[ir.Value]ir.Value{}
+		for fi, f := range sorted {
+			if f.IsDecl() || unitOf[f] != k {
+				continue
+			}
+			dst := locals[fi]
+			// A fresh copy of the base map per body (recycling the storage).
+			clear(vmap)
+			for j, g := range sorted {
+				vmap[g] = locals[j]
+			}
+			for i, p := range f.Params {
+				dst.Params[i].SetName(p.Name())
+				vmap[p] = dst.Params[i]
+			}
+			ir.CloneBody(f, dst, vmap)
+		}
+		for _, f := range append([]*ir.Func(nil), unit.Funcs...) {
+			if f.IsDecl() && f.NumUses() == 0 {
+				unit.RemoveFunc(f)
+			}
+		}
+	}
+	return units
+}
+
+// permuteBodies moves every definition but @main to another symbol slot,
+// the way perfbench lays out a held-out seed: each body takes another
+// name, and so another unit, and another position in the module.
+func permuteBodies(m *ir.Module, seed int64) *ir.Module {
+	var slots []int
+	for i, f := range m.Funcs {
+		if !f.IsDecl() && f.Name() != "main" {
+			slots = append(slots, i)
+		}
+	}
+	defs := make([]*ir.Func, len(slots))
+	names := make([]string, len(slots))
+	for k, i := range slots {
+		defs[k], names[k] = m.Funcs[i], m.Funcs[i].Name()
+		defs[k].SetName(fmt.Sprintf("permuted.%d", k)) // free every name first
+	}
+	perm := rand.New(rand.NewSource(seed)).Perm(len(defs))
+	for k, f := range defs {
+		f.SetName(names[perm[k]])
+		m.Funcs[slots[perm[k]]] = f
+	}
+	return m
+}
+
+// TestSplitModuleMatchesReference pins the shared per-unit value map:
+// SplitModule must produce units byte-identical — in fmir and in text — to
+// the per-function-copy reference on every SPEC-like profile, and on one
+// corpus with its bodies permuted among the symbol slots.
+func TestSplitModuleMatchesReference(t *testing.T) {
+	var corpora []*ir.Module
+	for _, p := range workload.SPECLike() {
+		corpora = append(corpora, workload.Build(p))
+	}
+	permuted := permuteBodies(workload.Build(workload.SPECLike()[8]), 23)
+	permuted.Name += "-permuted"
+	corpora = append(corpora, permuted)
+
+	for _, m := range corpora {
+		// Splitting mutates its source only by promoting linkage, so one
+		// module serves every split once the linkage is restored.
+		linkage := map[*ir.Func]ir.Linkage{}
+		for _, f := range m.Funcs {
+			linkage[f] = f.Linkage
+		}
+		restore := func() {
+			for f, l := range linkage {
+				f.Linkage = l
+			}
+		}
+		for _, n := range []int{1, 3, 4, 8} {
+			restore()
+			got, err := ir.SplitModule(m, n)
+			if err != nil {
+				t.Fatalf("%s split(%d): %v", m.Name, n, err)
+			}
+			restore()
+			want := referenceSplit(m, n)
+			for k := range want {
+				gb, err := wire.Encode(got[k])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wb, err := wire.Encode(want[k])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gb, wb) {
+					t.Fatalf("%s split(%d) unit %d: fmir differs from the reference", m.Name, n, k)
+				}
+				if ir.FormatModule(got[k]) != ir.FormatModule(want[k]) {
+					t.Fatalf("%s split(%d) unit %d: text differs from the reference", m.Name, n, k)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitModuleAllocLinear guards splitting's linear cost: doubling the
+// function count must not much more than double the bytes SplitModule
+// allocates. The per-function map copy it replaced grew ×3.5 here.
+func TestSplitModuleAllocLinear(t *testing.T) {
+	allocs := func(funcs int) uint64 {
+		m := workload.Build(workload.Profile{
+			Name: "alloclin", NumFuncs: funcs, AvgSize: 10, MaxSize: 30,
+			Identical: 0.1, TypeVar: 0.1, InternalFrac: 0.6, Seed: 3,
+		})
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := ir.SplitModule(m, 4); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := allocs(500), allocs(1000)
+	if ratio := float64(large) / float64(small); ratio >= 2.5 {
+		t.Errorf("SplitModule allocated %d bytes at 500 functions and %d at 1000 (×%.2f, want < 2.5)",
+			small, large, ratio)
 	}
 }
