@@ -5,37 +5,12 @@
 //	fmsa-bench -exp fig10 -target x86-64
 //	fmsa-bench -exp all -csv results/
 //
-// Experiments: fig8, fig10, fig11, fig12, fig13, fig14, table1, table2,
-// ablation, hotexclusion, perf, rank, audit, bound, ingest, verify, global,
-// serve, simdb, all.
+// Experiments: fig8, fig10, fig11, fig12, fig13, fig13full, fig14, table1,
+// table2, ablation, hotexclusion, lto, verify, serve, simdb, all.
 //
-// The perf experiment measures the exploration pipeline itself (serial vs
-// parallel) and emits one machine-readable JSON line per configuration —
-// ns/op, merges/s, DP-cell and cache-hit counters, and the per-phase
-// breakdown — for tracking the performance trajectory across revisions.
-// -nobound disables pre-codegen profitability bounding; -runs repeats each
-// measurement and reports the median (ns_per_op) plus the minimum
-// (ns_per_op_min); -percorpus emits one line per corpus instead of one per
-// suite:
-//
-//	fmsa-bench -exp perf -workers 8 -json BENCH_explore.json
-//	fmsa-bench -exp perf -percorpus -runs 3 -json BENCH_PR5.json
-//	fmsa-bench -exp perf -percorpus -runs 3 -nobound -json BENCH_PR5.json
-//
-// The bound experiment is the profitability-bound differential check: each
-// corpus runs with bounding off, with pruning on (must commit bit-identical
-// merges) and with a bound-vs-exact audit on every materialized pair (zero
-// pairs may price above their bound):
-//
-//	fmsa-bench -exp bound -quick
-//
-// The ingest experiment emits every corpus as textual IR and as binary fmir,
-// measures decode wall time for both paths (per corpus and whole-suite via
-// the concurrent multi-file loader), and fails unless fmir ingest produces
-// bit-identical merge records and final module text to text ingest:
-//
-//	fmsa-bench -exp ingest -json BENCH_ingest.json
-//	fmsa-bench -exp ingest -quick -workers 1
+// The verify, serve and simdb experiments also print one machine-readable
+// JSON line per row; -json appends those lines to a file, which is opened
+// before any experiment runs.
 //
 // The verify experiment drives every corpus through the pipeline's IR
 // boundaries (print→reparse, wire round trip, split+relink, merge with
@@ -45,24 +20,6 @@
 //
 //	fmsa-bench -exp verify -runs 3 -json BENCH_verify.json
 //	fmsa-bench -exp verify -quick
-//
-// The rank experiment compares the exact quadratic candidate ranking with
-// the sub-quadratic MinHash/LSH index on identical pools — per-corpus wall
-// time, probe counts and top-1 recall as JSON lines — and fails if the
-// aggregate LSH recall drops below 0.95:
-//
-//	fmsa-bench -exp rank -json BENCH_rank.json
-//
-// The global experiment measures the two-round sharded cross-TU pipeline
-// against monolithic whole-program exploration — per corpus and shard
-// count, JSON lines carry the exact-scored pair count, alignment cells,
-// wall clock and committed merge records — and fails unless results are
-// bit-identical across shard counts 1/2/8, round-1 summaries round-trip
-// through the .fmsum wire format, and summary-based planning cuts
-// exact-scored pairs by at least 30% in aggregate:
-//
-//	fmsa-bench -exp global -units 4 -json BENCH_PR8.json
-//	fmsa-bench -exp global -quick
 //
 // The serve experiment measures the warm merge-session daemon: the largest
 // corpus is submitted cold, then resubmitted with a 1% delta into a warm
@@ -95,11 +52,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"fmsa/internal/experiments"
-	"fmsa/internal/explore"
-	"fmsa/internal/ir"
 	"fmsa/internal/profiling"
 	"fmsa/internal/tti"
 	"fmsa/internal/workload"
@@ -107,21 +61,15 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run")
-		target    = flag.String("target", "x86-64", "cost-model target: x86-64 or thumb")
-		csvDir    = flag.String("csv", "", "also write CSV files to this directory")
-		quickly   = flag.Bool("quick", false, "subsample the suites for a fast smoke run")
-		workers   = flag.Int("workers", 0, "exploration worker goroutines (0 = all cores)")
-		jsonPath  = flag.String("json", "", "append experiment JSON lines (perf, rank, audit) to this file")
-		auditMode = flag.String("audit", "committed", "audit experiment mode: committed or deep")
-		ranking   = flag.String("ranking", "exact", "perf experiment candidate ranking: exact or lsh")
-		noBound   = flag.Bool("nobound", false, "disable pre-codegen profitability bounding")
-		runs      = flag.Int("runs", 1, "perf experiment: repeat each measurement, report median and min")
-		perCorpus = flag.Bool("percorpus", false, "perf experiment: emit one JSON line per corpus")
-		units     = flag.Int("units", 4, "global experiment: translation units per corpus")
-		verifyLvl = flag.String("verify", "off", "perf experiment: IR verification level inside exploration (off, fast, full)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
+		exp      = flag.String("exp", "all", "experiment to run")
+		target   = flag.String("target", "x86-64", "cost-model target: x86-64 or thumb")
+		csvDir   = flag.String("csv", "", "also write CSV files to this directory")
+		quickly  = flag.Bool("quick", false, "subsample the suites for a fast smoke run")
+		workers  = flag.Int("workers", 0, "verify experiment: exploration worker goroutines (0 = all cores)")
+		jsonPath = flag.String("json", "", "append the verify, serve and simdb JSON lines to this file")
+		runs     = flag.Int("runs", 1, "verify experiment: overhead-measurement repetitions")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 	)
 	flag.Parse()
 
@@ -132,6 +80,13 @@ func main() {
 	tgt := tti.ByName(*target)
 	if tgt == nil {
 		fatal(fmt.Errorf("unknown target %q", *target))
+	}
+	// Open the JSON file up front so an unwritable path fails before any
+	// (possibly minutes-long) experiment runs.
+	var jsonFile *os.File
+	if *jsonPath != "" {
+		jsonFile, err = os.OpenFile(*jsonPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		fatalIf(err)
 	}
 	spec := workload.SPECLike()
 	mibench := workload.MiBenchLike()
@@ -254,86 +209,6 @@ func main() {
 		fmt.Print(experiments.FormatSizeTable(rows, experiments.TechNames(techs)))
 	}
 
-	if run("audit") {
-		ran = true
-		section("Merge-audit sweep: static soundness checks over every committed merge")
-		mode, err := explore.ParseAuditMode(*auditMode)
-		fatalIf(err)
-		if mode == explore.AuditOff {
-			mode = explore.AuditCommitted
-		}
-		suites := append(append([]workload.Profile{}, workload.UnscaledSmall()...), spec...)
-		suites = append(suites, mibench...)
-		res := experiments.AuditSweep(suites, tgt, 2, mode)
-		fmt.Print(experiments.FormatAuditTable(res))
-		emitJSON(res, *jsonPath)
-		if res.Flagged > 0 {
-			fatal(fmt.Errorf("audit flagged %d of %d merges", res.Flagged, res.Audited))
-		}
-	}
-
-	if run("perf") {
-		ran = true
-		section("Exploration pipeline performance: serial vs parallel (t=10)")
-		mode, err := explore.ParseRankingMode(*ranking)
-		fatalIf(err)
-		lvl, err := ir.ParseVerifyLevel(*verifyLvl)
-		fatalIf(err)
-		w := *workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		cfg := experiments.PerfConfig{
-			Threshold: 10, Workers: 1, Runs: *runs,
-			Ranking: mode, NoBound: *noBound,
-			Verify: lvl,
-		}
-		if *perCorpus {
-			for _, r := range experiments.PerfCorpora(spec, tgt, cfg) {
-				emitPerf(r, *jsonPath)
-			}
-		} else {
-			serial := experiments.Perf(spec, tgt, cfg)
-			emitPerf(serial, *jsonPath)
-			if w > 1 {
-				cfg.Workers = w
-				par := experiments.Perf(spec, tgt, cfg)
-				if par.NsPerOp > 0 {
-					par.SpeedupVsSerial = float64(serial.NsPerOp) / float64(par.NsPerOp)
-				}
-				emitPerf(par, *jsonPath)
-			}
-		}
-	}
-
-	if run("bound") {
-		ran = true
-		section("Bound cross-check: pruning vs exact pipeline, admissibility audit (t=5)")
-		rows, err := experiments.BoundCrossCheck(spec, tgt, 5, *workers)
-		for _, r := range rows {
-			emitJSON(r, *jsonPath)
-		}
-		fatalIf(err)
-	}
-
-	if run("ingest") {
-		ran = true
-		section("Ingest: text vs binary fmir corpus decode, bit-identical merges gate")
-		rows, err := experiments.Ingest(spec, tgt, experiments.IngestConfig{
-			Workers: *workers, Runs: *runs, Threshold: 2,
-		})
-		for _, r := range rows {
-			emitJSON(r, *jsonPath)
-		}
-		fatalIf(err)
-		for _, r := range rows {
-			if r.Corpus == "aggregate" && r.Format == "fmir" {
-				fmt.Printf("\nfmir aggregate: %.2fx ingest speedup over text (%d workers), %.1f%% of text bytes\n",
-					r.SpeedupVsText, r.Workers, 100*float64(r.Bytes)/float64(max64(rowBytes(rows, "text"), 1)))
-			}
-		}
-	}
-
 	if run("verify") {
 		ran = true
 		section("Verify: boundary IR checks, decision invariance, fast-level overhead gate")
@@ -343,7 +218,7 @@ func main() {
 			Workers: *workers, Runs: *runs, Threshold: 2,
 		})
 		for _, r := range rows {
-			emitJSON(r, *jsonPath)
+			emitJSON(r, jsonFile)
 		}
 		fatalIf(err)
 		for _, r := range rows {
@@ -351,37 +226,6 @@ func main() {
 				fmt.Printf("\nverify aggregate: %.1f%% fast-level overhead across %d corpora (%d runs)\n",
 					r.OverheadPct, len(rows)-1, r.Runs)
 			}
-		}
-	}
-
-	if run("rank") {
-		ran = true
-		section("Candidate ranking: exact quadratic scan vs MinHash/LSH index (t=1)")
-		rankSpec := spec
-		if *quickly {
-			// The quick subsample only keeps corpora small enough to fall
-			// back to the exact scan, which would gate nothing; measure the
-			// one largest corpus instead so the index actually engages.
-			for _, p := range workload.SPECLike() {
-				if p.Name == "483.xalancbmk" {
-					rankSpec = []workload.Profile{p}
-				}
-			}
-		}
-		rows := experiments.Rank(rankSpec, 1, *workers)
-		var lshAgg experiments.RankModeResult
-		for _, r := range rows {
-			emitJSON(r, *jsonPath)
-			if r.Corpus == "aggregate" && r.Mode == "lsh" {
-				lshAgg = r
-			}
-		}
-		if lshAgg.Funcs > 0 {
-			fmt.Printf("\nlsh aggregate: %.2fx ranking speedup, %.1f%% top-1 recall, %d fallbacks\n",
-				lshAgg.SpeedupVsExact, 100*lshAgg.RecallTop1, lshAgg.Fallbacks)
-		}
-		if lshAgg.RecallTop1 < 0.95 {
-			fatal(fmt.Errorf("lsh aggregate top-1 recall %.3f below the 0.95 floor", lshAgg.RecallTop1))
 		}
 	}
 
@@ -395,7 +239,7 @@ func main() {
 			Threshold: 20, Workers: 1, Quick: *quickly,
 		})
 		for _, r := range rows {
-			emitJSON(r, *jsonPath)
+			emitJSON(r, jsonFile)
 		}
 		fatalIf(err)
 		for _, r := range rows {
@@ -414,7 +258,7 @@ func main() {
 			Quick: *quickly,
 		})
 		for _, r := range rows {
-			emitJSON(r, *jsonPath)
+			emitJSON(r, jsonFile)
 		}
 		fatalIf(err)
 		for _, r := range rows {
@@ -432,64 +276,25 @@ func main() {
 		}
 	}
 
-	if run("global") {
-		ran = true
-		section("Global: sharded cross-TU merging vs monolithic exploration (t=1)")
-		rows, err := experiments.GlobalSweep(spec, tgt, experiments.GlobalConfig{
-			Workers: *workers, Units: *units,
-		})
-		for _, r := range rows {
-			emitJSON(r, *jsonPath)
-		}
-		fatalIf(err)
-		for _, r := range rows {
-			if r.Corpus == "aggregate" {
-				fmt.Printf("\nglobal aggregate: %.1f%% fewer exact-scored pairs (%d -> %d), bit-identical across shards: %v\n",
-					r.ReductionPct, r.ExactMonolithic, r.ExactGlobal, r.BitIdentical)
-			}
-		}
-	}
-
 	if !ran {
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
+	if jsonFile != nil {
+		fatalIf(jsonFile.Close())
+	}
 }
 
-// emitPerf prints one machine-readable JSON line and optionally appends it
-// to path (the BENCH_*.json trajectory file).
-func emitPerf(r experiments.PerfResult, path string) { emitJSON(r, path) }
-
-// emitJSON prints any experiment result as one JSON line and optionally
-// appends it to path.
-func emitJSON(r any, path string) {
+// emitJSON prints any experiment result as one JSON line and, when f is
+// non-nil, appends it to f.
+func emitJSON(r any, f *os.File) {
 	line, err := json.Marshal(r)
 	fatalIf(err)
 	fmt.Println(string(line))
-	if path == "" {
+	if f == nil {
 		return
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	fatalIf(err)
-	defer f.Close()
 	_, err = f.Write(append(line, '\n'))
 	fatalIf(err)
-}
-
-// rowBytes returns the aggregate on-disk bytes for one ingest format.
-func rowBytes(rows []experiments.IngestResult, format string) int64 {
-	for _, r := range rows {
-		if r.Corpus == "aggregate" && r.Format == format {
-			return r.Bytes
-		}
-	}
-	return 0
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func section(title string) {

@@ -48,7 +48,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "exploration worker goroutines (0 = all cores; results are identical for any value)")
 		ranking    = flag.String("ranking", "exact", "candidate ranking: exact (quadratic scan) or lsh (MinHash index, sub-quadratic)")
 		audit      = flag.String("audit", "off", "merge auditing: off, committed (static checks, diagnostics reported) or deep (reject merges whose behavior diverges)")
-		noBound    = flag.Bool("nobound", false, "disable pre-codegen profitability bounding (measurement/debugging only; results are identical either way)")
 		verifyLvl  = flag.String("verify", "full", "IR verification at pipeline boundaries and inside exploration: off, fast or full")
 		globalMode = flag.Bool("global", false, "two-round sharded cross-TU merging: each input file is one translation unit")
 		shards     = flag.Int("shards", 1, "round-2 shard count for -global (results are bit-identical for any value)")
@@ -134,7 +133,6 @@ func main() {
 		Workers:   *workers,
 		Ranking:   *ranking,
 		Audit:     *audit,
-		NoBound:   *noBound,
 		Verify:    *verifyLvl,
 		Store:     store,
 	})

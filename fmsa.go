@@ -124,11 +124,6 @@ type Options struct {
 	// Only TechniqueFMSA audits; the baselines have no merge bodies to
 	// check.
 	Audit string
-	// NoBound disables pre-codegen profitability bounding. Bounding never
-	// changes the optimized module — it only skips materializing merge
-	// candidates the cost model would reject — so this exists only for
-	// measurement and debugging.
-	NoBound bool
 	// Verify selects the opt-in IR verification gates inside FMSA's
 	// exploration pipeline: "" or "off" (none, the default), "fast"
 	// (structural checks on every committed merge and the final module), or
@@ -188,7 +183,6 @@ func Optimize(m *Module, opts Options) (*Report, error) {
 		eopts.Workers = opts.Workers
 		eopts.Audit = audit
 		eopts.Ranking = ranking
-		eopts.NoBound = opts.NoBound
 		eopts.Verify = verify
 		if opts.Store != nil {
 			sess, err := explore.NewSession(explore.SessionConfig{

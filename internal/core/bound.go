@@ -61,8 +61,9 @@ package core
 //
 // Every floor is ≤ its exact counterpart, so Bound ≥ Δ: a pruned pair
 // (Bound ≤ MinProfit) is a pair the exact model would also reject. The
-// differential `fmsa-bench -exp bound` sweep and the admissibility property
-// test assert exactly that, pair by pair.
+// admissibility property tests here and explore's
+// TestBoundDecisionInvariance corpus audit assert exactly that, pair by
+// pair.
 
 import (
 	"errors"

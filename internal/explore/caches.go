@@ -38,7 +38,7 @@ const DefaultAlignMemoCap = 1 << 14
 
 // setupCaches builds the linearization cache for the initial pool (in
 // parallel — each function is independent) and the alignment memo. Called
-// from Run, not setup, so SnapshotRanking never pays for it; the encoding
+// from Run, not setup, so snapshotRanking never pays for it; the encoding
 // wall time lands in the Linearize phase via the shared Timings.
 func (r *runner) setupCaches() {
 	if !r.opts.noSeqCache {
@@ -69,9 +69,10 @@ func (r *runner) setupCaches() {
 		}
 	}
 	// The cost memo serves ProfitWithStatsMemo even when bounding is off
-	// (Options.NoBound only disables the pre-codegen prune); invalidation
-	// shares the linearization cache's stale set — a rewritten call site
-	// changes a caller's size just like it changes its sequence.
+	// (the noBound test hook only disables the pre-codegen prune, see
+	// TestBoundDecisionInvariance); invalidation shares the linearization
+	// cache's stale set — a rewritten call site changes a caller's size
+	// just like it changes its sequence.
 	r.costs = tti.NewCostMemo()
 	r.floors = core.NewFloorMemo()
 }

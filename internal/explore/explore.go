@@ -86,12 +86,6 @@ type Options struct {
 	// AlignMemoCap bounds the memo's entry count; zero selects
 	// DefaultAlignMemoCap.
 	AlignMemoCap int
-	// NoBound disables pre-codegen profitability bounding: every aligned
-	// candidate pair is materialized and priced exactly, as before PR 5.
-	// Bounding never changes merge decisions either way — a pruned pair is
-	// one the exact cost model would have rejected — so this knob only
-	// trades compile time.
-	NoBound bool
 	// Verify gates IR through the staged verifier (ir.VerifyFuncLevel):
 	// every winning merged function is verified before the audit gate, and
 	// the final module is verified once after the run. Like committed-mode
@@ -105,6 +99,12 @@ type Options struct {
 	// caches.go). Both caches are semantically invisible; the hooks exist
 	// so tests can prove it.
 	noSeqCache, noAlignMemo bool
+	// noBound is the test hook that disables pre-codegen profitability
+	// bounding: every aligned candidate pair is materialized and priced
+	// exactly. A pruned pair is one the exact cost model would have
+	// rejected, so bounding never changes merge decisions;
+	// TestBoundDecisionInvariance proves it.
+	noBound bool
 }
 
 // DefaultOptions returns the paper's default configuration (t=1, Intel
@@ -213,8 +213,8 @@ type Report struct {
 	AlignMemoHits, AlignMemoMisses int64
 	// BoundEvals counts pre-codegen profitability-bound evaluations and
 	// CodegenSkips the subset that skipped merged-function materialization
-	// outright. Zero when Options.NoBound is set. Scheduling-dependent under
-	// Workers > 1, like the cache counters above.
+	// outright. Zero when the noBound test hook is set. Scheduling-dependent
+	// under Workers > 1, like the cache counters above.
 	BoundEvals, CodegenSkips int64
 	// VerifiedFuncs counts functions run through the staged IR verifier
 	// (winning merged functions plus the final whole-module pass). Zero when
@@ -327,9 +327,9 @@ type runner struct {
 	keys *keyTable
 }
 
-// setup builds the runner state shared by Run and SnapshotRanking:
-// φ-demotion, pool selection, parallel fingerprinting, the optional LSH
-// index and the initial rank cache.
+// setup builds the runner state shared by Run and the snapshotRanking
+// test helper: φ-demotion, pool selection, parallel fingerprinting, the
+// optional LSH index and the initial rank cache.
 func setup(m *ir.Module, opts Options) *runner {
 	return setupSeeded(m, opts, nil)
 }

@@ -153,13 +153,13 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 					}
 				}
 			}
-			// Pre-codegen bounding (Options.NoBound): the per-candidate
-			// prune spec carries this pair's caller snapshots, so the bound
-			// and the exact model price the same inputs. A pruned pair
-			// surfaces as core.ErrHopeless and is handled exactly like an
-			// unprofitable one — determinism is unaffected.
+			// Pre-codegen bounding (off under the noBound test hook): the
+			// per-candidate prune spec carries this pair's caller snapshots,
+			// so the bound and the exact model price the same inputs. A
+			// pruned pair surfaces as core.ErrHopeless and is handled exactly
+			// like an unprofitable one — determinism is unaffected.
 			mo := opts.Merge
-			if !opts.NoBound {
+			if !opts.noBound {
 				mo.Prune = &core.PruneSpec{
 					Target: opts.Target,
 					S1:     fStats,

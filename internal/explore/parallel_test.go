@@ -2,6 +2,7 @@ package explore
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"fmsa/internal/ir"
@@ -104,21 +105,21 @@ func TestParallelDeterminism(t *testing.T) {
 		{"greedy-t10-nobound", func() Options {
 			o := DefaultOptions()
 			o.Threshold = 10
-			o.NoBound = true
+			o.noBound = true
 			return o
 		}()},
 		{"greedy-thumb-nobound", func() Options {
 			o := DefaultOptions()
 			o.Threshold = 5
 			o.Target = tti.Thumb{}
-			o.NoBound = true
+			o.noBound = true
 			return o
 		}()},
 		{"oracle-cap8-nobound", func() Options {
 			o := DefaultOptions()
 			o.Oracle = true
 			o.OracleCap = 8
-			o.NoBound = true
+			o.noBound = true
 			return o
 		}()},
 	}
@@ -169,35 +170,82 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestBoundDecisionInvariance is the transparency requirement of pre-codegen
-// profitability bounding (PR 5): bounding on and off must commit the same
-// merge sequence and produce the same module — the bound only skips
-// materializing candidates the exact cost model would reject anyway. Also
-// asserts the prune actually fires on this clone-rich workload, so the
-// equality is not vacuous.
+// profitability bounding: bounding on and off must commit the same merge
+// sequence and produce the same module — the bound only skips materializing
+// candidates the exact cost model would reject anyway. Each case runs three
+// identically built modules: bounding off, bounding on, and bounding on with
+// Merge.BoundAudit comparing every usable bound against the exact profit of
+// the materialized pair, where no pair may price above its bound. The
+// clone-rich demo corpus covers the greedy, Thumb and oracle configurations;
+// the quick SPEC-like corpora run at t=5 on all cores. Every case must
+// evaluate bounds, skip codegen and audit pairs, so no equality is vacuous.
+// Run with -v to see each case's loose_pairs (bound > 0 but exact <= 0: a
+// codegen a tighter bound could have skipped) and max_slack (largest
+// bound − exact).
 func TestBoundDecisionInvariance(t *testing.T) {
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{
-		{"greedy-t10", func() Options { o := DefaultOptions(); o.Threshold = 10; return o }()},
-		{"greedy-thumb-t5", func() Options {
+	type boundCase struct {
+		name    string
+		profile workload.Profile
+		opts    Options
+	}
+	cases := []boundCase{
+		{"greedy-t10", demoProfile(7), func() Options { o := DefaultOptions(); o.Threshold = 10; return o }()},
+		{"greedy-thumb-t5", demoProfile(7), func() Options {
 			o := DefaultOptions()
 			o.Threshold = 5
 			o.Target = tti.Thumb{}
 			return o
 		}()},
-		{"oracle-cap8", func() Options {
+		{"oracle-cap8", demoProfile(7), func() Options {
 			o := DefaultOptions()
 			o.Oracle = true
 			o.OracleCap = 8
 			return o
 		}()},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			on, onMod := exploreWith(t, cfg.opts, 4, 7)
-			off := cfg.opts
-			off.NoBound = true
-			noB, noBMod := exploreWith(t, off, 4, 7)
+	}
+	for i := range cases {
+		cases[i].opts.Workers = 4
+	}
+	for _, p := range workload.Quick(workload.SPECLike()) {
+		o := DefaultOptions()
+		o.Threshold = 5
+		cases = append(cases, boundCase{p.Name, p, o})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(opts Options) (*Report, string) {
+				m := workload.Build(c.profile)
+				rep := Run(m, opts)
+				if err := ir.VerifyModule(m); err != nil {
+					t.Fatalf("post-verify: %v", err)
+				}
+				return rep, ir.FormatModule(m)
+			}
+			off := c.opts
+			off.noBound = true
+			noB, noBMod := run(off)
+			on, onMod := run(c.opts)
+
+			var pairs, inadmissible, loose, maxSlack atomic.Int64
+			audit := c.opts
+			audit.Merge.BoundAudit = func(_, _ *ir.Func, bound, exact int) {
+				pairs.Add(1)
+				if exact > bound {
+					inadmissible.Add(1)
+				}
+				if bound > 0 && exact <= 0 {
+					loose.Add(1)
+				}
+				for slack := int64(bound - exact); ; {
+					cur := maxSlack.Load()
+					if slack <= cur || maxSlack.CompareAndSwap(cur, slack) {
+						break
+					}
+				}
+			}
+			run(audit)
+			t.Logf("merge_ops %d, bound_evals %d, codegen_skips %d, audited_pairs %d, loose_pairs %d, max_slack %d",
+				on.MergeOps, on.BoundEvals, on.CodegenSkips, pairs.Load(), loose.Load(), maxSlack.Load())
 
 			if !reflect.DeepEqual(on.Records, noB.Records) {
 				t.Errorf("merge records diverge with bounding:\non:  %+v\noff: %+v",
@@ -210,12 +258,19 @@ func TestBoundDecisionInvariance(t *testing.T) {
 			if onMod != noBMod {
 				t.Error("final module text diverges between bounding on and off")
 			}
-			if on.BoundEvals == 0 {
-				t.Error("bounding enabled but no bound evaluations recorded")
+			if on.BoundEvals == 0 || on.CodegenSkips == 0 {
+				t.Errorf("bounding enabled but the prune never fired: %d evals, %d skips",
+					on.BoundEvals, on.CodegenSkips)
 			}
 			if noB.BoundEvals != 0 || noB.CodegenSkips != 0 {
-				t.Errorf("NoBound run still counted bounds: %d evals, %d skips",
+				t.Errorf("noBound run still counted bounds: %d evals, %d skips",
 					noB.BoundEvals, noB.CodegenSkips)
+			}
+			if pairs.Load() == 0 {
+				t.Error("bound audit compared no pairs")
+			}
+			if n := inadmissible.Load(); n > 0 {
+				t.Errorf("%d/%d audited pairs have exact profit above the bound", n, pairs.Load())
 			}
 		})
 	}

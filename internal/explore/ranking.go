@@ -68,8 +68,9 @@ func ParseRankingMode(s string) (RankingMode, error) {
 // candidates. The value was set against the pool-order exact scan, which
 // LSH beat from roughly a thousand pool members up. The size-ordered exact
 // scan has since overtaken LSH at that scale: on 483.xalancbmk (3,548
-// functions, t=1, `fmsa-bench -exp rank -quick`) LSH ranks at 0.84–0.90×
-// the exact speed while visiting 23% of its pairs, at 99.0% top-1 recall.
+// functions, t=1) LSH ranks at 0.84–0.90× the exact speed while visiting
+// 23% of its pairs, at 99.0% top-1 recall (TestLSHRecallTop1 gates the
+// recall on that corpus).
 // The cutoff stays put regardless. It only applies when a caller asks for
 // RankLSH, and the callers that do (fmsa-serve sessions and the similarity
 // database) need LSH for its stored signatures and incremental index, not
@@ -188,51 +189,6 @@ func (ls *lshState) admit(f *ir.Func, fp *fingerprint.Fingerprint, poolIdx int32
 	if ls.journal != nil {
 		ls.journal.admitted = append(ls.journal.admitted, id)
 	}
-}
-
-// RankCand is one ranked candidate in a SnapshotRanking entry.
-type RankCand struct {
-	// Name is the candidate function's name.
-	Name string
-	// Sim is the exact fingerprint similarity score.
-	Sim float64
-	// Size is the candidate's instruction count (the tie-break key).
-	Size int32
-}
-
-// RankEntry records one pool function's initial top-t candidate list.
-type RankEntry struct {
-	// Func is the pool function's name.
-	Func string
-	// Cands is its candidate list, best first.
-	Cands []RankCand
-}
-
-// SnapshotRanking builds only the initial candidate rankings of an
-// exploration run — no merges are attempted — and returns one entry per pool
-// member in pool order plus a report carrying the Ranking-phase wall time
-// and the probe counters. The experiment harness uses it to measure ranking
-// cost and LSH recall against the exact baseline on identical pools. The
-// module is φ-demoted in place (the same pre-processing Run applies) but not
-// otherwise modified. The unbounded oracle maintains no ranking; its
-// snapshot is empty.
-func SnapshotRanking(m *ir.Module, opts Options) ([]RankEntry, *Report) {
-	r := setup(m, opts)
-	if r.cache == nil {
-		r.flushRankCounters()
-		return nil, r.rep
-	}
-	entries := make([]RankEntry, 0, len(r.pool))
-	for _, f := range r.pool {
-		cands := r.cache.take(f)
-		e := RankEntry{Func: f.Name(), Cands: make([]RankCand, 0, len(cands))}
-		for _, c := range cands {
-			e.Cands = append(e.Cands, RankCand{Name: c.fn.Name(), Sim: c.sim, Size: c.size})
-		}
-		entries = append(entries, e)
-	}
-	r.flushRankCounters()
-	return entries, r.rep
 }
 
 // flushRankCounters folds the atomic scan counters into the report.

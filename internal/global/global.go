@@ -25,9 +25,6 @@ type Options struct {
 	// MinJaccard / FoldMinInsts / LSH feed the planner (see PlanOptions).
 	MinJaccard   float64
 	FoldMinInsts int
-	// NoBound disables the pre-codegen profitability bound (PR-5); pairs
-	// the bound would prune are then rejected by the exact model instead.
-	NoBound bool
 }
 
 // DefaultOptions returns the standard configuration.
@@ -153,10 +150,8 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 			mo.NamePrefix = "gm"
 			mo.Timings = timings
 			mo.Interner = interner
-			if !opts.NoBound {
-				mo.Prune = &core.PruneSpec{
-					Target: opts.Target, S1: stats, S2: stats, Costs: memo,
-				}
+			mo.Prune = &core.PruneSpec{
+				Target: opts.Target, S1: stats, S2: stats, Costs: memo,
 			}
 			res, err := core.Merge(st.f1, st.f2, mo)
 			if err != nil {

@@ -2,13 +2,16 @@ package global_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fmsa/internal/core"
+	"fmsa/internal/explore"
 	"fmsa/internal/global"
 	"fmsa/internal/interp"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
+	"fmsa/internal/wire"
 	"fmsa/internal/workload"
 )
 
@@ -198,6 +201,86 @@ func TestGlobalReducesExactScoring(t *testing.T) {
 	}
 	if rep.PairsMerged == 0 && rep.FoldedFuncs == 0 {
 		t.Error("pipeline committed nothing on a similarity-rich corpus")
+	}
+}
+
+// TestGlobalQuickCorpora gates the two-round pipeline on the quick
+// SPEC-like corpora, each split into 4 translation units. Per corpus, the
+// round-1 summaries must round-trip through the .fmsum wire format, round 2
+// must exact-score at least one pair, and shard counts 1, 2 and 8 must
+// commit identical merge records and link byte-identical modules. The
+// corpora together must commit at least one record (473.astar alone
+// commits none). In aggregate, summary-based planning must exact-score at
+// least 30% fewer pairs than monolithic exploration at t=1, whose exact
+// scoring is its alignment-scored ranking probes (RankProbes −
+// RankPrefilterSkips).
+func TestGlobalQuickCorpora(t *testing.T) {
+	const (
+		units            = 4
+		reductionFloorPc = 30.0
+	)
+	workers := runtime.GOMAXPROCS(0)
+	var exactMono, exactGlobal int64
+	records := 0
+	for _, p := range workload.Quick(workload.SPECLike()) {
+		opts := explore.DefaultOptions()
+		opts.Threshold = 1
+		opts.Workers = workers
+		rep := explore.Run(workload.Build(p), opts)
+		exactMono += rep.RankProbes - rep.RankPrefilterSkips
+
+		split := func() []*ir.Module {
+			us, err := ir.SplitModule(workload.Build(p), units)
+			if err != nil {
+				t.Fatalf("%s: split: %v", p.Name, err)
+			}
+			return us
+		}
+		sums := global.Summarize(split(), workers)
+		name, decoded, err := wire.DecodeSummaries(wire.EncodeSummaries(p.Name, sums))
+		if err != nil {
+			t.Errorf("%s: summary decode: %v", p.Name, err)
+		} else if name != p.Name || !reflect.DeepEqual(decoded, sums) {
+			t.Errorf("%s: summaries do not round-trip through the fmsum wire format", p.Name)
+		}
+
+		var baseRecords []global.MergeRecord
+		var baseText string
+		for i, shards := range []int{1, 2, 8} {
+			gopts := global.DefaultOptions()
+			gopts.Shards = shards
+			gopts.Workers = workers
+			linked, grep, err := global.Run(split(), gopts)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", p.Name, shards, err)
+			}
+			text := ir.FormatModule(linked)
+			if i == 0 {
+				baseRecords, baseText = grep.Records, text
+				exactGlobal += int64(grep.ExactScoredPairs)
+				records += len(grep.Records)
+				if grep.ExactScoredPairs == 0 {
+					t.Errorf("%s: round 2 exact-scored no pairs", p.Name)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(baseRecords, grep.Records) {
+				t.Errorf("%s shards=%d: merge records diverge from shards=1", p.Name, shards)
+			} else if text != baseText {
+				t.Errorf("%s shards=%d: linked module text diverges from shards=1", p.Name, shards)
+			}
+		}
+	}
+	if records == 0 {
+		t.Error("no corpus committed a merge record; the shard comparison is vacuous")
+	}
+	if exactMono == 0 {
+		t.Fatal("monolithic exploration exact-scored no pairs")
+	}
+	reduction := 100 * float64(exactMono-exactGlobal) / float64(exactMono)
+	t.Logf("exact-scored pairs: monolithic %d, global %d (%.1f%% fewer)", exactMono, exactGlobal, reduction)
+	if reduction < reductionFloorPc {
+		t.Errorf("exact-scored pair reduction %.1f%% below the %.0f%% floor", reduction, reductionFloorPc)
 	}
 }
 

@@ -46,7 +46,8 @@ func WriteModuleFile(path, format string, m *ir.Module) error {
 // EmitCorpus builds every profile's module and writes it to dir in the
 // given format (FormatText or FormatFMIR), returning file paths in profile
 // order. The same profile list emitted in both formats yields semantically
-// identical corpora, which the ingest experiment relies on.
+// identical corpora, which the ingest gate (wire's TestIngestFormatsAgree)
+// relies on.
 func EmitCorpus(dir, format string, profiles []Profile) ([]string, error) {
 	paths := make([]string, 0, len(profiles))
 	for _, p := range profiles {

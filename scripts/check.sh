@@ -18,8 +18,18 @@
 #  - verify-sweep: the staged verifier finds zero diagnostics at every
 #    pipeline boundary on the quick corpus, verification never changes
 #    merge decisions, and the fast level stays within its overhead budget.
-#  - rank/bound/ingest: the cross-check experiments (LSH recall, bound
-#    admissibility, fmir ingest bit-identity).
+#  - rank: explore's TestLSHRecallTop1 — the MinHash/LSH ranking keeps
+#    top-1 recall >= 0.95 against the exact scan with zero fallbacks, on two
+#    synthetic recall corpora and on 483.xalancbmk at t=1.
+#  - bound: explore's TestBoundDecisionInvariance — on the demo corpus and
+#    the quick SPEC-like corpora (t=5, all cores) bounding on and off commit
+#    identical records, size and module text, the prune fires, and an audit
+#    run finds no pair whose exact profit exceeds its bound (run it with -v
+#    for each corpus's loose_pairs and max_slack).
+#  - ingest: wire's TestIngestFormatsAgree — every quick corpus emitted as
+#    text and as fmir loads to the same module, the fmir module verifies,
+#    exploring both at t=2 commits the same merges and text, and
+#    wire.LoadFiles returns the same modules in path order.
 #  - kernels: the alignment path's package tests — the coded kernels match
 #    the reference Needleman–Wunsch/Hirschberg oracle step for step, the
 #    equivalence codes obey the encode contract (equal codes exactly when
@@ -32,8 +42,10 @@
 #  - fuzz-stablehash: short smoke-fuzz of the cross-TU stable hash (hash
 #    equality on self-comparable functions must imply structural equality,
 #    and hashing must survive print->reparse).
-#  - global: the sharded cross-TU experiment (bit-identity across shard
-#    counts, .fmsum summary round trip, exact-scoring reduction floor).
+#  - global: global's TestGlobalQuickCorpora — on the quick corpora split
+#    into 4 units, shard counts 1/2/8 commit identical records and link
+#    identical text, .fmsum summaries round-trip, and summary planning
+#    exact-scores >= 30% fewer pairs than monolithic exploration at t=1.
 #  - fuzz-serve-frame: short smoke-fuzz of the daemon frame codec (decode
 #    must reject what it cannot re-encode byte-identically, and never
 #    panic or over-read).
@@ -95,12 +107,12 @@ gate fuzz-roundtrip     go test -run '^$' -fuzz 'FuzzRoundTrip' -fuzztime 10s ./
 gate fuzz-decode-verify go test -run '^$' -fuzz 'FuzzDecodeVerify' -fuzztime 10s ./internal/wire/
 gate fuzz-stablehash    go test -run '^$' -fuzz 'FuzzStableHash' -fuzztime 10s ./internal/global/
 gate verify-sweep       go run ./cmd/fmsa-bench -exp verify -quick -runs 3
-gate rank               go run ./cmd/fmsa-bench -exp rank -quick
+gate rank               go test -count=1 -run '^TestLSHRecallTop1$' ./internal/explore/
 gate kernels            go test -count=1 -run 'TestCodedKernelsMatchOracle|TestContract|TestKernelCrossCheck' ./internal/align/ ./internal/encode/ ./internal/explore/
-gate bound              go run ./cmd/fmsa-bench -exp bound -quick
+gate bound              go test -count=1 -run '^TestBoundDecisionInvariance$' ./internal/explore/
 gate bound-huge         go test -run TestBoundPrunesHugeBodyPairs -count=1 ./internal/core/
-gate ingest             go run ./cmd/fmsa-bench -exp ingest -quick
-gate global             go run ./cmd/fmsa-bench -exp global -quick
+gate ingest             go test -count=1 -run '^TestIngestFormatsAgree$' ./internal/wire/
+gate global             go test -count=1 -run '^TestGlobalQuickCorpora$' ./internal/global/
 gate fuzz-serve-frame   go test -run '^$' -fuzz 'FuzzServeFrame' -fuzztime 10s ./internal/wire/
 gate serve              go run ./cmd/fmsa-bench -exp serve -quick
 gate fuzz-simdb         go test -run '^$' -fuzz 'FuzzSimDBSegment' -fuzztime 10s ./internal/wire/
