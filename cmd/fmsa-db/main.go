@@ -8,6 +8,9 @@
 //	fmsa-db -db corpus.fmdb remove glist_add_float32
 //	fmsa-db -db corpus.fmdb compact
 //
+// stats also counts the segment's content keys and negative-attempt
+// entries, the memo state fmsa-serve and `fmsa -db` sessions persist.
+//
 // query probes the banded LSH index rehydrated from the segment — no
 // signature is recomputed — and prints candidates ordered by estimated
 // Jaccard similarity: the corpus-scale "what could merge with f?" lookup
@@ -74,6 +77,8 @@ func printStats(store *simdb.Store) {
 	fmt.Printf("store:         %s (%s)\n", st.Name, st.Path)
 	fmt.Printf("live records:  %d (%d signed)\n", st.Live, st.Signed)
 	fmt.Printf("file entries:  %d (%d dead)\n", st.Written, st.Dead)
+	fmt.Printf("content keys:  %d (%d collided)\n", st.Keys, st.Collided)
+	fmt.Printf("attempts:      %d\n", st.Attempts)
 	fmt.Printf("segment bytes: %d\n", st.SegmentBytes)
 	fmt.Printf("compactions:   %d\n", st.Compactions)
 	if st.TailBytes > 0 {

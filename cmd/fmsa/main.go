@@ -55,7 +55,7 @@ func main() {
 		out        = flag.String("o", "", "write the optimized module to this file (default: stdout)")
 		quiet      = flag.Bool("q", false, "suppress the statistics report")
 		cgDot      = flag.Bool("callgraph", false, "print the call graph as Graphviz DOT instead of optimizing")
-		dbPath     = flag.String("db", "", "persistent similarity database segment: reuse fingerprint/signature state across runs (fmsa technique only)")
+		dbPath     = flag.String("db", "", "persistent similarity database segment: reuse fingerprint, signature and failed-attempt state across runs (fmsa technique only)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)

@@ -135,8 +135,10 @@ type Options struct {
 	// Store, when non-nil, backs the run with a persistent similarity
 	// database (internal/simdb): fingerprints and MinHash signatures of
 	// unchanged functions are reused from the store instead of recomputed,
-	// and this run's state is written back for the next one. Results are
-	// bit-identical with or without a store. Only TechniqueFMSA uses it,
+	// merge attempts an earlier run priced unprofitable under the same
+	// options are skipped (see explore.SessionConfig.Store), and this run's
+	// state is written back for the next one. Results are bit-identical
+	// with or without a store. Only TechniqueFMSA uses it,
 	// and not in Oracle mode (the exploration runs as a one-shot
 	// explore.Session, which rejects oracle exploration).
 	Store *simdb.Store

@@ -7,7 +7,6 @@ import (
 
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
-	"fmsa/internal/lsh"
 )
 
 // rankCache maintains, for every function awaiting its worklist pop, a
@@ -23,7 +22,8 @@ import (
 //     walk over every list;
 //   - every list receives the merged function as a candidate offer, a
 //     single similarity computation plus a bounded sorted insert (when the
-//     merged function is ineligible, a commit touches no list at all).
+//     merged function is ineligible, a commit touches no list at all; in
+//     LSH mode only the lists of its bucket-mates, found by one probe).
 //
 // Invariant: a list's live entries — stored entries whose function is still
 // in the pool — form an exact prefix of the ranking scanTop would build
@@ -163,7 +163,10 @@ func (c *rankCache) take(f *ir.Func) []candidate {
 // applyCommit updates pending rankings after f1 and f2 left the pool (and
 // the index) and entered (nil when the merged function is ineligible)
 // joined it. Entries naming the consumed functions go stale in place (see
-// purge); the only per-list work is offering the merged function.
+// purge); the only per-list work is offering the merged function. In LSH
+// mode that offer goes only to the members one probe of entered's
+// signature returns: bucket sharing is symmetric, so they are exactly the
+// owners whose own probe would visit entered (see offer).
 func (c *rankCache) applyCommit(f1, f2, entered *ir.Func) {
 	delete(c.lists, f1)
 	delete(c.lists, f2)
@@ -181,6 +184,19 @@ func (c *rankCache) applyCommit(f1, f2, entered *ir.Func) {
 		return
 	}
 	fpg := c.r.fpOf(entered)
+	if ls := c.r.lsh; ls != nil {
+		for _, id := range ls.idx.Probe(ls.sigOf(entered), ls.id[entered]) {
+			pi := id
+			if ls.toPool != nil {
+				pi = ls.toPool[id]
+			}
+			owner := c.r.pool[pi]
+			if rl := c.lists[owner]; rl != nil {
+				c.offer(owner, rl, entered, fpg)
+			}
+		}
+		return
+	}
 	for owner, rl := range c.lists {
 		c.offer(owner, rl, entered, fpg)
 	}
@@ -452,18 +468,16 @@ func (r *runner) consider(fp *fingerprint.Fingerprint, best []candidate, g *ir.F
 // keeps it one afterwards — with the same two guards the session's
 // warmList.offer applies: an incomplete list cannot grow at its tail (g's
 // position relative to unstored candidates is unknown), and truncating a
-// full window marks it incomplete. In LSH mode the offer applies only when
-// g and owner share a band bucket — precisely the condition under which a
-// fresh probe of owner would visit g — so lists keep matching what scanTop
-// would rebuild. The upper-bound prefilter never changes the outcome: a
+// full window marks it incomplete. In LSH mode applyCommit offers g only to
+// the owners that share a band bucket with it — precisely the condition
+// under which a fresh probe of owner would visit g — so lists keep matching
+// what scanTop would rebuild. The upper-bound prefilter never changes the
+// outcome: a
 // candidate bounded below the stored tail could only have been a dropped
 // tail-append (incomplete) or a truncated insert (full window).
 func (c *rankCache) offer(owner *ir.Func, rl *rankList, g *ir.Func, fpg *fingerprint.Fingerprint) {
 	r := c.r
 	if !r.samePartition(owner, g) {
-		return
-	}
-	if ls := r.lsh; ls != nil && !lsh.Collide(ls.sigOf(owner), ls.sigOf(g), ls.params) {
 		return
 	}
 	atomic.AddInt64(&r.rankProbes, 1)

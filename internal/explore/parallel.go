@@ -79,6 +79,11 @@ type attempt struct {
 	res    *core.Result
 }
 
+// pruneMinProfit is the bound's pruning threshold, matching the
+// `profit <= 0 → discard` rejection below; persisted attempt entries are
+// digested under it (attemptDigest).
+const pruneMinProfit = 0
+
 // evalCandidates speculatively evaluates f against cands on up to w
 // workers and returns the deterministic winner (res == nil when no
 // candidate is profitable) plus the number of candidates counted as
@@ -98,7 +103,11 @@ type attempt struct {
 // unprofitable attempt leaves no observable trace — it commits nothing,
 // and the sequential-semantics evaluated count derives from the winner's
 // rank, not from which attempts ran — so the skip is invisible in the
-// merge records.
+// merge records. The memo learns only the failures ranked below the
+// winner, the attempts sequential evaluation also runs, and the keys of
+// every candidate are registered before the fan-out, so the memo's
+// contents — and what a store persists of them — are the same for every
+// worker count.
 func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.CostMemo, floors *core.FloorMemo, w int, greedy bool, neg *negMemo, keys *keyTable) (attempt, int) {
 	n := len(cands)
 	if n == 0 {
@@ -111,8 +120,27 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 		cStats[i] = core.SnapshotCallerStats(cands[i].fn)
 	}
 	var fKey funcKey
+	var cKeys []funcKey // nil unless the memo applies to f
 	if neg != nil {
-		fKey = keys.of(f)
+		if fKey = keys.of(f); fKey.ok {
+			cKeys = make([]funcKey, n)
+			for i := range cands {
+				cKeys[i] = keys.of(cands[i].fn)
+			}
+		}
+	}
+	negKeyOf := func(i int) negKey {
+		return negKey{
+			h1: fKey.hash, h2: cKeys[i].hash,
+			s1: fStats, s2: cStats[i],
+			l1: f.Linkage, l2: cands[i].fn.Linkage,
+		}
+	}
+	// failed[i] marks rank i as failed or unprofitable in this wave; each
+	// rank is claimed by one worker, so the writes never race.
+	var failed []bool
+	if cKeys != nil {
+		failed = make([]bool, n)
 	}
 
 	if w > n {
@@ -138,20 +166,9 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 			// Negative-attempt memo: skip the attempt when this exact
 			// (content, content, stats, stats) class already priced
 			// unprofitable in an earlier run of the session.
-			var nk negKey
-			memoOK := false
-			if neg != nil && fKey.ok {
-				if cKey := keys.of(cands[i].fn); cKey.ok {
-					nk = negKey{
-						h1: fKey.hash, h2: cKey.hash,
-						s1: fStats, s2: cStats[i],
-						l1: f.Linkage, l2: cands[i].fn.Linkage,
-					}
-					memoOK = true
-					if neg.known(nk) {
-						continue
-					}
-				}
+			memoOK := cKeys != nil && cKeys[i].ok
+			if memoOK && neg.known(negKeyOf(i)) {
+				continue
 			}
 			// Pre-codegen bounding (off under the noBound test hook): the
 			// per-candidate prune spec carries this pair's caller snapshots,
@@ -161,17 +178,18 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 			mo := opts.Merge
 			if !opts.noBound {
 				mo.Prune = &core.PruneSpec{
-					Target: opts.Target,
-					S1:     fStats,
-					S2:     cStats[i],
-					Costs:  costs,
-					Floors: floors,
+					Target:    opts.Target,
+					S1:        fStats,
+					S2:        cStats[i],
+					MinProfit: pruneMinProfit,
+					Costs:     costs,
+					Floors:    floors,
 				}
 			}
 			res, err := core.Merge(f, cands[i].fn, mo)
 			if err != nil {
 				if memoOK {
-					neg.insert(nk)
+					failed[i] = true
 				}
 				continue
 			}
@@ -179,7 +197,7 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 			if profit <= 0 {
 				discard(res, opts.Merge.Timings)
 				if memoOK {
-					neg.insert(nk)
+					failed[i] = true
 				}
 				continue
 			}
@@ -253,6 +271,11 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 	if greedy && win.res != nil {
 		// Sequential semantics: the loop would have stopped at the winner.
 		evaluated = win.rank + 1
+	}
+	for i, bad := range failed[:min(evaluated, len(failed))] {
+		if bad {
+			neg.insert(negKeyOf(i))
+		}
 	}
 	return win, evaluated
 }

@@ -71,10 +71,15 @@ type SessionConfig struct {
 	// Store is an optional persistent similarity database. Submissions look
 	// changed/added functions up by (stable hash, content key) and reuse the
 	// stored fingerprint and signature on a hit — key byte equality implies
-	// both are identical to a fresh computation, so results stay bit-exact —
-	// and write their own state back (Put + Flush) before the run, making a
-	// process restart as warm as a live session. May be shared across
-	// concurrent sessions.
+	// both are identical to a fresh computation, so results stay bit-exact.
+	// The session's content-key table and negative-attempt memo fall back
+	// to the store's on a local miss: an attempt entry is used only under
+	// the options digest that priced it and only while both of its hashes
+	// verify byte-for-byte against the stored keys (options that cannot be
+	// digested, such as a custom Merge.Align, skip the memo entries). Each
+	// Submit writes its records, keys and attempt entries back and flushes
+	// them before returning, making a process restart as warm as a live
+	// session. May be shared across concurrent sessions.
 	Store *simdb.Store
 }
 
@@ -87,8 +92,9 @@ type DeltaStats struct {
 	// SeededLists counts owners whose initial ranking was reconciled from
 	// the stored session lists; RescannedLists were rebuilt by setup scans.
 	SeededLists, RescannedLists int
-	// NegHits counts merge attempts the negative-attempt memo skipped.
-	NegHits int64
+	// NegHits counts merge attempts the negative-attempt memo skipped;
+	// NegStoreHits is the part of them answered by the persistent store.
+	NegHits, NegStoreHits int64
 	// StoreHits/StoreMisses count changed/added functions whose fingerprint
 	// state was reused from (or absent in) the persistent similarity store.
 	StoreHits, StoreMisses int
@@ -192,6 +198,10 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if !opts.noAlignMemo {
 		s.memo = newAlignMemo(opts.AlignMemoCap)
 	}
+	if digest, ok := attemptDigest(opts); ok && cfg.Store != nil {
+		s.keys.store = cfg.Store
+		s.neg.store, s.neg.digest = cfg.Store, digest
+	}
 	return s, nil
 }
 
@@ -218,6 +228,11 @@ const (
 // Run; the report's merge records are bit-identical to a cold run's.
 // (SizeBefore is measured after φ-demotion — a plain Run measures it
 // before — which only differs on modules that still contain φs.)
+//
+// With a Store, the store is flushed last. A flush error is returned with
+// the completed report: the session has already adopted m's corpus, the
+// unwritten state stays pending in the store for its next flush, and the
+// next Submit proceeds normally.
 func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	if m == nil {
 		return nil, DeltaStats{}, errors.New("explore: nil module")
@@ -340,7 +355,8 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	// Persist the fresh subset: unchanged store records are no-ops inside
 	// Put, signature upgrades supersede unsigned ones. Names that left the
 	// pool are NOT tombstoned — the store is content-addressed and shared
-	// across sessions and corpora.
+	// across sessions and corpora. The flush waits for the run, so one
+	// append also carries the run's keys and attempt entries.
 	if s.cfg.Store != nil {
 		for _, i := range fresh {
 			e := entriesByIdx[i]
@@ -349,9 +365,6 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 				SelfEq: e.selfEq, Size: e.fp.Total, Key: e.key,
 				Fp: e.fp, Sig: e.sig,
 			})
-		}
-		if err := s.cfg.Store.Flush(); err != nil {
-			return nil, delta, err
 		}
 	}
 
@@ -402,7 +415,8 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 		seed.lsh = s.runnerLSHState(pool, entriesByIdx)
 	}
 	warmTime := time.Since(tWarm)
-	negHits := atomic.LoadInt64(&s.neg.hits)
+	negHits := s.neg.hits.Load()
+	negStoreHits := s.neg.storeHits.Load()
 
 	rep := runSeeded(m, s.opts, seed)
 
@@ -424,7 +438,8 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 		}
 		s.sigsByID = ls.sigs[:preLive]
 	}
-	delta.NegHits = atomic.LoadInt64(&s.neg.hits) - negHits
+	delta.NegHits = s.neg.hits.Load() - negHits
+	delta.NegStoreHits = s.neg.storeHits.Load() - negStoreHits
 	rep.Phases.Ranking += diffTime + warmTime + time.Since(tBack)
 	rep.Phases.Fingerprint += fpTime
 
@@ -437,6 +452,9 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	s.lastLSH = useLSH
 	s.submits++
 	s.delta = delta
+	if s.cfg.Store != nil {
+		return rep, delta, s.cfg.Store.Flush()
+	}
 	return rep, delta, nil
 }
 

@@ -1,11 +1,16 @@
 package explore
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"fmsa/internal/align"
 	"fmsa/internal/ir"
 	"fmsa/internal/simdb"
+	"fmsa/internal/wire"
 	"fmsa/internal/workload"
 )
 
@@ -22,8 +27,9 @@ func openTestStore(t *testing.T, path string) *simdb.Store {
 // populates an empty store and one that restarts onto a warm store — must
 // produce bit-identical merge outcomes to a plain storeless run, for every
 // worker count and both ranking modes. This is the persistent analogue of
-// TestSessionWarmColdIdentical: the store replays fingerprints and
-// signatures across process boundaries, and nothing downstream may notice.
+// TestSessionWarmColdIdentical: the store replays fingerprints, signatures
+// and negative-attempt entries across process boundaries, and nothing
+// downstream may notice.
 func TestSessionStoreColdIdentical(t *testing.T) {
 	base := sessionSpecs(60)
 	delta := append([]workload.FuncSpec(nil), base...)
@@ -96,6 +102,12 @@ func TestSessionStoreColdIdentical(t *testing.T) {
 			}
 			if dGot.StoreHits == 0 {
 				t.Fatalf("ranking=%v workers=%d: restart onto warm store had no hits", ranking, workers)
+			}
+			// The restarted session skips what the earlier processes priced
+			// unprofitable, and the skips stay invisible below.
+			if dGot.NegHits == 0 || dGot.NegStoreHits == 0 || dGot.NegStoreHits > dGot.NegHits {
+				t.Fatalf("ranking=%v workers=%d: restart reused no persisted attempts: NegHits=%d NegStoreHits=%d",
+					ranking, workers, dGot.NegHits, dGot.NegStoreHits)
 			}
 			// The three edited/added functions are the only possible misses.
 			if dGot.StoreMisses > 3 {
@@ -190,4 +202,275 @@ func sameOutcome(a, b mergeOutcome) bool {
 		}
 	}
 	return true
+}
+
+// storeRun submits specs to a fresh session over a freshly opened store at
+// path and returns the outcome, the delta and the reopened store's stats.
+func storeRun(t *testing.T, path string, opts Options, specs []workload.FuncSpec) (mergeOutcome, DeltaStats, simdb.Stats) {
+	t.Helper()
+	st := openTestStore(t, path)
+	sess, err := NewSession(SessionConfig{Explore: opts, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, d, err := sess.Submit(buildFromSpecs(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outcomeOf(rep), d, st.Stats()
+}
+
+// plainRun is the storeless cold reference.
+func plainRun(t *testing.T, opts Options, specs []workload.FuncSpec) (mergeOutcome, DeltaStats) {
+	t.Helper()
+	sess, err := NewSession(SessionConfig{Explore: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, d, err := sess.Submit(buildFromSpecs(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outcomeOf(rep), d
+}
+
+func copyFile(t *testing.T, from, to string) {
+	t.Helper()
+	data, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(to, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSessionStoreForgedKey: appending, for every stored hash, a content
+// key entry with the same hash but other bytes makes every hash
+// unverifiable, so a restarted session takes no attempt entry from the
+// store — and still merges exactly like a storeless run. The unforged copy
+// of the segment is the control: there the same restart does hit.
+func TestSessionStoreForgedKey(t *testing.T) {
+	specs := sessionSpecs(60)
+	for _, ranking := range []RankingMode{RankExact, RankLSH} {
+		opts := sessionOpts(2, ranking)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "forged.fmdb")
+		storeRun(t, path, opts, specs)
+		control := filepath.Join(dir, "control.fmdb")
+		copyFile(t, path, control)
+
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var forged []wire.DBKey
+		seen := map[uint64]bool{}
+		forge := func(h uint64, key []byte) {
+			if !seen[h] {
+				seen[h] = true
+				forged = append(forged, wire.DBKey{Hash: h, Key: append(append([]byte(nil), key...), 0xff)})
+			}
+		}
+		if _, err := wire.WalkDB(data, wire.DBVisitor{
+			Record: func(r wire.DBRecord) { forge(r.Hash, r.Key) },
+			Key:    func(k wire.DBKey) { forge(k.Hash, k.Key) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, wire.AppendDBKeys(data, forged), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		want, _ := plainRun(t, opts, specs)
+		got, d, st := storeRun(t, path, opts, specs)
+		if d.NegStoreHits != 0 || st.Collided != len(forged) {
+			t.Fatalf("ranking=%v: forged keys: NegStoreHits=%d, %d of %d hashes collided",
+				ranking, d.NegStoreHits, st.Collided, len(forged))
+		}
+		if !sameOutcome(got, want) {
+			t.Fatalf("ranking=%v: forged-key restart diverged from the storeless run", ranking)
+		}
+		if _, dc, _ := storeRun(t, control, opts, specs); dc.NegStoreHits == 0 {
+			t.Fatalf("ranking=%v: the unforged control restart took no attempt entry", ranking)
+		}
+	}
+}
+
+// TestSessionStoreDigestMismatch: attempt entries priced under one
+// configuration are never used under another. A store filled with
+// parameter reuse off serves nothing to a default session (which still
+// merges like a storeless run), but serves a session with the filling
+// configuration; a custom alignment function cannot be digested, so such
+// a session neither reads nor writes entries.
+func TestSessionStoreDigestMismatch(t *testing.T) {
+	specs := sessionSpecs(60)
+	opts := sessionOpts(1, RankLSH)
+	noReuse := opts
+	noReuse.Merge.ReuseParams = false
+	path := filepath.Join(t.TempDir(), "digest.fmdb")
+	_, _, filled := storeRun(t, path, noReuse, specs)
+	if filled.Attempts == 0 {
+		t.Fatal("the filling run wrote no attempt entries")
+	}
+
+	want, _ := plainRun(t, opts, specs)
+	got, d, _ := storeRun(t, path, opts, specs)
+	if d.NegStoreHits != 0 {
+		t.Fatalf("a session under another digest took %d attempt entries", d.NegStoreHits)
+	}
+	if !sameOutcome(got, want) {
+		t.Fatal("digest-mismatched restart diverged from the storeless run")
+	}
+	if _, d, _ := storeRun(t, path, noReuse, specs); d.NegStoreHits == 0 {
+		t.Fatal("a session under the filling digest took no attempt entry")
+	}
+
+	custom := opts
+	custom.Merge.Align = func(a, b []uint32, s align.Scoring) []align.Step { return align.AlignCodes(a, b, s) }
+	before := openTestStore(t, path).Stats().Attempts
+	got, d, after := storeRun(t, path, custom, specs)
+	if d.NegStoreHits != 0 || after.Attempts != before {
+		t.Fatalf("custom Merge.Align: NegStoreHits=%d, attempt entries %d -> %d", d.NegStoreHits, before, after.Attempts)
+	}
+	if !sameOutcome(got, want) {
+		t.Fatal("custom-align store-backed run diverged from the storeless run")
+	}
+}
+
+// TestSessionStoreFlushFailure: a store flush that fails leaves the session
+// consistent. The failing submit still returns its run, and the next
+// submit of the same session — a delta, now with a writable segment —
+// merges exactly like a cold storeless run and persists everything the
+// failed flush left pending.
+func TestSessionStoreFlushFailure(t *testing.T) {
+	base := sessionSpecs(60)
+	delta := append([]workload.FuncSpec(nil), base...)
+	delta[7].ConstSalt += 3
+	delta[22].Seed += 900
+	opts := sessionOpts(2, RankLSH)
+	path := filepath.Join(t.TempDir(), "flush.fmdb")
+	st := openTestStore(t, path)
+	sess, err := NewSession(SessionConfig{Explore: opts, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil { // the segment cannot be written
+		t.Fatal(err)
+	}
+	rep, _, err := sess.Submit(buildFromSpecs(base))
+	if err == nil {
+		t.Fatal("submit over an unwritable segment reported no error")
+	}
+	want, _ := plainRun(t, opts, base)
+	if rep == nil || !sameOutcome(outcomeOf(rep), want) {
+		t.Fatal("the failed flush's submit did not return its completed run")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+
+	mGot := buildFromSpecs(delta)
+	repGot, dGot, err := sess.Submit(mGot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dGot.Warm {
+		t.Fatal("the resubmit did not run against the adopted session state")
+	}
+	mPlain := buildFromSpecs(delta)
+	plain, err := NewSession(SessionConfig{Explore: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repPlain, _, err := plain.Submit(mPlain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameOutcome(outcomeOf(repGot), outcomeOf(repPlain)) {
+		t.Fatal("resubmit after a failed flush diverged from a cold run")
+	}
+	if printModule(t, mGot) != printModule(t, mPlain) {
+		t.Fatal("resubmit after a failed flush merged a different module")
+	}
+	if re := openTestStore(t, path); re.Len() < len(base) || re.Stats().Attempts == 0 {
+		t.Fatalf("after recovery the segment holds %d records and %d attempt entries",
+			re.Len(), re.Stats().Attempts)
+	}
+}
+
+// TestSessionStoreBytesWorkerInvariant: the segment a store-backed submit
+// writes — records, content keys and attempt entries — is byte-identical
+// for every worker count, because the memo learns only the failures that
+// sequential evaluation also prices.
+func TestSessionStoreBytesWorkerInvariant(t *testing.T) {
+	specs := sessionSpecs(60)
+	for _, ranking := range []RankingMode{RankExact, RankLSH} {
+		var want []byte
+		for _, workers := range []int{1, 2, 8} {
+			path := filepath.Join(t.TempDir(), "w.fmdb")
+			_, _, st := storeRun(t, path, sessionOpts(workers, ranking), specs)
+			if st.Attempts == 0 {
+				t.Fatalf("ranking=%v workers=%d: no attempt entries written", ranking, workers)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = data
+			} else if !bytes.Equal(data, want) {
+				t.Fatalf("ranking=%v: workers=%d segment differs from workers=1", ranking, workers)
+			}
+		}
+	}
+}
+
+// TestSessionStoreConcurrentSessions: sessions submitting at the same time
+// over one store handle — fmsa-serve's arrangement — read and write its
+// records, keys and attempt entries concurrently and still merge exactly
+// like storeless runs; a later restart onto the segment hits the entries
+// they wrote.
+func TestSessionStoreConcurrentSessions(t *testing.T) {
+	specs := sessionSpecs(60)
+	opts := sessionOpts(2, RankLSH)
+	path := filepath.Join(t.TempDir(), "concurrent.fmdb")
+	st := openTestStore(t, path)
+	want, _ := plainRun(t, opts, specs)
+
+	const sessions = 3
+	got := make([]mergeOutcome, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sess, err := NewSession(SessionConfig{Explore: opts, Store: st})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			rep, _, err := sess.Submit(buildFromSpecs(specs))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = outcomeOf(rep)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !sameOutcome(got[i], want) {
+			t.Fatalf("concurrent session %d diverged from the storeless run", i)
+		}
+	}
+	restart, d, _ := storeRun(t, path, opts, specs)
+	if d.NegStoreHits == 0 || !sameOutcome(restart, want) {
+		t.Fatalf("restart after concurrent sessions: NegStoreHits=%d, identical=%v",
+			d.NegStoreHits, sameOutcome(restart, want))
+	}
 }

@@ -24,6 +24,13 @@ package explore
 //     such an attempt is invisible in the merge records: an unprofitable
 //     attempt commits nothing and CandidatesEvaluated follows sequential
 //     semantics (the winner's rank), not the set of attempts actually run.
+//   - persistence: with a SessionConfig.Store, both tables fall back to the
+//     store on a local miss and write what they learn through to it. The
+//     store's content keys take over the verifying role (first writer
+//     wins; two different keys for one hash make it unverifiable), and
+//     each attempt entry carries attemptDigest of the options, so an entry
+//     is used only under the configuration that priced it and only while
+//     both of its hashes verify byte-for-byte against the stored keys.
 //   - warmList: a stored list is the exact top-depth prefix (or, when
 //     complete, the entire set) of its owner's initial candidate ranking
 //     under the corpus it was stored for, ordered by (similarity desc,
@@ -33,23 +40,31 @@ package explore
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
+	"fmsa/internal/align"
 	"fmsa/internal/core"
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/global"
 	"fmsa/internal/ir"
+	"fmsa/internal/simdb"
+	"fmsa/internal/tti"
 )
 
 // DefaultKeyTableCap bounds the session content-key table (entries). A full
 // table stops verifying new content; affected functions simply lose
-// negative-memo coverage.
-const DefaultKeyTableCap = 1 << 17
+// negative-memo coverage. The persistent store applies the same bound.
+const DefaultKeyTableCap = simdb.DefaultKeyTableCap
 
 // DefaultNegMemoCap bounds the negative-attempt memo (entries). A full memo
-// stops inserting; results are unaffected either way.
-const DefaultNegMemoCap = 1 << 17
+// stops inserting; results are unaffected either way. The persistent store
+// applies the same bound.
+const DefaultNegMemoCap = simdb.DefaultNegMemoCap
 
 // DefaultSessionAlignMemoCap is the alignment-memo bound a session uses
 // when Options.AlignMemoCap is zero — larger than the per-run default
@@ -78,6 +93,11 @@ type keyTable struct {
 	tab map[uint64][]byte
 	// funcs caches the identity per function pointer for the current run.
 	funcs map[*ir.Func]funcKey
+	// store, when non-nil, is the verifying authority: a hash missing from
+	// tab verifies only through store.VerifyKey, so tab caches exactly the
+	// store's answers and a persisted attempt entry's hashes mean the same
+	// bytes in every session that reads it.
+	store *simdb.Store
 }
 
 func newKeyTable(capEntries int) *keyTable {
@@ -106,6 +126,13 @@ func (kt *keyTable) register(f *ir.Func, key []byte, selfEq bool, hash uint64) f
 		if cur, ok := kt.tab[hash]; ok {
 			if bytes.Equal(cur, key) {
 				k = funcKey{hash: hash, ok: true}
+			}
+		} else if kt.store != nil {
+			if kt.store.VerifyKey(hash, key) {
+				k = funcKey{hash: hash, ok: true}
+				if len(kt.tab) < kt.cap {
+					kt.tab[hash] = key
+				}
 			}
 		} else if len(kt.tab) < kt.cap {
 			kt.tab[hash] = key
@@ -149,7 +176,13 @@ type negMemo struct {
 	mu   sync.Mutex
 	cap  int
 	m    map[negKey]struct{}
-	hits int64
+	hits atomic.Int64
+	// store, when non-nil, answers local misses and receives every insert
+	// as an attempt entry under digest (see attemptDigest); storeHits
+	// counts the hits it answered.
+	store     *simdb.Store
+	digest    uint64
+	storeHits atomic.Int64
 }
 
 func newNegMemo(capEntries int) *negMemo {
@@ -159,24 +192,85 @@ func newNegMemo(capEntries int) *negMemo {
 	return &negMemo{cap: capEntries, m: make(map[negKey]struct{})}
 }
 
-// known reports whether the attempt class is recorded as unprofitable.
+// known reports whether the attempt class is recorded as unprofitable,
+// locally or in the store. A store hit is cached locally.
 func (nm *negMemo) known(k negKey) bool {
 	nm.mu.Lock()
 	_, ok := nm.m[k]
 	nm.mu.Unlock()
+	if !ok && nm.store != nil {
+		if a, fits := nm.attempt(k); fits && nm.store.HasAttempt(a) {
+			ok = true
+			nm.storeHits.Add(1)
+			nm.mu.Lock()
+			if len(nm.m) < nm.cap {
+				nm.m[k] = struct{}{}
+			}
+			nm.mu.Unlock()
+		}
+	}
 	if ok {
-		atomic.AddInt64(&nm.hits, 1)
+		nm.hits.Add(1)
 	}
 	return ok
 }
 
-// insert records an attempt class as unprofitable.
+// insert records an attempt class as unprofitable, in the store as well.
 func (nm *negMemo) insert(k negKey) {
 	nm.mu.Lock()
 	if len(nm.m) < nm.cap {
 		nm.m[k] = struct{}{}
 	}
 	nm.mu.Unlock()
+	if nm.store != nil {
+		if a, fits := nm.attempt(k); fits {
+			nm.store.AddAttempt(a)
+		}
+	}
+}
+
+// attempt lowers k to its persisted form; fits is false when a caller
+// count or linkage does not fit the entry's 32-bit or 8-bit field.
+func (nm *negMemo) attempt(k negKey) (a simdb.Attempt, fits bool) {
+	if uint64(k.s1.Callers) > math.MaxUint32 || uint64(k.s2.Callers) > math.MaxUint32 ||
+		uint64(k.l1) > math.MaxUint8 || uint64(k.l2) > math.MaxUint8 {
+		return a, false
+	}
+	return simdb.Attempt{
+		Digest: nm.digest, H1: k.h1, H2: k.h2,
+		Callers1: uint32(k.s1.Callers), Callers2: uint32(k.s2.Callers),
+		AddrTaken1: k.s1.AddressTaken, AddrTaken2: k.s2.AddressTaken,
+		Linkage1: byte(k.l1), Linkage2: byte(k.l2),
+	}, true
+}
+
+// attemptVersion names the merge and cost-model semantics that persisted
+// attempt entries were priced under. Bump it whenever core.Merge, the
+// profitability bound or the profit model can change a pair's outcome, so
+// entries written by older code stop matching.
+const attemptVersion = 1
+
+// attemptDigest hashes every option a pair's outcome depends on: the
+// target, the alignment scoring, the linearization order, parameter reuse
+// and the bound's MinProfit (0 in exploration). ok is false for options
+// that cannot be named by value — a custom Target or Merge.Align — and such
+// sessions neither read nor write persisted attempt entries.
+func attemptDigest(o Options) (digest uint64, ok bool) {
+	switch o.Target.(type) {
+	case tti.X86, tti.Thumb:
+	default:
+		return 0, false
+	}
+	if fn := o.Merge.Align; fn != nil &&
+		reflect.ValueOf(fn).Pointer() != reflect.ValueOf(align.AlignCodes).Pointer() {
+		return 0, false
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "fmsa-attempt/v%d target=%s scoring=%d,%d,%d order=%d reuse=%t minprofit=%d",
+		attemptVersion, o.Target.Name(),
+		o.Merge.Scoring.Match, o.Merge.Scoring.Mismatch, o.Merge.Scoring.Gap,
+		o.Merge.Order, o.Merge.ReuseParams, pruneMinProfit)
+	return h.Sum64(), true
 }
 
 // warmCand is one stored candidate-list entry, held by name so it survives

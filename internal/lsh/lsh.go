@@ -88,27 +88,6 @@ func AppendBandKeys(p Params, sig *fingerprint.Signature, dst []uint64) []uint64
 	return dst
 }
 
-// Collide reports whether two signatures share at least one band — the
-// bucket-mate relation Probe realizes, computed directly from the signatures
-// without touching an index. The exploration cache uses it to decide whether
-// a newly merged function would be probed by a pending ranking.
-func Collide(a, b *fingerprint.Signature, p Params) bool {
-	p = p.normalized()
-	for band := 0; band < p.Bands; band++ {
-		match := true
-		for r := 0; r < p.Rows; r++ {
-			if a[band*p.Rows+r] != b[band*p.Rows+r] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
-}
-
 // Index is the banded MinHash index.
 type Index struct {
 	p Params

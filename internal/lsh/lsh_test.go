@@ -101,25 +101,41 @@ func TestRemoveKeepsIndexConsistent(t *testing.T) {
 	}
 }
 
+// TestCollideMatchesProbe: probe membership is the bucket-mate relation —
+// j is in Probe(i) exactly when the two signatures agree on some band key —
+// and is therefore symmetric, which is what lets the exploration cache
+// offer a merged function to the members of its own probe.
 func TestCollideMatchesProbe(t *testing.T) {
 	sigs := cloneFamily(t, 3, 5)
 	p := DefaultParams()
 	ix := New(p)
+	keys := make([][]uint64, len(sigs))
 	for i, s := range sigs {
 		ix.Insert(int32(i), s)
+		keys[i] = AppendBandKeys(p, s, nil)
 	}
+	probed := make([]map[int32]bool, len(sigs))
 	for i, a := range sigs {
-		probed := map[int32]bool{}
+		probed[i] = map[int32]bool{}
 		for _, id := range ix.Probe(a, int32(i)) {
-			probed[id] = true
+			probed[i][id] = true
 		}
-		for j, b := range sigs {
+	}
+	for i := range sigs {
+		for j := range sigs {
 			if i == j {
 				continue
 			}
-			if Collide(a, b, p) != probed[int32(j)] {
-				t.Errorf("Collide(%d,%d)=%v disagrees with Probe membership %v",
-					i, j, Collide(a, b, p), probed[int32(j)])
+			share := false
+			for band := range keys[i] {
+				share = share || keys[i][band] == keys[j][band]
+			}
+			if share != probed[i][int32(j)] {
+				t.Errorf("signatures %d,%d share a band key: %v, but Probe membership is %v",
+					i, j, share, probed[i][int32(j)])
+			}
+			if probed[i][int32(j)] != probed[j][int32(i)] {
+				t.Errorf("Probe membership of %d,%d is not symmetric", i, j)
 			}
 		}
 	}

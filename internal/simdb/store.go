@@ -11,10 +11,18 @@
 // (opcode, type) instruction sequence, which implies identical fingerprint
 // and signature — so a key hit is never stale and reuse is bit-exact.
 //
+// Next to the records a store holds the two content tables an
+// explore.Session persists: a content-key table (stable hash → key bytes;
+// record keys count too, the first key for a hash wins and a second,
+// different one makes the hash unverifiable) and a set of negative-attempt
+// entries (see Attempt). Both are facts about content, not live state:
+// nothing removes them, and compaction rewrites them.
+//
 // On disk a store is one fmdb segment file (internal/wire): an append-only
-// log of record and tombstone sections. Mutations accumulate in memory and
-// Flush appends them as whole sections (O_APPEND), sorted by (hash, key) so
-// the file bytes are deterministic for any worker count. Each flush writes
+// log of record, tombstone, content-key and attempt sections. Mutations
+// accumulate in memory and Flush appends them as whole sections
+// (O_APPEND), each sorted so the file bytes are deterministic for any
+// worker count. Each flush writes
 // its tombstone section before its record section: within one batch a
 // pending record is always the key's live final state (Remove unlinks
 // pending records), so records must replay after any same-batch tombstone —
@@ -33,9 +41,11 @@ package simdb
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -119,7 +129,44 @@ type Store struct {
 
 	pend      []*Record // records not yet in the file
 	pendTombs []wire.DBTombstone
+
+	// keys is the content-key table: stable hash → the canonical key bytes
+	// it was first seen with, from a record, a key entry or VerifyKey. A
+	// second, different key for the same hash marks the slot collided, and
+	// a collided hash never verifies again. pendKeys holds the first key and
+	// the first conflicting key of slots created since the last Flush.
+	keys     map[uint64]keySlot
+	pendKeys []wire.DBKey
+	// attempts is the negative-attempt memo set (see Attempt); pendAtts
+	// holds the entries added since the last Flush.
+	attempts map[Attempt]struct{}
+	pendAtts []Attempt
 }
+
+// keySlot is one content-key table entry. other is the first key that
+// conflicted with key; it is kept so compaction can persist the collision.
+type keySlot struct {
+	key, other []byte
+	collided   bool
+}
+
+// DefaultKeyTableCap bounds the content keys VerifyKey adds, and
+// DefaultNegMemoCap the attempt entries AddAttempt adds; a full table stops
+// growing, which only costs later sessions memo coverage. Keys carried by
+// records are always kept, and replay restores whatever the file holds.
+// explore's session tables apply the same bounds.
+const (
+	DefaultKeyTableCap = 1 << 17
+	DefaultNegMemoCap  = 1 << 17
+)
+
+// Attempt is one persisted negative-attempt memo entry (see wire.DBAttempt):
+// merging the function with content hash H1 into the one with hash H2, under
+// the recorded caller snapshots and linkages, failed or priced unprofitable
+// under the exploration configuration whose digest is Digest. The store only
+// keeps and serves entries; the session that writes them guarantees both
+// hashes were verified byte-for-byte against this store's content keys.
+type Attempt = wire.DBAttempt
 
 // Open loads the segment at path, or creates an empty store bound to it when
 // the file does not exist yet (nothing is written until the first Flush).
@@ -132,7 +179,8 @@ func Open(path, name string, opts Options) (*Store, error) {
 		opts.AutoCompactRatio = defaultAutoCompactRatio
 	}
 	s := &Store{path: path, name: name, opts: opts,
-		table: map[uint64][]*Record{}, tailTrunc: -1}
+		table: map[uint64][]*Record{}, tailTrunc: -1,
+		keys: map[uint64]keySlot{}, attempts: map[Attempt]struct{}{}}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return s, nil
@@ -148,8 +196,8 @@ func Open(path, name string, opts Options) (*Store, error) {
 	var arena replayArena
 	s.table = make(map[uint64][]*Record, len(data)/1024)
 	var walkErr error
-	stored, good, err := wire.WalkDBPrefix(data,
-		func(w wire.DBRecord) {
+	stored, good, err := wire.WalkDBPrefix(data, wire.DBVisitor{
+		Record: func(w wire.DBRecord) {
 			if walkErr != nil {
 				return
 			}
@@ -161,6 +209,7 @@ func Open(path, name string, opts Options) (*Store, error) {
 			rec.flushed = true
 			rec.onDisk = true
 			s.written++
+			s.noteKeyLocked(rec.Hash, rec.Key, true)
 			// The common replay case — first record for its hash — takes a
 			// table slot carved from the arena; collisions and in-file
 			// supersedes (rare) fall back to the general upsert.
@@ -171,10 +220,15 @@ func Open(path, name string, opts Options) (*Store, error) {
 				s.upsertLocked(rec)
 			}
 		},
-		func(t wire.DBTombstone) {
+		Tomb: func(t wire.DBTombstone) {
 			s.written++
 			s.dropLocked(t.Hash, t.Key)
-		})
+		},
+		Key: func(k wire.DBKey) { s.noteKeyLocked(k.Hash, k.Key, true) },
+		Attempt: func(a wire.DBAttempt) {
+			s.attempts[a] = struct{}{}
+		},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("simdb: %s: %w", path, err)
 	}
@@ -215,6 +269,10 @@ func (s *Store) Len() int {
 func (s *Store) Lookup(hash uint64, key []byte) *Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.lookupLocked(hash, key)
+}
+
+func (s *Store) lookupLocked(hash uint64, key []byte) *Record {
 	for _, r := range s.table[hash] {
 		if bytes.Equal(r.Key, key) {
 			return r
@@ -239,6 +297,7 @@ func (s *Store) Put(r Record) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.noteKeyLocked(r.Hash, r.Key, false)
 	recs := s.table[r.Hash]
 	for i, old := range recs {
 		if !bytes.Equal(old.Key, r.Key) {
@@ -308,6 +367,78 @@ func (s *Store) Remove(hash uint64, key []byte) bool {
 	return true
 }
 
+// noteKeyLocked records that hash was seen with key and reports whether the
+// hash verifies against key: the slot is new or holds these bytes, and the
+// hash never collided. fromFile marks replayed keys, which are already on
+// disk; others queue for the next Flush when they create or collide a slot.
+func (s *Store) noteKeyLocked(hash uint64, key []byte, fromFile bool) bool {
+	sl, ok := s.keys[hash]
+	if ok && bytes.Equal(sl.key, key) {
+		return !sl.collided
+	}
+	if ok && sl.collided {
+		return false
+	}
+	if ok {
+		sl.other, sl.collided = key, true
+	} else {
+		sl.key = key
+	}
+	s.keys[hash] = sl
+	if !fromFile {
+		s.pendKeys = append(s.pendKeys, wire.DBKey{Hash: hash, Key: key})
+	}
+	return !ok
+}
+
+// VerifyKey reports whether hash verifies against key in the content-key
+// table, adding the pair when the hash is new and the table has room. A
+// true result means every attempt entry naming hash was written by a
+// session that held exactly these key bytes. The store retains key.
+func (s *Store) VerifyKey(hash uint64, key []byte) bool {
+	s.mu.RLock()
+	sl, ok := s.keys[hash]
+	s.mu.RUnlock()
+	if ok && (sl.collided || bytes.Equal(sl.key, key)) {
+		return !sl.collided
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.keys[hash]; !ok && len(s.keys) >= DefaultKeyTableCap {
+		return false
+	}
+	return s.noteKeyLocked(hash, key, false)
+}
+
+// usableLocked reports whether hash has one uncollided content key.
+func (s *Store) usableLocked(hash uint64) bool {
+	sl, ok := s.keys[hash]
+	return ok && !sl.collided
+}
+
+// HasAttempt reports whether a is a stored attempt entry whose two hashes
+// still map to single, uncollided content keys.
+func (s *Store) HasAttempt(a Attempt) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.attempts[a]
+	return ok && s.usableLocked(a.H1) && s.usableLocked(a.H2)
+}
+
+// AddAttempt records a for the next Flush. Entries whose hashes have no
+// usable content key are dropped, as are new entries once the set holds
+// DefaultNegMemoCap.
+func (s *Store) AddAttempt(a Attempt) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.attempts[a]; ok || len(s.attempts) >= DefaultNegMemoCap ||
+		!s.usableLocked(a.H1) || !s.usableLocked(a.H2) {
+		return
+	}
+	s.attempts[a] = struct{}{}
+	s.pendAtts = append(s.pendAtts, a)
+}
+
 // upsertLocked installs rec, replacing any same-key slot (file replay:
 // later record wins).
 func (s *Store) upsertLocked(rec *Record) {
@@ -341,16 +472,19 @@ func (s *Store) dropLocked(hash uint64, key []byte) *Record {
 	return nil
 }
 
-// Flush appends pending tombstones and records to the segment file as whole
-// sections — tombstones first, because a key with both in one batch is one
-// that was removed and re-put inside the flush window, and its record must
-// win on replay — each sorted by (hash, key) so the bytes are independent of
-// insertion order, then auto-compacts if the dead fraction crossed the
-// threshold. A no-op when nothing is pending.
+// Flush appends pending tombstones, records, content keys and attempt
+// entries to the segment file as whole sections — tombstones first, because
+// a key with both in one batch is one that was removed and re-put inside
+// the flush window, and its record must win on replay — each sorted so the
+// bytes are independent of insertion order and worker count, then
+// auto-compacts if the dead fraction crossed the threshold. Content keys a
+// live record already carries are not written again. A no-op when nothing
+// is pending. On error the pending state is kept for the next Flush, and a
+// partly written append is truncated away before it.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.pend) == 0 && len(s.pendTombs) == 0 {
+	if len(s.pend) == 0 && len(s.pendTombs) == 0 && len(s.pendKeys) == 0 && len(s.pendAtts) == 0 {
 		return nil
 	}
 	sortRecords(s.pend)
@@ -375,6 +509,8 @@ func (s *Store) Flush() error {
 		}
 		buf = wire.AppendDBRecords(buf, ws)
 	}
+	buf = s.appendKeysLocked(buf, s.pendKeys)
+	buf = appendAttempts(buf, s.pendAtts)
 	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -387,11 +523,20 @@ func (s *Store) Flush() error {
 			return err
 		}
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return err
+	}
 	if _, err := f.Write(buf); err != nil {
+		// Whatever part of buf landed is a crash tail: the next flush
+		// truncates back to the last complete section and rewrites it all.
+		s.tailTrunc = fi.Size()
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
+		s.tailTrunc = fi.Size()
 		return err
 	}
 	s.hasHeader = true
@@ -401,13 +546,68 @@ func (s *Store) Flush() error {
 		r.flushed = true
 		r.onDisk = true
 	}
-	s.pend, s.pendTombs = nil, nil
+	s.pend, s.pendTombs, s.pendKeys, s.pendAtts = nil, nil, nil, nil
 	if dead := s.written - s.live; s.opts.AutoCompactRatio >= 0 &&
 		dead >= s.opts.AutoCompactMin &&
 		float64(dead) > s.opts.AutoCompactRatio*float64(s.written) {
 		return s.compactLocked()
 	}
 	return nil
+}
+
+// appendKeysLocked appends a content-key section for the keys no live
+// record carries (replay notes record keys already), sorted by (hash, key);
+// nothing when every key is covered.
+func (s *Store) appendKeysLocked(buf []byte, keys []wire.DBKey) []byte {
+	var out []wire.DBKey
+	for _, k := range keys {
+		if s.lookupLocked(k.Hash, k.Key) == nil {
+			out = append(out, k)
+		}
+	}
+	if len(out) == 0 {
+		return buf
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Hash != out[j].Hash {
+			return out[i].Hash < out[j].Hash
+		}
+		return bytes.Compare(out[i].Key, out[j].Key) < 0
+	})
+	return wire.AppendDBKeys(buf, out)
+}
+
+// appendAttempts appends an attempt section holding atts sorted by their
+// fields in declaration order; nothing when atts is empty.
+func appendAttempts(buf []byte, atts []Attempt) []byte {
+	if len(atts) == 0 {
+		return buf
+	}
+	slices.SortFunc(atts, func(a, b Attempt) int {
+		return cmp.Or(
+			cmp.Compare(a.Digest, b.Digest),
+			cmp.Compare(a.H1, b.H1),
+			cmp.Compare(a.H2, b.H2),
+			cmp.Compare(a.Callers1, b.Callers1),
+			cmp.Compare(a.Callers2, b.Callers2),
+			cmpBool(a.AddrTaken1, b.AddrTaken1),
+			cmpBool(a.AddrTaken2, b.AddrTaken2),
+			cmp.Compare(a.Linkage1, b.Linkage1),
+			cmp.Compare(a.Linkage2, b.Linkage2),
+		)
+	})
+	return wire.AppendDBAttempts(buf, atts)
+}
+
+func cmpBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return 1
+	default:
+		return -1
+	}
 }
 
 // Compact rewrites the segment live-only (pending state included), dropping
@@ -428,6 +628,22 @@ func (s *Store) compactLocked() error {
 		}
 		buf = wire.AppendDBRecords(buf, ws)
 	}
+	// The key table outlives the records that brought its keys, and a
+	// collision must survive the rewrite: both of a collided slot's keys
+	// are written unless a live record carries them.
+	keys := make([]wire.DBKey, 0, len(s.keys))
+	for h, sl := range s.keys {
+		keys = append(keys, wire.DBKey{Hash: h, Key: sl.key})
+		if sl.collided {
+			keys = append(keys, wire.DBKey{Hash: h, Key: sl.other})
+		}
+	}
+	buf = s.appendKeysLocked(buf, keys)
+	atts := make([]Attempt, 0, len(s.attempts))
+	for a := range s.attempts {
+		atts = append(atts, a)
+	}
+	buf = appendAttempts(buf, atts)
 	tmp := s.path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
 		return err
@@ -442,7 +658,7 @@ func (s *Store) compactLocked() error {
 		r.flushed = true
 		r.onDisk = true
 	}
-	s.pend, s.pendTombs = nil, nil
+	s.pend, s.pendTombs, s.pendKeys, s.pendAtts = nil, nil, nil, nil
 	s.compacts++
 	return nil
 }
@@ -516,6 +732,9 @@ type Stats struct {
 	// remnant of a flush interrupted by a crash, skipped on Open and
 	// truncated away by the next flush or compaction. 0 for a clean log.
 	TailBytes int64
+	// Keys counts content-key table slots, Collided the unverifiable ones
+	// among them, and Attempts the negative-attempt entries.
+	Keys, Collided, Attempts int
 }
 
 // Stats returns current counters; segment size comes from the filesystem.
@@ -526,7 +745,13 @@ func (s *Store) Stats() Stats {
 		Name: s.name, Path: s.path,
 		Live: s.live, Written: s.written, Dead: s.written - s.live,
 		PendingRecs: len(s.pend), PendingTombs: len(s.pendTombs),
+		Keys: len(s.keys), Attempts: len(s.attempts),
 		Compactions: s.compacts,
+	}
+	for _, sl := range s.keys {
+		if sl.collided {
+			st.Collided++
+		}
 	}
 	for _, recs := range s.table {
 		for _, r := range recs {

@@ -485,7 +485,7 @@ func TestStoreRecoversCrashTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.WalkDB(repaired, nil, nil); err != nil {
+	if _, err := wire.WalkDB(repaired, wire.DBVisitor{}); err != nil {
 		t.Fatalf("repaired segment not strictly well-formed: %v", err)
 	}
 	re2, err := Open(re.Path(), "", Options{})
@@ -554,7 +554,7 @@ func TestStoreRejectsFlippedOpcodeCount(t *testing.T) {
 		t.Fatal("first opcode count spans several varint bytes")
 	}
 	data[at+countAt] ^= 1
-	if _, err := wire.WalkDB(data, nil, nil); err != nil {
+	if _, err := wire.WalkDB(data, wire.DBVisitor{}); err != nil {
 		t.Fatalf("the flip should still decode at the wire layer: %v", err)
 	}
 	if err := os.WriteFile(s.Path(), data, 0o644); err != nil {

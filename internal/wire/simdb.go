@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // The fmdb segment format: the on-disk carrier of the persistent similarity
@@ -15,11 +16,22 @@ import (
 //
 // Unlike fmir there is no end section: the stream is terminated by EOF, so a
 // writer extends a segment by appending whole sections (O_APPEND), and a
-// reader replays sections in order. Two section kinds exist: records (upserts
-// keyed by stable hash + content key — a later record for the same key
-// supersedes an earlier one) and tombstones (removals of the same key; a
-// still-later record resurrects it). Replay order is the log order, which is
-// what makes the live set a pure function of the file bytes.
+// reader replays sections in order. Four section kinds exist:
+//
+//   - records: upserts keyed by stable hash + content key — a later record
+//     for the same key supersedes an earlier one;
+//   - tombstones: removals of the same key; a still-later record resurrects
+//     it;
+//   - content keys: (stable hash, canonical key bytes) pairs, the store's
+//     hash → key table beyond what its records already carry;
+//   - attempt entries: negative-attempt memo entries, each asserting that one
+//     merge attempt class priced unprofitable under one configuration digest
+//     (see DBAttempt).
+//
+// Replay order is the log order, which is what makes the live set a pure
+// function of the file bytes; key and attempt entries are facts, not
+// upserts, so their replay order only matters through the reader's own
+// collision rule.
 //
 // A record carries everything the explore rank cache needs to skip
 // re-fingerprinting an unchanged function: the stable hash and the canonical
@@ -27,9 +39,9 @@ import (
 // and type frequency tables of the fingerprint, the MinHash signature lanes
 // (absent on records produced by exact-ranking runs that never signed), and
 // optionally the LSH band keys derived from those lanes.
-// Hash and lane values are fixed-width little-endian — high-entropy values
-// varints would only inflate — everything else is LEB128. Key bytes alias
-// the input buffer on decode (zero-copy), like fmir body strings.
+// Hash, digest and lane values are fixed-width little-endian — high-entropy
+// values varints would only inflate — everything else is LEB128. Key bytes
+// alias the input buffer on decode (zero-copy), like fmir body strings.
 type DBRecord struct {
 	Hash    uint64
 	Name    string
@@ -73,6 +85,28 @@ type DBTombstone struct {
 	Key  []byte
 }
 
+// DBKey is one content-key entry: the canonical key bytes a stable hash was
+// verified against. Key bytes alias the input buffer on decode.
+type DBKey struct {
+	Hash uint64
+	Key  []byte
+}
+
+// DBAttempt is one negative-attempt memo entry: merging the function with
+// verified content hash H1 into the one with hash H2, under the caller
+// snapshots (Callers, AddrTaken) and linkages of each side, failed or priced
+// unprofitable under the exploration configuration whose digest is Digest.
+// The wire layer carries the fields; what they mean, and when an entry may
+// be trusted, is the consumer's contract (internal/explore, DESIGN.md §14).
+type DBAttempt struct {
+	Digest             uint64
+	H1, H2             uint64
+	Callers1, Callers2 uint32
+	AddrTaken1         bool
+	AddrTaken2         bool
+	Linkage1, Linkage2 byte
+}
+
 // DBSelfEq marks records whose key equality implies structural equality
 // (mirrors SumSelfEq; functions with φs or unmodeled invokes clear it).
 const DBSelfEq byte = 1 << 0
@@ -85,13 +119,22 @@ var DBMagic = [4]byte{'F', 'M', 'D', 'B'}
 // keys, so the stable-hash algorithm and lsh.DefaultParams are part of the
 // format: a change to either must bump this so stale segments are rejected
 // instead of silently mis-comparing. v1 hashes with the 8-byte-block FNV-1a
-// + splitmix64-finalizer fnv64.
-const DBVersion = 1
+// + splitmix64-finalizer fnv64; v2 keeps that hash and adds the content-key
+// and attempt-entry sections.
+const DBVersion = 2
 
 // fmdb section identifiers (disjoint stream from fmir sections).
 const (
-	dbSecRecords = 1
-	dbSecTombs   = 2
+	dbSecRecords  = 1
+	dbSecTombs    = 2
+	dbSecKeys     = 3
+	dbSecAttempts = 4
+)
+
+// Attempt-entry flag bits.
+const (
+	dbAttemptAddr1 = 1 << 0
+	dbAttemptAddr2 = 1 << 1
 )
 
 // maxDBOps bounds a record's sparse opcode table: there are only NumOpcodes
@@ -118,9 +161,22 @@ func AppendDBRecords(b []byte, recs []DBRecord) []byte {
 	for i := range recs {
 		payload = appendDBRecord(payload, &recs[i])
 	}
-	b = append(b, dbSecRecords)
+	return appendDBSection(b, dbSecRecords, payload)
+}
+
+// appendDBSection frames one section: id, payload length, payload.
+func appendDBSection(b []byte, id byte, payload []byte) []byte {
+	b = append(b, id)
 	b = appendUvarint(b, uint64(len(payload)))
 	return append(b, payload...)
+}
+
+// appendDBHashKey appends one (hash, key) item, the layout tombstone and
+// content-key sections share.
+func appendDBHashKey(b []byte, hash uint64, key []byte) []byte {
+	b = binaryLEAppend64(b, hash)
+	b = appendUvarint(b, uint64(len(key)))
+	return append(b, key...)
 }
 
 func appendDBRecord(b []byte, r *DBRecord) []byte {
@@ -156,18 +212,54 @@ func AppendDBTombstones(b []byte, tombs []DBTombstone) []byte {
 	var payload []byte
 	payload = appendUvarint(payload, uint64(len(tombs)))
 	for _, t := range tombs {
-		payload = binaryLEAppend64(payload, t.Hash)
-		payload = appendUvarint(payload, uint64(len(t.Key)))
-		payload = append(payload, t.Key...)
+		payload = appendDBHashKey(payload, t.Hash, t.Key)
 	}
-	b = append(b, dbSecTombs)
-	b = appendUvarint(b, uint64(len(payload)))
-	return append(b, payload...)
+	return appendDBSection(b, dbSecTombs, payload)
 }
 
-// WalkDB replays a segment byte stream in log order, invoking onRecord for
-// every record and onTomb for every tombstone (either callback may be nil).
-// Record Key bytes and tombstone Key bytes alias data; a record's Ops, Types,
+// AppendDBKeys appends one content-key section holding keys in order.
+func AppendDBKeys(b []byte, keys []DBKey) []byte {
+	var payload []byte
+	payload = appendUvarint(payload, uint64(len(keys)))
+	for _, k := range keys {
+		payload = appendDBHashKey(payload, k.Hash, k.Key)
+	}
+	return appendDBSection(b, dbSecKeys, payload)
+}
+
+// AppendDBAttempts appends one attempt-entry section holding atts in order.
+func AppendDBAttempts(b []byte, atts []DBAttempt) []byte {
+	var payload []byte
+	payload = appendUvarint(payload, uint64(len(atts)))
+	for _, a := range atts {
+		payload = binaryLEAppend64(payload, a.Digest)
+		payload = binaryLEAppend64(payload, a.H1)
+		payload = binaryLEAppend64(payload, a.H2)
+		payload = appendUvarint(payload, uint64(a.Callers1))
+		payload = appendUvarint(payload, uint64(a.Callers2))
+		var flags byte
+		if a.AddrTaken1 {
+			flags |= dbAttemptAddr1
+		}
+		if a.AddrTaken2 {
+			flags |= dbAttemptAddr2
+		}
+		payload = append(payload, flags, a.Linkage1, a.Linkage2)
+	}
+	return appendDBSection(b, dbSecAttempts, payload)
+}
+
+// DBVisitor receives the items of a segment replay; any callback may be nil.
+type DBVisitor struct {
+	Record  func(DBRecord)
+	Tomb    func(DBTombstone)
+	Key     func(DBKey)
+	Attempt func(DBAttempt)
+}
+
+// WalkDB replays a segment byte stream in log order, invoking v's callback
+// for every record, tombstone, content key and attempt entry. Key bytes of
+// records, tombstones and content keys alias data; a record's Ops, Types,
 // MinHash and Bands slices are scratch reused between callbacks — a callback that
 // keeps a record beyond its invocation must copy them (Types' Key strings
 // are immutable and safe to retain as-is). Corrupt or truncated input
@@ -179,8 +271,8 @@ func AppendDBTombstones(b []byte, tombs []DBTombstone) []byte {
 // well-formed section. A reader that wants crash recovery — replay the
 // complete prefix of a segment whose tail was cut mid-append — uses
 // WalkDBPrefix instead.
-func WalkDB(data []byte, onRecord func(DBRecord), onTomb func(DBTombstone)) (string, error) {
-	name, n, err := WalkDBPrefix(data, onRecord, onTomb)
+func WalkDB(data []byte, v DBVisitor) (string, error) {
+	name, n, err := WalkDBPrefix(data, v)
 	if err != nil {
 		return "", err
 	}
@@ -199,15 +291,16 @@ func WalkDB(data []byte, onRecord func(DBRecord), onTomb func(DBTombstone)) (str
 // len(data) signals a damaged tail to truncate before appending again).
 // Errors are reserved for damage that recovery cannot scope: bad magic, a
 // version mismatch, a truncated header, an unknown section id, or corruption
-// inside a fully-present section payload. No callback is invoked for the
+// inside a fully-present section payload (including bytes left over after
+// its last item). No callback is invoked for the
 // truncated tail: sections replay only once their payload is complete.
-func WalkDBPrefix(data []byte, onRecord func(DBRecord), onTomb func(DBTombstone)) (string, int, error) {
+func WalkDBPrefix(data []byte, v DBVisitor) (string, int, error) {
 	if !IsFMDB(data) {
 		return "", 0, ErrBadDBMagic
 	}
 	r := &reader{buf: data, pos: len(DBMagic)}
 	if v := r.uvarint(); r.err == nil && v != DBVersion {
-		return "", 0, fmt.Errorf("wire: unsupported fmdb version %d", v)
+		return "", 0, fmt.Errorf("wire: unsupported fmdb version %d (this build reads version %d)", v, DBVersion)
 	}
 	name := string(r.bytes(int(r.uvarint())))
 	if r.err != nil {
@@ -227,11 +320,26 @@ func WalkDBPrefix(data []byte, onRecord func(DBRecord), onTomb func(DBTombstone)
 		sub := &reader{buf: payload}
 		switch id {
 		case dbSecRecords:
-			walkDBRecords(sub, onRecord)
+			walkDBRecords(sub, v.Record)
 		case dbSecTombs:
-			walkDBTombs(sub, onTomb)
+			walkDBHashKeys(sub, func(h uint64, k []byte) {
+				if v.Tomb != nil {
+					v.Tomb(DBTombstone{Hash: h, Key: k})
+				}
+			})
+		case dbSecKeys:
+			walkDBHashKeys(sub, func(h uint64, k []byte) {
+				if v.Key != nil {
+					v.Key(DBKey{Hash: h, Key: k})
+				}
+			})
+		case dbSecAttempts:
+			walkDBAttempts(sub, v.Attempt)
 		default:
 			return "", good, fmt.Errorf("wire: unexpected section %d in fmdb stream", id)
+		}
+		if sub.err == nil && sub.remaining() > 0 {
+			sub.fail("%d trailing bytes in fmdb section %d", sub.remaining(), id)
 		}
 		if sub.err != nil {
 			return "", good, sub.err
@@ -347,14 +455,43 @@ func walkDBRecords(r *reader, onRecord func(DBRecord)) {
 	}
 }
 
-func walkDBTombs(r *reader, onTomb func(DBTombstone)) {
+// walkDBHashKeys reads the (hash, key) items of a tombstone or content-key
+// section.
+func walkDBHashKeys(r *reader, on func(hash uint64, key []byte)) {
 	n := r.count(9) // hash(8) + key length byte
 	for i := 0; i < n && r.err == nil; i++ {
-		var t DBTombstone
-		t.Hash = binaryLE64(r)
-		t.Key = dbKeyBytes(r)
-		if r.err == nil && onTomb != nil {
-			onTomb(t)
+		h := binaryLE64(r)
+		k := dbKeyBytes(r)
+		if r.err == nil {
+			on(h, k)
+		}
+	}
+}
+
+func walkDBAttempts(r *reader, onAttempt func(DBAttempt)) {
+	n := r.count(29) // digest + two hashes (24) + two callers + flags + two linkages
+	for i := 0; i < n && r.err == nil; i++ {
+		var a DBAttempt
+		a.Digest = binaryLE64(r)
+		a.H1 = binaryLE64(r)
+		a.H2 = binaryLE64(r)
+		c1, c2 := r.uvarint(), r.uvarint()
+		if c1 > math.MaxUint32 || c2 > math.MaxUint32 {
+			r.fail("fmdb attempt caller count out of range at offset %d", r.pos)
+			return
+		}
+		a.Callers1, a.Callers2 = uint32(c1), uint32(c2)
+		flags := r.byte()
+		if flags&^(dbAttemptAddr1|dbAttemptAddr2) != 0 {
+			r.fail("fmdb attempt flags %#x invalid at offset %d", flags, r.pos)
+			return
+		}
+		a.AddrTaken1 = flags&dbAttemptAddr1 != 0
+		a.AddrTaken2 = flags&dbAttemptAddr2 != 0
+		a.Linkage1 = r.byte()
+		a.Linkage2 = r.byte()
+		if r.err == nil && onAttempt != nil {
+			onAttempt(a)
 		}
 	}
 }
