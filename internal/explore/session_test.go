@@ -89,6 +89,48 @@ func sessionOpts(workers int, ranking RankingMode) Options {
 	return opts
 }
 
+// xalancShrink is 483.xalancbmk cut to 350 functions of at most 200
+// instructions: large enough that a warm 1% delta skips most of a cold
+// session's work, small enough for the race-detector suite.
+func xalancShrink(t *testing.T) workload.Profile {
+	t.Helper()
+	for _, p := range workload.SPECLike() {
+		if p.Name == "483.xalancbmk" {
+			p.NumFuncs = 350
+			p.MaxSize = min(p.MaxSize, 200)
+			return p
+		}
+	}
+	t.Fatal("483.xalancbmk missing from the SPEC-like suite")
+	return workload.Profile{}
+}
+
+// editConsts bumps the first integer constant of frac of m's definitions
+// (at least one), which changes their stable hashes and nothing else. salt
+// rotates the selection, so successive edits touch different functions.
+// Returns the number of functions edited.
+func editConsts(m *ir.Module, frac float64, salt int) int {
+	defs := m.Definitions()
+	want := max(int(float64(len(defs))*frac), 1)
+	edited := 0
+	for off := 0; off < len(defs) && edited < want; off++ {
+		f := defs[(off+salt*want)%len(defs)]
+		done := false
+		f.Insts(func(in *ir.Inst) {
+			for i := 0; i < in.NumOperands() && !done; i++ {
+				if ci, ok := in.Operand(i).(*ir.ConstInt); ok {
+					in.SetOperand(i, ir.NewConstInt(ci.Type(), ci.V+int64(salt)+1))
+					done = true
+				}
+			}
+		})
+		if done {
+			edited++
+		}
+	}
+	return edited
+}
+
 // TestSessionWarmColdIdentical: a warm resubmission with a small delta
 // produces bit-identical merge records — and a bit-identical module — to a
 // cold session and to a plain Run, for every worker count and for both
@@ -96,8 +138,8 @@ func sessionOpts(workers int, ranking RankingMode) Options {
 func TestSessionWarmColdIdentical(t *testing.T) {
 	base := sessionSpecs(90)
 	delta := append([]workload.FuncSpec(nil), base...)
-	delta[10].ConstSalt += 7 // changed
-	delta[41].Seed += 1000   // changed (structurally)
+	delta[10].ConstSalt += 7                  // changed
+	delta[41].Seed += 1000                    // changed (structurally)
 	delta = append(delta[:60], delta[61:]...) // removed
 	delta = append(delta, workload.FuncSpec{  // added
 		Name: "fnew", Seed: 103, Scalar: ir.I64(), NumParams: 2,
@@ -169,6 +211,73 @@ func TestSessionWarmColdIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSessionWarmWorkFloor: a warm 1% constant delta on the xalancbmk
+// shrink (t=20, one worker, so every count repeats exactly) aligns at least
+// 5x fewer DP cells and evaluates the bound at least 5x less often than a
+// cold session on the same module, and merges identically. Warm sessions
+// owe this to the negative-attempt memo, which skips attempts outright, and
+// to the session-lived alignment memo, which answers more lookups warm than
+// a cold run answers from its own earlier alignments.
+func TestSessionWarmWorkFloor(t *testing.T) {
+	if raceDetector {
+		t.Skip("single-threaded; check.sh's serve gate runs it without -race")
+	}
+	t.Parallel()
+	opts := DefaultOptions()
+	opts.Threshold = 20
+	opts.Workers = 1
+	build := func(edit bool) *ir.Module {
+		m := workload.Build(xalancShrink(t))
+		if edit {
+			editConsts(m, 0.01, 1)
+		}
+		return m
+	}
+	warm, err := NewSession(SessionConfig{Explore: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := warm.Submit(build(false)); err != nil {
+		t.Fatal(err)
+	}
+	repWarm, d, err := warm.Submit(build(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Warm || d.Changed == 0 {
+		t.Fatalf("delta resubmit misclassified: %+v", d)
+	}
+	cold, err := NewSession(SessionConfig{Explore: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repCold, _, err := cold.Submit(build(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(outcomeOf(repWarm), outcomeOf(repCold)) {
+		t.Fatal("warm delta resubmit merged differently from a cold session")
+	}
+	t.Logf("align cells: cold %d, warm %d; bound evals: cold %d, warm %d; memo hits: cold %d, warm %d",
+		repCold.AlignCells, repWarm.AlignCells, repCold.BoundEvals, repWarm.BoundEvals,
+		repCold.AlignMemoHits, repWarm.AlignMemoHits)
+	if d.NegHits == 0 {
+		t.Error("the warm submit skipped no attempt through the negative-attempt memo")
+	}
+	if repWarm.AlignMemoHits <= repCold.AlignMemoHits {
+		t.Errorf("warm submit hit the alignment memo %d times, cold %d: no alignment carried over",
+			repWarm.AlignMemoHits, repCold.AlignMemoHits)
+	}
+	if repCold.AlignCells == 0 || repWarm.AlignCells*5 > repCold.AlignCells {
+		t.Errorf("warm submit aligned %d cells against cold %d: less than 5x fewer",
+			repWarm.AlignCells, repCold.AlignCells)
+	}
+	if repCold.BoundEvals == 0 || repWarm.BoundEvals*5 > repCold.BoundEvals {
+		t.Errorf("warm submit evaluated the bound %d times against cold %d: less than 5x fewer",
+			repWarm.BoundEvals, repCold.BoundEvals)
 	}
 }
 

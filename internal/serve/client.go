@@ -1,7 +1,7 @@
 package serve
 
-// Client is the in-process protocol client used by cmd/fmsa tooling, the
-// serve benchmark experiment and the tests. One goroutine reads response
+// Client is the in-process protocol client used by the serve-delta
+// benchmark workload and the tests. One goroutine reads response
 // frames and dispatches them to per-ticket waiters, so callers can pipeline
 // submits and collect results in any order.
 
@@ -91,12 +91,18 @@ func (cl *Client) readLoop() {
 
 // call registers a waiter, sends the request and returns the waiter
 // channel. Each request gets at most two responses (Accepted then Result),
-// so the channel is buffered for both and the read loop never blocks.
+// so the channel is buffered for both and the read loop never blocks. Once
+// the read loop has died nothing would answer or close the channel, so the
+// call fails with its terminal error instead.
 func (cl *Client) call(f wire.Frame) (uint64, chan wire.Frame, error) {
 	t := cl.ticket.Add(1)
 	f.Ticket = t
 	ch := make(chan wire.Frame, 2)
 	cl.mu.Lock()
+	if err := cl.readErr; err != nil {
+		cl.mu.Unlock()
+		return 0, nil, err
+	}
 	cl.pending[t] = ch
 	cl.mu.Unlock()
 	cl.wmu.Lock()

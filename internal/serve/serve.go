@@ -291,21 +291,10 @@ func (s *Server) serveConn(c net.Conn) {
 				fail(f.Session, f.Ticket, fmt.Sprintf("unknown session %d", f.Session))
 				continue
 			}
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
+			if !s.admit() {
 				write(wire.Frame{Kind: wire.FrameBusy, Session: f.Session, Ticket: f.Ticket})
 				continue
 			}
-			select {
-			case s.sem <- struct{}{}:
-			default:
-				// Admission bound hit: refuse now rather than queue bytes.
-				write(wire.Frame{Kind: wire.FrameBusy, Session: f.Session, Ticket: f.Ticket})
-				continue
-			}
-			s.inFlight.Add(1)
 			write(wire.Frame{Kind: wire.FrameAccepted, Session: f.Session, Ticket: f.Ticket})
 			se.queue <- submitJob{ticket: f.Ticket, payload: f.Payload}
 
@@ -323,6 +312,27 @@ func (s *Server) serveConn(c net.Conn) {
 			fail(f.Session, f.Ticket, fmt.Sprintf("unexpected frame kind %d from client", f.Kind))
 		}
 	}
+}
+
+// admit reserves an admission slot and counts the submit in flight, or
+// reports false when the server is draining or the bound is hit (refuse now
+// rather than queue bytes). The draining check and inFlight.Add share one
+// hold of s.mu: Shutdown sets draining under the same lock before it waits,
+// so every admitted submit is counted before that Wait starts and its
+// result is written before the connections close.
+func (s *Server) admit() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return false
+	}
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		return false
+	}
+	s.inFlight.Add(1)
+	return true
 }
 
 // openSession builds a warm session from the server's base options plus the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,6 +42,11 @@ func encodeSpecs(t *testing.T, specs []workload.FuncSpec) []byte {
 	for _, sp := range specs {
 		workload.Generate(m, sp)
 	}
+	return encodeModule(t, m)
+}
+
+func encodeModule(t *testing.T, m *ir.Module) []byte {
+	t.Helper()
 	data, err := wire.Encode(m)
 	if err != nil {
 		t.Fatal(err)
@@ -84,68 +90,165 @@ func submitWait(t *testing.T, cl *serve.Client, sess uint64, module []byte) serv
 	return res
 }
 
+// xalancShrink is 483.xalancbmk cut to 350 functions of at most 200
+// instructions: large enough that a warm 1% delta skips most of a cold
+// session's work, small enough for the race-detector suite.
+func xalancShrink(t *testing.T) workload.Profile {
+	t.Helper()
+	for _, p := range workload.SPECLike() {
+		if p.Name == "483.xalancbmk" {
+			p.NumFuncs = 350
+			p.MaxSize = min(p.MaxSize, 200)
+			return p
+		}
+	}
+	t.Fatal("483.xalancbmk missing from the SPEC-like suite")
+	return workload.Profile{}
+}
+
+// editConsts bumps the first integer constant of frac of m's definitions
+// (at least one), which changes their stable hashes and nothing else. salt
+// rotates the selection, so successive edits touch different functions.
+// Returns the number of functions edited.
+func editConsts(m *ir.Module, frac float64, salt int) int {
+	defs := m.Definitions()
+	want := max(int(float64(len(defs))*frac), 1)
+	edited := 0
+	for off := 0; off < len(defs) && edited < want; off++ {
+		f := defs[(off+salt*want)%len(defs)]
+		done := false
+		f.Insts(func(in *ir.Inst) {
+			for i := 0; i < in.NumOperands() && !done; i++ {
+				if ci, ok := in.Operand(i).(*ir.ConstInt); ok {
+					in.SetOperand(i, ir.NewConstInt(ci.Type(), ci.V+int64(salt)+1))
+					done = true
+				}
+			}
+		})
+		if done {
+			edited++
+		}
+	}
+	return edited
+}
+
 // TestServeWarmMatchesCold: a warm resubmit over the wire reports the same
 // merges (digest, counts, sizes) as a cold session fed the same module, and
-// the delta classification reflects the edit.
+// the delta classification reflects the edit. Every further resubmission of
+// the stream stays warm, and a closed session refuses submits. The inputs
+// are a small clone-family corpus and the xalancbmk shrink with a 1%
+// constant delta; the latter runs at worker counts 1, 2 and 8, which must
+// all agree, and streams five more deltas at one worker. Both run at t=2
+// like the other serve tests; TestSessionWarmWorkFloor covers the shrink's
+// warm delta at t=20 in process.
 func TestServeWarmMatchesCold(t *testing.T) {
-	_, addr := startServer(t, serve.Config{Explore: baseOpts()})
-	cl, err := serve.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	type input struct {
+		name    string
+		corpus  string
+		opts    explore.Options
+		modules [][]byte // base, then the resubmission stream
+		changed int      // functions the first resubmission edits
 	}
-	defer cl.Close()
-
 	base := testSpecs(40)
 	delta := append([]workload.FuncSpec(nil), base...)
 	delta[7].ConstSalt++
-
-	warm, err := cl.Open(nil)
-	if err != nil {
-		t.Fatal(err)
+	inputs := []input{{
+		name: "specs", corpus: "specs", opts: baseOpts(), changed: 1,
+		modules: [][]byte{encodeSpecs(t, base), encodeSpecs(t, delta)},
+	}}
+	m := workload.Build(xalancShrink(t))
+	shrink := [][]byte{encodeModule(t, m)}
+	changed := editConsts(m, 0.01, 1)
+	shrink = append(shrink, encodeModule(t, m))
+	for salt := 2; salt <= 6; salt++ {
+		editConsts(m, 0.01, salt)
+		shrink = append(shrink, encodeModule(t, m))
 	}
-	first := submitWait(t, cl, warm, encodeSpecs(t, base))
-	if first.Delta.Warm || first.Delta.Added != first.Delta.Funcs {
-		t.Fatalf("first submit misclassified: %+v", first.Delta)
-	}
-	if first.MergeOps == 0 {
-		t.Fatal("corpus produced no merges; the test corpus is too thin")
-	}
-	warmRes := submitWait(t, cl, warm, encodeSpecs(t, delta))
-	if !warmRes.Delta.Warm || warmRes.Delta.Changed != 1 {
-		t.Fatalf("warm resubmit misclassified: %+v", warmRes.Delta)
-	}
-
-	cold, err := cl.Open(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldRes := submitWait(t, cl, cold, encodeSpecs(t, delta))
-	if coldRes.Delta.Warm {
-		t.Fatalf("fresh session reported warm: %+v", coldRes.Delta)
+	for _, workers := range []int{1, 2, 8} {
+		opts := baseOpts()
+		opts.Workers = workers
+		inputs = append(inputs, input{
+			name: fmt.Sprintf("xalancbmk/workers=%d", workers), corpus: "xalancbmk", opts: opts,
+			modules: shrink, changed: changed,
+		})
+		shrink = shrink[:2] // the stream runs once, at one worker
 	}
 
-	if warmRes.RecordsDigest != coldRes.RecordsDigest ||
-		warmRes.MergeOps != coldRes.MergeOps ||
-		warmRes.SizeAfter != coldRes.SizeAfter ||
-		warmRes.CandidatesEvaluated != coldRes.CandidatesEvaluated {
-		t.Fatalf("warm and cold disagree over the wire\nwarm: %+v\ncold: %+v", warmRes, coldRes)
-	}
+	// The first worker count of a corpus also runs a cold session on the
+	// delta; later worker counts compare their own cold base submit and
+	// their warm delta against that one, since cold merges do not depend on
+	// the worker count.
+	type reference struct{ first, cold serve.Result }
+	refs := map[string]reference{}
+	for _, in := range inputs {
+		_, addr := startServer(t, serve.Config{Explore: in.opts})
+		cl, err := serve.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
 
-	if err := cl.CloseSession(warm); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.CloseSession(cold); err != nil {
-		t.Fatal(err)
-	}
-	// A submit to a closed session must fail loudly, not hang.
-	if _, err := cl.Submit(warm, encodeSpecs(t, base)); err == nil {
-		t.Fatal("submit to a closed session succeeded")
-	} else {
-		var re *serve.RemoteError
-		if !errors.As(err, &re) {
-			t.Fatalf("got %v, want RemoteError", err)
+		warm, err := cl.Open(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := submitWait(t, cl, warm, in.modules[0])
+		if first.Delta.Warm || first.Delta.Added != first.Delta.Funcs {
+			t.Fatalf("%s: first submit misclassified: %+v", in.name, first.Delta)
+		}
+		if first.MergeOps == 0 {
+			t.Fatalf("%s: corpus produced no merges; the test corpus is too thin", in.name)
+		}
+		warmRes := submitWait(t, cl, warm, in.modules[1])
+		if !warmRes.Delta.Warm || warmRes.Delta.Changed != in.changed {
+			t.Fatalf("%s: warm resubmit misclassified: %+v", in.name, warmRes.Delta)
+		}
+
+		ref, seen := refs[in.corpus]
+		if !seen {
+			cold, err := cl.Open(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref = reference{first: first, cold: submitWait(t, cl, cold, in.modules[1])}
+			if ref.cold.Delta.Warm {
+				t.Fatalf("%s: fresh session reported warm: %+v", in.name, ref.cold.Delta)
+			}
+			if err := cl.CloseSession(cold); err != nil {
+				t.Fatal(err)
+			}
+			refs[in.corpus] = ref
+		} else if !sameMerges(first, ref.first) {
+			t.Fatalf("%s: cold base submit differs from the first worker count\ngot:  %+v\nwant: %+v", in.name, first, ref.first)
+		}
+		if !sameMerges(warmRes, ref.cold) {
+			t.Fatalf("%s: warm and cold disagree over the wire\nwarm: %+v\ncold: %+v", in.name, warmRes, ref.cold)
+		}
+
+		for i, mod := range in.modules[2:] {
+			if res := submitWait(t, cl, warm, mod); !res.Delta.Warm {
+				t.Fatalf("%s: stream resubmission %d ran cold: %+v", in.name, i+1, res.Delta)
+			}
+		}
+
+		if err := cl.CloseSession(warm); err != nil {
+			t.Fatal(err)
+		}
+		// A submit to a closed session must fail loudly, not hang.
+		if _, err := cl.Submit(warm, in.modules[0]); err == nil {
+			t.Fatalf("%s: submit to a closed session succeeded", in.name)
+		} else {
+			var re *serve.RemoteError
+			if !errors.As(err, &re) {
+				t.Fatalf("%s: got %v, want RemoteError", in.name, err)
+			}
 		}
 	}
+}
+
+func sameMerges(a, b serve.Result) bool {
+	return a.RecordsDigest == b.RecordsDigest && a.MergeOps == b.MergeOps &&
+		a.SizeAfter == b.SizeAfter && a.CandidatesEvaluated == b.CandidatesEvaluated
 }
 
 // TestServeOpenOverrides: per-session option overrides apply and isolation
@@ -346,5 +449,83 @@ func TestServeRejectsGarbage(t *testing.T) {
 	res := submitWait(t, cl, sess, encodeSpecs(t, testSpecs(30)))
 	if res.MergeOps == 0 {
 		t.Fatal("session unusable after a rejected submit")
+	}
+}
+
+// TestServeShutdownAdmissionRace: submits racing Shutdown are either
+// admitted and answered, or refused with Busy, or cut off with a connection
+// error — an admitted submit is never dropped. Several connections keep
+// their readers in the admission path while Shutdown starts, over many
+// short-lived servers.
+func TestServeShutdownAdmissionRace(t *testing.T) {
+	iters := 100
+	if testing.Short() {
+		iters = 20
+	}
+	opts := baseOpts()
+	opts.Workers = 1
+	module := encodeSpecs(t, testSpecs(3))
+	const conns, submitters = 3, 2
+	for it := 0; it < iters; it++ {
+		srv := serve.New(serve.Config{Explore: opts, MaxInFlight: conns * submitters})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		var wg sync.WaitGroup
+		errs := make(chan error, conns*submitters)
+		started := make(chan struct{}, conns*submitters)
+		var clients []*serve.Client
+		for c := 0; c < conns; c++ {
+			cl, err := serve.Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			clients = append(clients, cl)
+			sess, err := cl.Open(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := 0; g < submitters; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := 0; ; n++ {
+						if n == 1 {
+							started <- struct{}{}
+						}
+						p, err := cl.Submit(sess, module)
+						if err != nil {
+							var re *serve.RemoteError
+							if errors.As(err, &re) {
+								errs <- fmt.Errorf("iteration %d: submit: %v", it, err)
+							}
+							return // Busy or a severed connection: the server drains
+						}
+						if _, err := p.Wait(); err != nil {
+							errs <- fmt.Errorf("iteration %d: admitted submit lost: %v", it, err)
+							return
+						}
+					}
+				}()
+			}
+		}
+		for i := 0; i < conns*submitters; i++ {
+			<-started
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("iteration %d: shutdown: %v", it, err)
+		}
+		cancel()
+		wg.Wait()
+		for _, cl := range clients {
+			cl.Close()
+		}
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 	}
 }

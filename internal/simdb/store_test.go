@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +66,7 @@ func exported(recs []*Record) []Record {
 		out[i] = Record{
 			Hash: r.Hash, Name: r.Name, Linkage: r.Linkage, SelfEq: r.SelfEq,
 			Size: r.Size, Key: append([]byte(nil), r.Key...), Fp: r.Fp, Sig: r.Sig,
+			Bands: append([]uint64(nil), r.Bands...),
 		}
 	}
 	return out
@@ -146,6 +148,9 @@ func TestStoreReopenRoundTrip(t *testing.T) {
 		}
 		if g.Sig != nil && *g.Sig != *w.Sig {
 			t.Fatalf("record %d signature lanes differ", i)
+		}
+		if !slices.Equal(g.Bands, w.Bands) || (w.Sig != nil && len(w.Bands) == 0) {
+			t.Fatalf("record %d band keys differ:\ngot  %v\nwant %v", i, g.Bands, w.Bands)
 		}
 	}
 }

@@ -15,9 +15,14 @@
 #  - fuzz-roundtrip / fuzz-decode-verify: short smoke-fuzz of the textual
 #    parse/print round trip and of the wire decoder + staged IR verifier
 #    (the decoder must never accept a module the verifier rejects).
-#  - verify-sweep: the staged verifier finds zero diagnostics at every
-#    pipeline boundary on the quick corpus, verification never changes
-#    merge decisions, and the fast level stays within its overhead budget.
+#  - verify-sweep: explore's TestVerifyBoundaries and TestVerifyCleanCorpus
+#    — on the paper-scale profiles plus the quick SPEC-like and
+#    MiBench-like corpora, the staged verifier finds zero full-level
+#    diagnostics after print->reparse, the wire round trip and a 4-unit
+#    split plus relink; merging draws no finding at the fast or the full
+#    level (the full level across the whole corpus); verify off and full
+#    commit the same merges and text; and the fast level's own time stays
+#    within 5% of the same runs' exploration wall clock.
 #  - rank: explore's TestLSHRecallTop1 — the MinHash/LSH ranking keeps
 #    top-1 recall >= 0.95 against the exact scan with zero fallbacks, on two
 #    synthetic recall corpora and on 483.xalancbmk at t=1.
@@ -49,19 +54,24 @@
 #  - fuzz-serve-frame: short smoke-fuzz of the daemon frame codec (decode
 #    must reject what it cannot re-encode byte-identically, and never
 #    panic or over-read).
-#  - serve: the warm merge-session daemon experiment in quick mode — a
-#    load test over a live server (cold submit, warm delta resubmission,
-#    stream latency, warm/cold bit-identity across worker counts,
-#    admission backpressure, graceful drain). The 5x warm-speedup floor
-#    applies to the full-size run (fmsa-bench -exp serve), not quick mode.
+#  - serve: serve's TestServeWarmMatchesCold, TestServeBackpressure,
+#    TestServeGracefulDrain and TestServeShutdownAdmissionRace, plus
+#    explore's TestSessionWarmWorkFloor — over a live server, a warm 1%
+#    delta of the 350-function 483.xalancbmk shrink merges like a cold
+#    session for workers 1/2/8 and every stream resubmission stays warm; a
+#    1-slot server answers a burst with Busy; admitted work survives
+#    Shutdown, also when submits race it; and in-process the warm delta
+#    aligns and bounds at least 5x less than a cold session (exact counts).
 #  - fuzz-simdb: short smoke-fuzz of the fmdb segment walker (corrupt or
 #    truncated segments must error, never panic or over-read, and accepted
 #    input must walk->encode->walk losslessly).
-#  - simdb: the persistent similarity database experiment in quick mode —
-#    store-backed startup vs full rebuild, probe answers checked against a
-#    from-scratch index, merge-decision bit-identity across worker counts
-#    on a shared segment. The 3x startup-speedup floor applies to the
-#    full-size run (fmsa-bench -exp simdb), not quick mode.
+#  - simdb: explore's TestSessionStoreColdIdentical, simdb's
+#    TestStoreReopenRoundTrip and TestStoreNeverResurrects, and lsh's
+#    TestNewFromBandKeysMatchesInserts — store-backed sessions on a shared
+#    segment merge like storeless ones for workers 1/2/8 (the xalancbmk
+#    shrink under LSH among the inputs), a restart recomputes exactly the
+#    edited functions, reopened records keep every field, and a rehydrated
+#    index answers every probe like a fresh one.
 #  - perfbench-selftest: the layered benchmark's own self-tests in short
 #    mode (its output checks and metric schema, about 2 s). perfbench is a
 #    separate Go module, so the root `go test ./...` never runs them; an IR
@@ -106,7 +116,7 @@ gate audit-corpus       go test -run 'TestAuditCleanCorpus' -count=1 ./internal/
 gate fuzz-roundtrip     go test -run '^$' -fuzz 'FuzzRoundTrip' -fuzztime 10s ./internal/ir/
 gate fuzz-decode-verify go test -run '^$' -fuzz 'FuzzDecodeVerify' -fuzztime 10s ./internal/wire/
 gate fuzz-stablehash    go test -run '^$' -fuzz 'FuzzStableHash' -fuzztime 10s ./internal/global/
-gate verify-sweep       go run ./cmd/fmsa-bench -exp verify -quick -runs 3
+gate verify-sweep       go test -count=1 -run '^(TestVerifyBoundaries|TestVerifyCleanCorpus)$' ./internal/explore/
 gate rank               go test -count=1 -run '^TestLSHRecallTop1$' ./internal/explore/
 gate kernels            go test -count=1 -run 'TestCodedKernelsMatchOracle|TestContract|TestKernelCrossCheck' ./internal/align/ ./internal/encode/ ./internal/explore/
 gate bound              go test -count=1 -run '^TestBoundDecisionInvariance$' ./internal/explore/
@@ -114,9 +124,9 @@ gate bound-huge         go test -run TestBoundPrunesHugeBodyPairs -count=1 ./int
 gate ingest             go test -count=1 -run '^TestIngestFormatsAgree$' ./internal/wire/
 gate global             go test -count=1 -run '^TestGlobalQuickCorpora$' ./internal/global/
 gate fuzz-serve-frame   go test -run '^$' -fuzz 'FuzzServeFrame' -fuzztime 10s ./internal/wire/
-gate serve              go run ./cmd/fmsa-bench -exp serve -quick
+gate serve              go test -count=1 -run '^(TestServeWarmMatchesCold|TestServeBackpressure|TestServeGracefulDrain|TestServeShutdownAdmissionRace|TestSessionWarmWorkFloor)$' ./internal/serve/ ./internal/explore/
 gate fuzz-simdb         go test -run '^$' -fuzz 'FuzzSimDBSegment' -fuzztime 10s ./internal/wire/
-gate simdb              go run ./cmd/fmsa-bench -exp simdb -quick
+gate simdb              go test -count=1 -run '^(TestSessionStoreColdIdentical|TestStoreReopenRoundTrip|TestStoreNeverResurrects|TestNewFromBandKeysMatchesInserts)$' ./internal/explore/ ./internal/simdb/ ./internal/lsh/
 gate perfbench-selftest env GOTOOLCHAIN=local GOPROXY=off GOWORK=off go -C perfbench test -short ./...
 
 echo "all gates passed"
