@@ -42,7 +42,6 @@ func main() {
 		verifyLvl   = flag.String("verify", "full", "IR verification level inside exploration: off, fast or full")
 		maxInFlight = flag.Int("maxinflight", serve.DefaultMaxInFlight, "admitted-but-unfinished submits across all sessions; beyond it clients get Busy")
 		maxPayload  = flag.Int("maxpayload", 0, "largest accepted frame payload in bytes (0 = default)")
-		summaries   = flag.Bool("summaries", false, "track per-session function summaries (cross-TU planning input)")
 		dbPath      = flag.String("db", "", "persistent similarity database segment shared by all sessions and restarts (empty = off)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 		drainWait   = flag.Duration("drain", time.Minute, "graceful-drain budget on SIGINT/SIGTERM before connections are severed")
@@ -91,7 +90,6 @@ func main() {
 		Explore:     opts,
 		MaxInFlight: *maxInFlight,
 		MaxPayload:  *maxPayload,
-		Summaries:   *summaries,
 		Store:       store,
 	})
 	ln, err := net.Listen("tcp", *addr)

@@ -105,13 +105,10 @@ func newRankCache(r *runner, t int) *rankCache {
 	}
 	if ls := r.lsh; ls != nil {
 		sigs := make([]*fingerprint.Signature, len(scan))
-		selves := make([]int32, len(scan))
 		for j, i := range scan {
-			id := ls.id[r.pool[i]]
-			selves[j] = id
-			sigs[j] = ls.sigs[id]
+			sigs[j] = ls.sigs[i]
 		}
-		probes := ls.idx.ProbeBatch(sigs, selves, r.workers)
+		probes := ls.idx.ProbeBatch(sigs, scan, r.workers)
 		parallelFor(len(scan), r.workers, func(j int) {
 			i := scan[j]
 			built[i] = c.finishScan(int(i), c.rankIDsDepth(r.pool[i], probes[j], depth))
@@ -185,11 +182,7 @@ func (c *rankCache) applyCommit(f1, f2, entered *ir.Func) {
 	}
 	fpg := c.r.fpOf(entered)
 	if ls := c.r.lsh; ls != nil {
-		for _, id := range ls.idx.Probe(ls.sigOf(entered), ls.id[entered]) {
-			pi := id
-			if ls.toPool != nil {
-				pi = ls.toPool[id]
-			}
+		for _, pi := range ls.probe(c.r.poolIdx[entered]) {
 			owner := c.r.pool[pi]
 			if rl := c.lists[owner]; rl != nil {
 				c.offer(owner, rl, entered, fpg)
@@ -229,7 +222,7 @@ func (rl *rankList) purge(r *runner) {
 // index in LSH mode.
 func (c *rankCache) scanTop(f *ir.Func) []candidate {
 	if ls := c.r.lsh; ls != nil {
-		return c.rankIDs(f, ls.idx.Probe(ls.sigOf(f), ls.id[f]))
+		return c.rankIDs(f, ls.probe(c.r.poolIdx[f]))
 	}
 	return c.scanExact(f, c.t)
 }
@@ -387,49 +380,28 @@ func (ix *sizeIndex) remove(size, pi int32) {
 	}
 }
 
-// rankIDs ranks the probed bucket-mates of f. ids arrive sorted ascending —
-// pool insertion order — so the bounded insertion produces exactly the
-// ordering scanExact would give the same candidate set. The ids come from
-// a probe of the live index, which holds exactly the live pool members, so no
-// inPool check is needed; fingerprints come from the id-indexed mirror.
+// rankIDs ranks the probed bucket-mates of f. ids are pool indices sorted
+// ascending — pool insertion order — so the bounded insertion produces
+// exactly the ordering scanExact would give the same candidate set. The ids
+// come from a probe of the live index, which holds exactly the live pool
+// members, so no liveness check is needed.
 func (c *rankCache) rankIDs(f *ir.Func, ids []int32) []candidate {
 	return c.rankIDsDepth(f, ids, c.t)
 }
 
-// rankIDsDepth is rankIDs at an explicit depth. On warm runs the probed ids
-// are session ids in session order, not pool order — they are mapped
-// through toPool and re-sorted so the bounded insertion still sees pool
-// insertion order, the ranking's deterministic tie-break.
+// rankIDsDepth is rankIDs at an explicit depth.
 func (c *rankCache) rankIDsDepth(f *ir.Func, ids []int32, depth int) []candidate {
 	r := c.r
-	ls := r.lsh
 	fp := r.fpOf(f)
 	best := make([]candidate, 0, min(depth, 16)+1)
 	var probes, skips int64
-	if ls.toPool != nil {
-		pis := make([]int32, 0, len(ids))
-		for _, id := range ids {
-			pis = append(pis, ls.toPool[id])
+	for _, pi := range ids {
+		g := r.pool[pi]
+		if g == f || !r.samePartition(f, g) {
+			continue
 		}
-		slices.Sort(pis)
-		for _, pi := range pis {
-			g := r.pool[pi]
-			if g == f || !r.samePartition(f, g) {
-				continue
-			}
-			probes++
-			best = r.consider(fp, best, g, r.poolFPs[pi], r.poolSizes[pi], depth, &skips)
-		}
-	} else {
-		for _, id := range ids {
-			g := r.pool[id]
-			if g == f || !r.samePartition(f, g) {
-				continue
-			}
-			probes++
-			fpg := ls.fps[id]
-			best = r.consider(fp, best, g, fpg, fpg.Total, depth, &skips)
-		}
+		probes++
+		best = r.consider(fp, best, g, r.poolFPs[pi], r.poolSizes[pi], depth, &skips)
 	}
 	atomic.AddInt64(&r.rankProbes, probes)
 	atomic.AddInt64(&r.rankSkips, skips)

@@ -65,7 +65,7 @@ func (r *runner) setupCaches() {
 			// hit, so a stale entry can only miss, never mislead.
 			r.opts.Merge.AlignMemo = r.seed.memo
 		} else {
-			r.opts.Merge.AlignMemo = newAlignMemo(r.opts.AlignMemoCap)
+			r.opts.Merge.AlignMemo = newAlignMemo(r.opts.alignMemoCap)
 		}
 	}
 	// The cost memo serves ProfitWithStatsMemo even when bounding is off

@@ -21,7 +21,6 @@ import (
 	"fmsa/internal/encode"
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
-	"fmsa/internal/lsh"
 	"fmsa/internal/passes"
 	"fmsa/internal/tti"
 )
@@ -69,23 +68,14 @@ type Options struct {
 	Audit AuditMode
 	// Ranking selects the candidate-ranking path (see ranking.go): RankExact
 	// (the default — full pool scans, the paper's mechanism) or RankLSH
-	// (banded MinHash index, sub-quadratic; falls back to exact below
-	// LSHMinPool). Like Workers, Ranking LSH is deterministic: the committed
-	// merge sequence is identical for every Workers value, though it may
-	// differ from RankExact's when a probe misses a candidate an exhaustive
-	// scan would have found. The unbounded oracle ranks nothing and ignores
-	// this knob.
+	// (banded MinHash index with lsh.DefaultParams, sub-quadratic; falls
+	// back to exact below DefaultLSHMinPool, a cutoff exploration never
+	// re-evaluates as merges shrink the pool). Like Workers, Ranking LSH is
+	// deterministic: the committed merge sequence is identical for every
+	// Workers value, though it may differ from RankExact's when a probe
+	// misses a candidate an exhaustive scan would have found. The unbounded
+	// oracle ranks nothing and ignores this knob.
 	Ranking RankingMode
-	// LSH configures the banded MinHash index used by RankLSH; the zero
-	// value selects lsh.DefaultParams.
-	LSH lsh.Params
-	// LSHMinPool is the initial-pool-size cutoff below which RankLSH falls
-	// back to the exact scan. Zero selects DefaultLSHMinPool; exploration
-	// never re-evaluates the cutoff as merges shrink the pool.
-	LSHMinPool int
-	// AlignMemoCap bounds the memo's entry count; zero selects
-	// DefaultAlignMemoCap.
-	AlignMemoCap int
 	// Verify gates IR through the staged verifier (ir.VerifyFuncLevel):
 	// every winning merged function is verified before the audit gate, and
 	// the final module is verified once after the run. Like committed-mode
@@ -105,6 +95,11 @@ type Options struct {
 	// rejected, so bounding never changes merge decisions;
 	// TestBoundDecisionInvariance proves it.
 	noBound bool
+	// lshMinPool and alignMemoCap are test hooks that override
+	// DefaultLSHMinPool (so small test pools engage the index) and the
+	// alignment memo's entry bound (DefaultAlignMemoCap, or
+	// DefaultSessionAlignMemoCap in a session); zero keeps the default.
+	lshMinPool, alignMemoCap int
 }
 
 // DefaultOptions returns the paper's default configuration (t=1, Intel
@@ -197,7 +192,7 @@ type Report struct {
 	// because the size-ratio bound had already fallen below its floor.
 	RankPrefilterSkips int64
 	// RankFallbacks counts explorations that requested LSH ranking but fell
-	// back to the exact scan because the pool was below Options.LSHMinPool.
+	// back to the exact scan because the pool was below DefaultLSHMinPool.
 	RankFallbacks int
 	// AlignCells counts dynamic-programming cells the alignment kernels
 	// actually computed (memo hits add nothing). Like the four cache
@@ -592,10 +587,10 @@ func (r *runner) commit(res *core.Result, profit, rank int) {
 	if r.cache != nil {
 		tRank := time.Now()
 		if r.lsh != nil {
-			r.lsh.retire(res.F1)
-			r.lsh.retire(res.F2)
+			r.lsh.retire(r.poolIdx[res.F1])
+			r.lsh.retire(r.poolIdx[res.F2])
 			if entered != nil {
-				r.lsh.admit(entered, r.fpOf(entered), int32(len(r.pool)-1))
+				r.lsh.admit(entered)
 			}
 		}
 		r.cache.applyCommit(res.F1, res.F2, entered)

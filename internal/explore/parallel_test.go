@@ -63,14 +63,14 @@ func TestParallelDeterminism(t *testing.T) {
 		{"greedy-lsh-t1", func() Options {
 			o := DefaultOptions()
 			o.Ranking = RankLSH
-			o.LSHMinPool = 1 // demo pool is small; force the LSH path
+			o.lshMinPool = 1 // demo pool is small; force the LSH path
 			return o
 		}()},
 		{"greedy-lsh-t10", func() Options {
 			o := DefaultOptions()
 			o.Threshold = 10
 			o.Ranking = RankLSH
-			o.LSHMinPool = 1
+			o.lshMinPool = 1
 			return o
 		}()},
 		{"oracle-cap8-lsh", func() Options {
@@ -78,7 +78,7 @@ func TestParallelDeterminism(t *testing.T) {
 			o.Oracle = true
 			o.OracleCap = 8
 			o.Ranking = RankLSH
-			o.LSHMinPool = 1
+			o.lshMinPool = 1
 			return o
 		}()},
 		// Cache matrix: the default configs above already run with both
@@ -94,7 +94,7 @@ func TestParallelDeterminism(t *testing.T) {
 		{"greedy-memo-cap2", func() Options {
 			o := DefaultOptions()
 			o.Threshold = 5
-			o.AlignMemoCap = 2
+			o.alignMemoCap = 2
 			return o
 		}()},
 		// Pre-codegen bounding must be decision-invisible: the bound-off
@@ -299,7 +299,7 @@ func TestRankCacheMatchesFullRescan(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Threshold = 10
 			opts.Ranking = mode
-			opts.LSHMinPool = 1
+			opts.lshMinPool = 1
 			opts.Workers = 1
 			r := setup(m, opts)
 			if mode == RankLSH && r.lsh == nil {

@@ -8,8 +8,10 @@ package explore
 // likely-similar bucket-mates are exactly scored. Exact remains the default
 // and the recall oracle; LSH is selected with Options.Ranking = RankLSH and
 // falls back to the exact scan when the initial pool is smaller than
-// Options.LSHMinPool (index construction only pays off once the quadratic
-// scan dominates).
+// DefaultLSHMinPool (index construction only pays off once the quadratic
+// scan dominates). Every run that ranks through LSH, cold or a session
+// submit, builds its index once at setup over the current pool and drops it
+// with the run.
 //
 // Determinism: signatures use fixed seeds and content-derived type hashes
 // (fingerprint.ComputeSignature), index members are pool-insertion indices,
@@ -72,123 +74,83 @@ func ParseRankingMode(s string) (RankingMode, error) {
 // 23% of its pairs, at 99.0% top-1 recall (TestLSHRecallTop1 gates the
 // recall on that corpus).
 // The cutoff stays put regardless. It only applies when a caller asks for
-// RankLSH, and the callers that do (fmsa-serve sessions and the similarity
-// database) need LSH for its stored signatures and incremental index, not
-// for ranking speed. Moving it would change which pools those callers
-// rank exactly, and so their merge decisions.
+// RankLSH (fmsa -ranking lsh, fmsa-serve sessions opened with it, and the
+// serve-delta benchmark), and moving it would change which pools those
+// callers rank exactly, and so their merge decisions. Sessions keep no
+// index across submits, so no caller needs RankLSH for anything but its
+// ranking.
 const DefaultLSHMinPool = 512
 
+// useLSH reports whether a run over an n-member initial pool ranks through
+// the LSH index: RankLSH was requested and the pool reaches the cutoff.
+// Runs and sessions both decide the mode here.
+func useLSH(opts Options, n int) bool {
+	if opts.Ranking != RankLSH {
+		return false
+	}
+	minPool := opts.lshMinPool
+	if minPool == 0 {
+		minPool = DefaultLSHMinPool
+	}
+	return n >= minPool
+}
+
 // lshState is the LSH ranking machinery of one exploration run: the banded
-// index plus the signature and id bookkeeping that keeps it consistent as
-// commits retire pool functions and add merged ones.
+// index over pool insertion indices, and the members' signatures, parallel
+// to runner.pool (nil once pool[i] is consumed). Fingerprints and pool
+// indices come from the runner itself.
 type lshState struct {
-	params lsh.Params
-	idx    *lsh.Index
-	// sigs and fps are indexed by member id. On a cold run ids are pool
-	// insertion indices, so both are parallel to runner.pool (nil after
-	// pool[i] is consumed); on a warm run ids are the session's stable
-	// member ids. fps mirrors runner.poolFPs so the probe-scoring inner loop
-	// indexes a slice instead of hashing a map key per candidate.
+	idx  *lsh.Index
 	sigs []*fingerprint.Signature
-	fps  []*fingerprint.Fingerprint
-	// id maps live pool members to their index id.
-	id map[*ir.Func]int32
-	// toPool, non-nil only on warm runs, maps a member id to its pool
-	// insertion index; ranking scans restore pool order through it.
-	toPool []int32
-	// journal, non-nil only on warm runs, records the run's index churn —
-	// retires keep their sigs/fps slots alive — so the session can roll the
-	// shared index back to its pre-run state after the run.
-	journal *lshJournal
 }
 
-// lshJournal logs one warm run's index mutations in order.
-type lshJournal struct {
-	admitted, retired []int32
+// newLSHState indexes sigs, the signatures of a freshly set-up pool, under
+// ids equal to their pool indices. Cold runs and session submits both build
+// their index here, once per run.
+func newLSHState(sigs []*fingerprint.Signature, workers int) *lshState {
+	return &lshState{idx: lsh.NewFromSignatures(lsh.DefaultParams(), sigs, workers), sigs: sigs}
 }
 
-// initLSH builds the LSH state when the run requests it and the pool is
-// large enough; otherwise it records the fallback and leaves r.lsh nil.
-// Called from setup inside the Ranking-phase timer. Seeded runs adopt the
-// session's pre-built state (or its pre-decided fallback) as is.
+// initLSH builds the LSH state when the run ranks through it and records
+// the fallback when RankLSH was requested on a pool below the cutoff.
+// Called from setup inside the Ranking-phase timer. A seeded run adopts the
+// index its session built over the same pool.
 func (r *runner) initLSH() {
-	if r.seed != nil {
-		r.lsh = r.seed.lsh
-		if r.seed.fallback {
+	if !useLSH(r.opts, len(r.pool)) {
+		if r.opts.Ranking == RankLSH {
 			r.rep.RankFallbacks++
 		}
 		return
 	}
-	if r.opts.Ranking != RankLSH {
+	if r.seed != nil {
+		r.lsh = r.seed.lsh
 		return
 	}
-	minPool := r.opts.LSHMinPool
-	if minPool == 0 {
-		minPool = DefaultLSHMinPool
-	}
-	if len(r.pool) < minPool {
-		r.rep.RankFallbacks++
-		return
-	}
-	ls := &lshState{
-		params: r.opts.LSH,
-		sigs:   make([]*fingerprint.Signature, len(r.pool)),
-		fps:    make([]*fingerprint.Fingerprint, len(r.pool)),
-		id:     make(map[*ir.Func]int32, len(r.pool)),
-	}
+	sigs := make([]*fingerprint.Signature, len(r.pool))
 	parallelFor(len(r.pool), r.workers, func(i int) {
-		ls.sigs[i] = fingerprint.ComputeSignature(r.pool[i])
+		sigs[i] = fingerprint.ComputeSignature(r.pool[i])
 	})
-	ls.idx = lsh.NewSized(ls.params, len(r.pool))
-	ls.params = ls.idx.Params() // normalized
-	for i, f := range r.pool {
-		ls.fps[i] = r.poolFPs[i]
-		ls.id[f] = int32(i)
-		ls.idx.Insert(int32(i), ls.sigs[i])
-	}
-	r.lsh = ls
+	r.lsh = newLSHState(sigs, r.workers)
 }
 
-// sigOf returns a live pool member's signature.
-func (ls *lshState) sigOf(f *ir.Func) *fingerprint.Signature {
-	return ls.sigs[ls.id[f]]
+// probe returns the live pool indices sharing a band bucket with pool
+// member pi, ascending.
+func (ls *lshState) probe(pi int32) []int32 {
+	return ls.idx.Probe(ls.sigs[pi], pi)
 }
 
-// retire removes a consumed function from the index. Warm runs journal the
-// id and keep its sigs/fps slots alive so the session can re-insert the
-// exact signature when rolling the shared index back.
-func (ls *lshState) retire(f *ir.Func) {
-	id, ok := ls.id[f]
-	if !ok {
-		return
-	}
-	ls.idx.Remove(id)
-	delete(ls.id, f)
-	if ls.journal != nil {
-		ls.journal.retired = append(ls.journal.retired, id)
-		return
-	}
-	ls.sigs[id] = nil
-	ls.fps[id] = nil
+// retire removes consumed pool member pi from the index.
+func (ls *lshState) retire(pi int32) {
+	ls.idx.Remove(pi)
+	ls.sigs[pi] = nil
 }
 
-// admit indexes the merged function that just joined the pool at position
-// poolIdx == len(pool)-1. The member id is the next sigs slot: on a cold
-// run that equals poolIdx (sigs stay parallel to the pool), on a warm run
-// it is the next session id.
-func (ls *lshState) admit(f *ir.Func, fp *fingerprint.Fingerprint, poolIdx int32) {
+// admit indexes f, the merged function that just joined the pool as its
+// last member, so sigs stays parallel to the pool.
+func (ls *lshState) admit(f *ir.Func) {
 	sig := fingerprint.ComputeSignature(f)
-	id := int32(len(ls.sigs))
+	ls.idx.Insert(int32(len(ls.sigs)), sig)
 	ls.sigs = append(ls.sigs, sig)
-	ls.fps = append(ls.fps, fp)
-	if ls.toPool != nil {
-		ls.toPool = append(ls.toPool, poolIdx)
-	}
-	ls.id[f] = id
-	ls.idx.Insert(id, sig)
-	if ls.journal != nil {
-		ls.journal.admitted = append(ls.journal.admitted, id)
-	}
 }
 
 // flushRankCounters folds the atomic scan counters into the report.

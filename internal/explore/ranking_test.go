@@ -10,8 +10,8 @@ import (
 )
 
 // recallProfile mirrors the clone mix of the suite's large templated C++
-// corpora (xalancbmk/dealII) at a size large enough that the default
-// LSHMinPool cutoff does not force a fallback.
+// corpora (xalancbmk/dealII) at a size large enough that the
+// DefaultLSHMinPool cutoff does not force a fallback.
 func recallProfile(seed int64) workload.Profile {
 	return workload.Profile{
 		Name: "recall", NumFuncs: 1600, AvgSize: 30, MaxSize: 120,
@@ -140,8 +140,9 @@ func TestLSHRecallTop1(t *testing.T) {
 	}
 }
 
-// TestLSHFallbackBelowCutoff: on a pool smaller than LSHMinPool the LSH mode
-// must record one fallback and reproduce the exact-mode run bit for bit.
+// TestLSHFallbackBelowCutoff: on a pool smaller than DefaultLSHMinPool the
+// LSH mode must record one fallback and reproduce the exact-mode run bit for
+// bit.
 func TestLSHFallbackBelowCutoff(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 5

@@ -1,22 +1,21 @@
 package explore
 
-// Warm-state merge sessions (ROADMAP item 2). A Session owns every
-// cross-run artifact the pipeline previously rebuilt from scratch on each
-// invocation — the LSH index, the encode interner feeding the seq caches,
-// the alignment memo, the stable-hash content tables, the stored initial
-// candidate rankings and the optional .fmsum summary table — and resubmits
-// pay only for what a delta touched:
+// Warm-state merge sessions. A Session owns every cross-run artifact whose
+// validity survives a corpus edit — per-function fingerprints and MinHash
+// signatures, the encode interner feeding the seq caches, the alignment
+// memo, the stable-hash content tables and the stored initial candidate
+// rankings — and resubmits pay only for what a delta touched:
 //
 //  1. Diff. The submitted module is φ-demoted, its pool derived, and every
 //     pool function's canonical structural key computed. Names are classed
 //     unchanged / changed / added against the session table (byte-verified
 //     key equality on self-comparable bodies; anything weaker is treated
 //     as changed), and names that left the pool are removed.
-//  2. Evict + reinsert. Changed and removed members leave the persistent
-//     LSH index; changed and added members are fingerprinted, signed and
-//     inserted under fresh session ids. Canonical sorted buckets make the
-//     index state a pure function of the live membership, so this is
-//     exactly the index a cold build of the new corpus produces.
+//  2. Fingerprint. Changed and added members are fingerprinted (and, in LSH
+//     mode, signed); unchanged members keep theirs. In LSH mode the submit
+//     then indexes the whole pool under pool indices — the very index a
+//     cold run builds, from cached signatures — and the run uses and drops
+//     it: a warm submit is a cold run over cached per-function state.
 //  3. Reconcile rankings. Stored initial candidate lists (kept at depth 2t
 //     so evictions cannot expose unstored candidates) are pruned of
 //     changed/removed members and offered the changed/added ones; lists
@@ -26,9 +25,6 @@ package explore
 //     negative-attempt memo additionally skips (content, content, caller
 //     stats) attempt classes an earlier run already priced unprofitable,
 //     which on a small delta eliminates nearly all alignment and codegen.
-//  5. Roll back. The run's own index churn (retired winners, admitted
-//     merged functions) is journaled and undone, returning the session
-//     index to the pre-run corpus state the next diff expects.
 //
 // Warm submissions are bit-identical to cold ones: every reused artifact
 // is content-verified or provably equal to what a cold run rebuilds, and
@@ -48,26 +44,18 @@ import (
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/global"
 	"fmsa/internal/ir"
-	"fmsa/internal/lsh"
 	"fmsa/internal/passes"
 	"fmsa/internal/simdb"
 	"fmsa/internal/tti"
-	"fmsa/internal/wire"
 )
 
 // SessionConfig configures a Session.
 type SessionConfig struct {
 	// Explore is the pinned exploration configuration. Oracle and
-	// Partition are rejected; AlignMemoCap zero selects the session
-	// default (DefaultSessionAlignMemoCap).
+	// Partition are rejected. The session's alignment memo holds up to
+	// DefaultSessionAlignMemoCap entries and its content tables up to
+	// simdb's DefaultKeyTableCap and DefaultNegMemoCap.
 	Explore Options
-	// NegMemoCap and KeyTableCap bound the session content tables; zero
-	// selects the defaults.
-	NegMemoCap  int
-	KeyTableCap int
-	// Summaries maintains a .fmsum summary table for the submitted corpus
-	// (global.SummarizeFunc per live entry, recomputed only on change).
-	Summaries bool
 	// Store is an optional persistent similarity database. Submissions look
 	// changed/added functions up by (stable hash, content key) and reuse the
 	// stored fingerprint and signature on a hit — key byte equality implies
@@ -114,17 +102,12 @@ type sessEntry struct {
 	key    []byte
 	selfEq bool
 	fp     *fingerprint.Fingerprint
-	// sig is the MinHash signature; computed when the session ranks via
-	// LSH (or keeps summaries) and retained across mode flips.
+	// sig is the MinHash signature; computed when a submit ranks via LSH
+	// and retained across mode flips.
 	sig *fingerprint.Signature
-	// id is the session LSH member id, -1 when not indexed.
-	id int32
 	// list is the stored initial candidate list (depth 2t); nil before the
 	// first run covering this entry completes.
 	list *warmList
-	// sum is the .fmsum summary (SessionConfig.Summaries only).
-	sum    wire.FuncSummary
-	hasSum bool
 }
 
 // Session is a reusable warm-state exploration context. Methods are safe
@@ -137,8 +120,7 @@ type Session struct {
 	t    int
 	// depth is the stored-list depth: 2t, so up to t member evictions
 	// leave at least t exact entries.
-	depth   int
-	minPool int
+	depth int
 
 	keys *keyTable
 	neg  *negMemo
@@ -149,11 +131,6 @@ type Session struct {
 	order   []string // previous submission's pool names, in pool order
 	lastLSH bool
 	submits int
-
-	idx       *lsh.Index
-	lshParams lsh.Params
-	sigsByID  []*fingerprint.Signature
-	byID      []*sessEntry
 
 	delta DeltaStats
 }
@@ -173,30 +150,25 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if opts.Target == nil {
 		opts.Target = tti.X86{}
 	}
-	if opts.AlignMemoCap == 0 {
-		opts.AlignMemoCap = DefaultSessionAlignMemoCap
+	if opts.alignMemoCap == 0 {
+		opts.alignMemoCap = DefaultSessionAlignMemoCap
 	}
 	if opts.Merge.Interner == nil {
 		// Session-lived interning table: codes stay comparable across runs,
 		// which is what lets the alignment memo survive submissions.
 		opts.Merge.Interner = encode.NewInterner()
 	}
-	minPool := opts.LSHMinPool
-	if minPool == 0 {
-		minPool = DefaultLSHMinPool
-	}
 	s := &Session{
 		cfg:     cfg,
 		opts:    opts,
 		t:       opts.Threshold,
 		depth:   2 * opts.Threshold,
-		minPool: minPool,
-		keys:    newKeyTable(cfg.KeyTableCap),
-		neg:     newNegMemo(cfg.NegMemoCap),
+		keys:    newKeyTable(),
+		neg:     newNegMemo(),
 		entries: map[string]*sessEntry{},
 	}
 	if !opts.noAlignMemo {
-		s.memo = newAlignMemo(opts.AlignMemoCap)
+		s.memo = newAlignMemo(opts.alignMemoCap)
 	}
 	if digest, ok := attemptDigest(opts); ok && cfg.Store != nil {
 		s.keys.store = cfg.Store
@@ -291,21 +263,18 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 		}
 		if entriesByIdx[i] == nil {
 			entriesByIdx[i] = &sessEntry{
-				name: name, hash: hashes[i], key: keysBuf[i],
-				selfEq: selfEqs[i], id: -1,
+				name: name, hash: hashes[i], key: keysBuf[i], selfEq: selfEqs[i],
 			}
 		}
 		newEntries[name] = entriesByIdx[i]
 	}
-	var removed []*sessEntry
-	for name, old := range s.entries {
+	for name := range s.entries {
 		if _, live := idxOf[name]; !live {
-			removed = append(removed, old)
+			delta.Removed++
 		}
 	}
-	delta.Removed = len(removed)
 
-	// Fingerprint (and summarize) the changed/added subset.
+	// Fingerprint the changed/added subset.
 	var fresh []int32
 	for i := range pool {
 		if class[i] != clsUnchanged {
@@ -332,24 +301,28 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 		if e.fp == nil {
 			e.fp = fingerprint.Compute(pool[i])
 		}
-		if s.cfg.Summaries {
-			e.sum = global.SummarizeFunc(pool[i])
-			e.hasSum = true
-		}
 	})
 	delta.StoreHits = int(storeHits)
 	delta.StoreMisses = int(storeMisses)
 	fpTime := time.Since(tFP)
 
-	// Ranking-mode decision and persistent-index maintenance.
+	// Ranking-mode decision. In LSH mode every member missing a signature
+	// (changed, added, or last ranked exactly) is signed, and the run's
+	// index is built over the whole pool, exactly as a cold run builds it.
 	tWarm := time.Now()
-	useLSH := s.opts.Ranking == RankLSH && n >= s.minPool
-	delta.ModeFlipped = delta.Warm && useLSH != s.lastLSH
-	if !useLSH && s.idx != nil {
-		s.dropIndex()
-	}
-	if useLSH {
-		s.maintainIndex(pool, class, entriesByIdx, removed, workers)
+	lshMode := useLSH(s.opts, n)
+	delta.ModeFlipped = delta.Warm && lshMode != s.lastLSH
+	var ls *lshState
+	if lshMode {
+		sigs := make([]*fingerprint.Signature, n)
+		parallelFor(n, workers, func(i int) {
+			e := entriesByIdx[i]
+			if e.sig == nil {
+				e.sig = fingerprint.ComputeSignature(pool[i])
+			}
+			sigs[i] = e.sig
+		})
+		ls = newLSHState(sigs, workers)
 	}
 
 	// Persist the fresh subset: unchanged store records are no-ops inside
@@ -376,7 +349,7 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	}
 	seedLists := make([]*seedList, n)
 	if warmLists {
-		s.reconcileLists(pool, class, entriesByIdx, idxOf, seedLists, workers)
+		s.reconcileLists(pool, class, entriesByIdx, idxOf, ls, seedLists, workers)
 	}
 	for i := range seedLists {
 		if seedLists[i] != nil {
@@ -392,10 +365,10 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 		fps:       make([]*fingerprint.Fingerprint, n),
 		lists:     seedLists,
 		scanDepth: s.depth,
+		lsh:       ls,
 		keys:      s.keys,
 		neg:       s.neg,
 		memo:      s.memo,
-		fallback:  s.opts.Ranking == RankLSH && !useLSH,
 	}
 	for i, e := range entriesByIdx {
 		seed.fps[i] = e.fp
@@ -410,37 +383,15 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 		}
 		entriesByIdx[poolIdx].list = wl
 	}
-	preLive := len(s.sigsByID)
-	if useLSH {
-		seed.lsh = s.runnerLSHState(pool, entriesByIdx)
-	}
 	warmTime := time.Since(tWarm)
 	negHits := s.neg.hits.Load()
 	negStoreHits := s.neg.storeHits.Load()
 
 	rep := runSeeded(m, s.opts, seed)
 
-	// Roll the shared index back to the pre-run corpus state.
-	tBack := time.Now()
-	if ls := seed.lsh; ls != nil {
-		for _, id := range ls.journal.admitted {
-			// A merged function consumed by a later merge is journaled as
-			// both admitted and retired; it is already out of the index and
-			// Remove tolerates the absence.
-			s.idx.Remove(id)
-		}
-		for _, id := range ls.journal.retired {
-			// Run-created ids (>= preLive) do not survive the rollback —
-			// only pre-run corpus members return to the index.
-			if int(id) < preLive {
-				s.idx.Insert(id, ls.sigs[id])
-			}
-		}
-		s.sigsByID = ls.sigs[:preLive]
-	}
 	delta.NegHits = s.neg.hits.Load() - negHits
 	delta.NegStoreHits = s.neg.storeHits.Load() - negStoreHits
-	rep.Phases.Ranking += diffTime + warmTime + time.Since(tBack)
+	rep.Phases.Ranking += diffTime + warmTime
 	rep.Phases.Fingerprint += fpTime
 
 	// Adopt the new corpus as the session state.
@@ -449,83 +400,13 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	for i, f := range pool {
 		s.order[i] = f.Name()
 	}
-	s.lastLSH = useLSH
+	s.lastLSH = lshMode
 	s.submits++
 	s.delta = delta
 	if s.cfg.Store != nil {
 		return rep, delta, s.cfg.Store.Flush()
 	}
 	return rep, delta, nil
-}
-
-// dropIndex discards the persistent LSH index (mode flip below the pool
-// cutoff). Entry signatures are retained — content is still valid if the
-// corpus grows back over the cutoff — but ids are not.
-func (s *Session) dropIndex() {
-	s.idx = nil
-	s.sigsByID = nil
-	for _, e := range s.byID {
-		if e != nil {
-			e.id = -1
-		}
-	}
-	s.byID = nil
-}
-
-// maintainIndex brings the persistent index to the submitted corpus: a
-// fresh build when none exists, otherwise evict changed/removed members
-// and insert changed/added ones under fresh session ids. Canonical sorted
-// buckets make the result identical to a cold rebuild of the same corpus.
-func (s *Session) maintainIndex(pool []*ir.Func, class []int, entriesByIdx []*sessEntry, removed []*sessEntry, workers int) {
-	var need []int32
-	if s.idx == nil {
-		s.idx = lsh.NewSized(s.opts.LSH, len(pool))
-		s.lshParams = s.idx.Params()
-		s.sigsByID = nil
-		s.byID = nil
-		need = make([]int32, 0, len(pool))
-		for i := range pool {
-			need = append(need, int32(i))
-		}
-	} else {
-		for _, old := range removed {
-			s.freeID(old)
-		}
-		for i := range pool {
-			if class[i] == clsChanged {
-				if old := s.entries[entriesByIdx[i].name]; old != nil {
-					s.freeID(old)
-				}
-			}
-			if class[i] != clsUnchanged {
-				need = append(need, int32(i))
-			}
-		}
-	}
-	parallelFor(len(need), workers, func(j int) {
-		e := entriesByIdx[need[j]]
-		if e.sig == nil {
-			e.sig = fingerprint.ComputeSignature(pool[need[j]])
-		}
-	})
-	for _, i := range need {
-		e := entriesByIdx[i]
-		e.id = int32(len(s.sigsByID))
-		s.sigsByID = append(s.sigsByID, e.sig)
-		s.byID = append(s.byID, e)
-		s.idx.Insert(e.id, e.sig)
-	}
-}
-
-// freeID evicts one prior-corpus member from the persistent index.
-func (s *Session) freeID(e *sessEntry) {
-	if e.id < 0 {
-		return
-	}
-	s.idx.Remove(e.id)
-	s.sigsByID[e.id] = nil
-	s.byID[e.id] = nil
-	e.id = -1
 }
 
 // orderPreserved reports whether the unchanged members appear in the same
@@ -564,7 +445,7 @@ func (s *Session) orderPreserved(pool []*ir.Func, class []int) bool {
 // on it. Owners whose lists fall below t and are not complete get nil
 // (setup rescans and re-stores them). Runs in parallel over owners — each
 // owner touches only its own entry and seed slot.
-func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*sessEntry, idxOf map[string]int32, seedLists []*seedList, workers int) {
+func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*sessEntry, idxOf map[string]int32, ls *lshState, seedLists []*seedList, workers int) {
 	// keep: a stored member survives iff it is still in the pool with
 	// unchanged content.
 	keep := func(name string) bool {
@@ -573,8 +454,8 @@ func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*s
 	}
 	// Offers: every changed/added pool member. In LSH mode each owner only
 	// sees the offers it shares a band bucket with — exactly the probe
-	// relation — precomputed by probing each offer against the updated
-	// index; in exact mode every owner sees every offer.
+	// relation — precomputed by probing each offer against the run's index
+	// over the new pool; in exact mode every owner sees every offer.
 	type offer struct {
 		cand warmCand
 		idx  int32
@@ -592,24 +473,19 @@ func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*s
 			fp:   e.fp,
 		})
 	}
-	offersFor := make(map[string][]int32) // owner name → offer indices
-	if s.idx != nil {
+	var offersFor [][]int32 // owner pool index → offer indices (LSH mode)
+	if ls != nil {
+		offersFor = make([][]int32, len(pool))
 		sigs := make([]*fingerprint.Signature, len(offers))
 		selves := make([]int32, len(offers))
 		for j, o := range offers {
-			e := entriesByIdx[o.idx]
-			sigs[j] = e.sig
-			selves[j] = e.id
+			sigs[j] = ls.sigs[o.idx]
+			selves[j] = o.idx
 		}
-		probes := s.idx.ProbeBatch(sigs, selves, workers)
-		for j, ids := range probes {
-			for _, id := range ids {
-				hit := s.byID[id]
-				if hit == nil {
-					continue
-				}
-				if i, ok := idxOf[hit.name]; ok && class[i] == clsUnchanged {
-					offersFor[hit.name] = append(offersFor[hit.name], int32(j))
+		for j, pis := range ls.idx.ProbeBatch(sigs, selves, workers) {
+			for _, pi := range pis {
+				if class[pi] == clsUnchanged {
+					offersFor[pi] = append(offersFor[pi], int32(j))
 				}
 			}
 		}
@@ -641,8 +517,8 @@ func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*s
 			c.sim = sim
 			wl.offer(c, o.idx, idxOf, s.depth)
 		}
-		if s.idx != nil {
-			for _, j := range offersFor[e.name] {
+		if ls != nil {
+			for _, j := range offersFor[i] {
 				apply(offers[j])
 			}
 		} else {
@@ -659,48 +535,4 @@ func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*s
 		}
 		seedLists[i] = &seedList{cands: cands, complete: wl.complete}
 	})
-}
-
-// runnerLSHState builds the per-run view of the persistent index: shared
-// index and signature storage, id-indexed fingerprints and pool mapping
-// for the submitted members, and a journal for post-run rollback.
-func (s *Session) runnerLSHState(pool []*ir.Func, entriesByIdx []*sessEntry) *lshState {
-	live := len(s.sigsByID)
-	ls := &lshState{
-		params:  s.lshParams,
-		idx:     s.idx,
-		sigs:    s.sigsByID,
-		fps:     make([]*fingerprint.Fingerprint, live),
-		id:      make(map[*ir.Func]int32, len(pool)),
-		toPool:  make([]int32, live),
-		journal: &lshJournal{},
-	}
-	for i := range ls.toPool {
-		ls.toPool[i] = -1
-	}
-	for i, f := range pool {
-		e := entriesByIdx[i]
-		ls.fps[e.id] = e.fp
-		ls.toPool[e.id] = int32(i)
-		ls.id[f] = e.id
-	}
-	return ls
-}
-
-// Summaries returns the .fmsum summary table of the current corpus, one
-// entry per pool function in pool order. Nil unless SessionConfig.Summaries
-// was set (or before the first Submit).
-func (s *Session) Summaries() []wire.FuncSummary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.cfg.Summaries || s.submits == 0 {
-		return nil
-	}
-	out := make([]wire.FuncSummary, 0, len(s.order))
-	for _, name := range s.order {
-		if e := s.entries[name]; e != nil && e.hasSum {
-			out = append(out, e.sum)
-		}
-	}
-	return out
 }

@@ -84,7 +84,7 @@ func sessionOpts(workers int, ranking RankingMode) Options {
 	opts.Workers = workers
 	opts.Ranking = ranking
 	if ranking == RankLSH {
-		opts.LSHMinPool = 1 // engage the index even on small test pools
+		opts.lshMinPool = 1 // engage the index even on small test pools
 	}
 	return opts
 }
@@ -386,6 +386,72 @@ func TestSessionConvergesToCold(t *testing.T) {
 	}
 }
 
+// TestSessionModeFlipMatchesCold: an LSH session whose pool shrinks below
+// the cutoff ranks exactly, and ranks through the index again once the pool
+// grows back over it. Every submit, on either side of a crossing, matches a
+// cold Run of the same module, and ModeFlipped is set on exactly the two
+// crossings. The function edited below the cutoff reenters LSH mode without
+// a signature; the untouched ones carry theirs across both flips.
+func TestSessionModeFlipMatchesCold(t *testing.T) {
+	const cutoff = 50
+	full := sessionSpecs(60)
+	steps := []struct {
+		n    int  // pool size: the first n specs
+		edit int  // index of a spec to edit first, -1 for none
+		flip bool // the submit crosses the cutoff
+	}{
+		{60, -1, false},
+		{60, 7, false},
+		{40, -1, true},
+		{45, 3, false},
+		{60, -1, true},
+		{60, 11, false},
+	}
+	for _, workers := range []int{1, 3} {
+		specs := append([]workload.FuncSpec(nil), full...)
+		opts := sessionOpts(workers, RankLSH)
+		opts.lshMinPool = cutoff
+		sess, err := NewSession(SessionConfig{Explore: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range steps {
+			if st.edit >= 0 {
+				specs[st.edit].ConstSalt++
+			}
+			mSess := buildFromSpecs(specs[:st.n])
+			repSess, d, err := sess.Submit(mSess)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.ModeFlipped != st.flip {
+				t.Fatalf("workers=%d step %d (pool %d): ModeFlipped = %v, want %v",
+					workers, i, st.n, d.ModeFlipped, st.flip)
+			}
+			if i > 0 && !st.flip && d.SeededLists == 0 {
+				t.Fatalf("workers=%d step %d: a warm submit within one mode seeded no list: %+v", workers, i, d)
+			}
+			mCold := buildFromSpecs(specs[:st.n])
+			repCold := Run(mCold, opts)
+			wantFallbacks := 0
+			if st.n < cutoff {
+				wantFallbacks = 1
+			}
+			if repSess.RankFallbacks != wantFallbacks || repCold.RankFallbacks != wantFallbacks {
+				t.Fatalf("workers=%d step %d: RankFallbacks session %d, cold %d, want %d",
+					workers, i, repSess.RankFallbacks, repCold.RankFallbacks, wantFallbacks)
+			}
+			if !reflect.DeepEqual(outcomeOf(repSess), outcomeOf(repCold)) {
+				t.Fatalf("workers=%d step %d (delta %+v): session diverged from cold run\nsess: %+v\ncold: %+v",
+					workers, i, d, outcomeOf(repSess), outcomeOf(repCold))
+			}
+			if got, want := printModule(t, mSess), printModule(t, mCold); got != want {
+				t.Fatalf("workers=%d step %d: merged modules differ", workers, i)
+			}
+		}
+	}
+}
+
 // TestSessionRejectsUnsupportedModes: oracle and partitioned exploration
 // cannot seed and are rejected up front.
 func TestSessionRejectsUnsupportedModes(t *testing.T) {
@@ -398,43 +464,5 @@ func TestSessionRejectsUnsupportedModes(t *testing.T) {
 	opts.Partition = map[*ir.Func]int{}
 	if _, err := NewSession(SessionConfig{Explore: opts}); err == nil {
 		t.Fatal("partitioned session was accepted")
-	}
-}
-
-// TestSessionSummaries: the summary table tracks the live corpus and reuses
-// unchanged entries.
-func TestSessionSummaries(t *testing.T) {
-	specs := sessionSpecs(30)
-	s, err := NewSession(SessionConfig{Explore: sessionOpts(2, RankExact), Summaries: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Submit(buildFromSpecs(specs)); err != nil {
-		t.Fatal(err)
-	}
-	sums := s.Summaries()
-	if len(sums) != 30 {
-		t.Fatalf("got %d summaries, want 30", len(sums))
-	}
-	before := make(map[string]uint64, len(sums))
-	for _, fs := range sums {
-		before[fs.Name] = fs.Hash
-	}
-	specs[7].ConstSalt++
-	if _, _, err := s.Submit(buildFromSpecs(specs)); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Summaries()
-	if len(after) != 30 {
-		t.Fatalf("got %d summaries after resubmit, want 30", len(after))
-	}
-	changed := 0
-	for _, fs := range after {
-		if before[fs.Name] != fs.Hash {
-			changed++
-		}
-	}
-	if changed != 1 {
-		t.Fatalf("expected exactly the mutated function's summary hash to change, got %d", changed)
 	}
 }

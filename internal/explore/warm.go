@@ -56,19 +56,9 @@ import (
 	"fmsa/internal/tti"
 )
 
-// DefaultKeyTableCap bounds the session content-key table (entries). A full
-// table stops verifying new content; affected functions simply lose
-// negative-memo coverage. The persistent store applies the same bound.
-const DefaultKeyTableCap = simdb.DefaultKeyTableCap
-
-// DefaultNegMemoCap bounds the negative-attempt memo (entries). A full memo
-// stops inserting; results are unaffected either way. The persistent store
-// applies the same bound.
-const DefaultNegMemoCap = simdb.DefaultNegMemoCap
-
-// DefaultSessionAlignMemoCap is the alignment-memo bound a session uses
-// when Options.AlignMemoCap is zero — larger than the per-run default
-// because the memo now amortizes across every submission.
+// DefaultSessionAlignMemoCap is the alignment-memo bound a session uses —
+// larger than the per-run default because the memo amortizes across every
+// submission.
 const DefaultSessionAlignMemoCap = 1 << 16
 
 // funcKey is a function's verified content identity: hash is its stable
@@ -84,9 +74,12 @@ type funcKey struct {
 // keyTable maps content hashes to verified canonical keys (session-lived)
 // and caches per-function identities (per-run; function pointers die with
 // their module). Safe for concurrent use.
+//
+// The content table holds at most simdb.DefaultKeyTableCap entries, the
+// bound the persistent store applies too. A full table stops verifying new
+// content; affected functions simply lose negative-memo coverage.
 type keyTable struct {
-	mu  sync.RWMutex
-	cap int
+	mu sync.RWMutex
 	// tab is the content table: hash → the canonical key bytes the hash was
 	// first seen with. First writer wins; a later mismatch marks the
 	// function not-memoizable instead of evicting.
@@ -100,11 +93,8 @@ type keyTable struct {
 	store *simdb.Store
 }
 
-func newKeyTable(capEntries int) *keyTable {
-	if capEntries <= 0 {
-		capEntries = DefaultKeyTableCap
-	}
-	return &keyTable{cap: capEntries, tab: make(map[uint64][]byte), funcs: make(map[*ir.Func]funcKey)}
+func newKeyTable() *keyTable {
+	return &keyTable{tab: make(map[uint64][]byte), funcs: make(map[*ir.Func]funcKey)}
 }
 
 // reset begins a new run: the per-function cache is dropped (its pointers
@@ -130,11 +120,11 @@ func (kt *keyTable) register(f *ir.Func, key []byte, selfEq bool, hash uint64) f
 		} else if kt.store != nil {
 			if kt.store.VerifyKey(hash, key) {
 				k = funcKey{hash: hash, ok: true}
-				if len(kt.tab) < kt.cap {
+				if len(kt.tab) < simdb.DefaultKeyTableCap {
 					kt.tab[hash] = key
 				}
 			}
-		} else if len(kt.tab) < kt.cap {
+		} else if len(kt.tab) < simdb.DefaultKeyTableCap {
 			kt.tab[hash] = key
 			k = funcKey{hash: hash, ok: true}
 		}
@@ -170,11 +160,12 @@ type negKey struct {
 }
 
 // negMemo records attempt classes known to fail or price unprofitable.
-// Bounded insert-if-room; never evicts, so an entry's assertion stays valid
-// for the session's lifetime (options are pinned).
+// Bounded insert-if-room at simdb.DefaultNegMemoCap entries, the store's
+// bound too; never evicts, so an entry's assertion stays valid for the
+// session's lifetime (options are pinned). A full memo stops inserting;
+// results are unaffected either way.
 type negMemo struct {
 	mu   sync.Mutex
-	cap  int
 	m    map[negKey]struct{}
 	hits atomic.Int64
 	// store, when non-nil, answers local misses and receives every insert
@@ -185,11 +176,8 @@ type negMemo struct {
 	storeHits atomic.Int64
 }
 
-func newNegMemo(capEntries int) *negMemo {
-	if capEntries <= 0 {
-		capEntries = DefaultNegMemoCap
-	}
-	return &negMemo{cap: capEntries, m: make(map[negKey]struct{})}
+func newNegMemo() *negMemo {
+	return &negMemo{m: make(map[negKey]struct{})}
 }
 
 // known reports whether the attempt class is recorded as unprofitable,
@@ -203,7 +191,7 @@ func (nm *negMemo) known(k negKey) bool {
 			ok = true
 			nm.storeHits.Add(1)
 			nm.mu.Lock()
-			if len(nm.m) < nm.cap {
+			if len(nm.m) < simdb.DefaultNegMemoCap {
 				nm.m[k] = struct{}{}
 			}
 			nm.mu.Unlock()
@@ -218,7 +206,7 @@ func (nm *negMemo) known(k negKey) bool {
 // insert records an attempt class as unprofitable, in the store as well.
 func (nm *negMemo) insert(k negKey) {
 	nm.mu.Lock()
-	if len(nm.m) < nm.cap {
+	if len(nm.m) < simdb.DefaultNegMemoCap {
 		nm.m[k] = struct{}{}
 	}
 	nm.mu.Unlock()
@@ -389,11 +377,10 @@ type warmSeed struct {
 	// parallelFor with distinct pool indices; it must touch only
 	// per-owner state.
 	onScan func(poolIdx int, cands []candidate)
-	// lsh, when non-nil, is the warm index state (session member ids).
+	// lsh, when non-nil, is the run's LSH index, which the session built
+	// over this pool from its cached signatures and probed while
+	// reconciling lists; the run adopts it as a cold run adopts its own.
 	lsh *lshState
-	// fallback mirrors cold RankFallbacks accounting: LSH ranking was
-	// requested but this corpus ranks exactly.
-	fallback bool
 	// keys, neg and memo are the session-lived content tables.
 	keys *keyTable
 	neg  *negMemo

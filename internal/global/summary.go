@@ -70,7 +70,7 @@ func Summarize(units []*ir.Module, workers int) []wire.TUSummary {
 	}
 	sums := make([]wire.FuncSummary, len(slots))
 	parallelFor(len(slots), workerCount(workers), func(i int) {
-		sums[i] = SummarizeFunc(slots[i].f)
+		sums[i] = summarizeFunc(slots[i].f)
 	})
 	for i, s := range slots {
 		tus[s.tu].Funcs = append(tus[s.tu].Funcs, sums[i])
@@ -78,11 +78,10 @@ func Summarize(units []*ir.Module, workers int) []wire.TUSummary {
 	return tus
 }
 
-// SummarizeFunc builds one function's round-1 summary: the stable
-// structural hash, the MinHash signature, the size, and the linkage/usage
-// flags the round-2 planner consults. Warm merge sessions reuse it to keep
-// a per-corpus summary table alive across submissions.
-func SummarizeFunc(f *ir.Func) wire.FuncSummary {
+// summarizeFunc builds one definition's round-1 summary for Summarize: the
+// stable structural hash, the MinHash signature, the size, and the
+// linkage/usage flags the round-2 planner consults.
+func summarizeFunc(f *ir.Func) wire.FuncSummary {
 	hash, selfEq := StableHash(f)
 	sig := fingerprint.ComputeSignature(f)
 	fs := wire.FuncSummary{

@@ -1,6 +1,8 @@
 package lsh
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"fmsa/internal/fingerprint"
@@ -51,7 +53,7 @@ func BenchmarkLSHRehydrate(b *testing.B) {
 	b.Run("bulk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			NewFromSignatures(Params{}, sigs)
+			NewFromSignatures(Params{}, sigs, runtime.GOMAXPROCS(0))
 		}
 	})
 	keys := make([][]uint64, n)
@@ -91,8 +93,17 @@ func TestNewSizedMatchesNew(t *testing.T) {
 // TestNewFromSignaturesMatchesInserts pins that bulk construction produces the
 // same index state as an ascending Insert loop — including nil gaps (unsigned
 // records) — and that the bulk-built index still mutates correctly afterwards
-// (Remove must find every band bucket, Insert must not collide with arenas).
+// (Remove must find every band bucket, Insert must not collide with arenas),
+// serially and across workers.
 func TestNewFromSignaturesMatchesInserts(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testNewFromSignaturesMatchesInserts(t, workers)
+		})
+	}
+}
+
+func testNewFromSignaturesMatchesInserts(t *testing.T, workers int) {
 	sigs := syntheticSigs(97)
 	sigs[3], sigs[40], sigs[96] = nil, nil, nil // unsigned gaps
 	want := New(Params{})
@@ -101,7 +112,7 @@ func TestNewFromSignaturesMatchesInserts(t *testing.T) {
 			want.Insert(int32(id), s)
 		}
 	}
-	got := NewFromSignatures(Params{}, sigs)
+	got := NewFromSignatures(Params{}, sigs, workers)
 	check := func(stage string) {
 		t.Helper()
 		if got.Len() != want.Len() {

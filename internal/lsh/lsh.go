@@ -9,16 +9,15 @@
 // never touched, replacing the quadratic all-pairs scan of the exact ranking
 // with per-bucket work.
 //
-// The index is deliberately deterministic — and, since the warm-session
-// work, content-addressed: members are integer ids (the exploration pool
-// assigns pool-insertion indices, sessions assign stable per-name ids),
-// buckets hold their ids sorted ascending, and probe results are returned
-// sorted ascending. Sorted buckets make the index state a pure function of
-// the live (id, signature) set: Remove followed by Insert of the same id and
-// signature restores the exact pre-removal state, which is what lets a merge
-// session roll back a run's retire/admit churn and what makes incremental
-// evict/reinsert equivalent to a rebuild. Inserts and removals keep the
-// index consistent as merges retire pool functions and add merged ones.
+// The index is deliberately deterministic: members are integer ids (the
+// exploration pool assigns pool-insertion indices, the similarity database
+// record positions), buckets hold their ids sorted ascending, and probe
+// results are returned sorted ascending — the ranking's pool-order
+// tie-break. Sorted buckets make the index state a pure function of the
+// live (id, signature) set, whatever order the members arrived in, which is
+// what lets the bulk builders below stand in for an insert loop. Inserts and
+// removals keep the index consistent as merges retire pool functions and
+// add merged ones.
 //
 // The index itself is not safe for concurrent mutation; ProbeBatch performs
 // read-only probes for many queries across a bounded worker pool.
@@ -26,7 +25,6 @@ package lsh
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -138,15 +136,13 @@ func NewSized(p Params, n int) *Index {
 // ids would produce: member i is sigs[i], nil entries are skipped. The final
 // state is bit-identical to inserting the non-nil signatures in ascending id
 // order — buckets sorted ascending, same band keys — but construction carves
-// every bucket at its exact final size from one arena, so rehydrating a large
-// corpus performs a handful of allocations instead of one per bucket growth
-// step, and bands are built concurrently: each band's bucket map is the work
-// of exactly one goroutine and depends only on the signatures, so the result
-// is identical for any worker interleaving. This is the warm-startup path: a
-// simdb segment replay knows the whole live set up front, and bulk
-// construction is what keeps index rebuild from eating the replay's
-// recompute savings.
-func NewFromSignatures(p Params, sigs []*fingerprint.Signature) *Index {
+// every bucket at its exact final size from one arena, so a large corpus
+// costs a handful of allocations instead of one per bucket growth step, and
+// bands are built across up to workers goroutines: each band's bucket map is
+// the work of exactly one goroutine and depends only on the signatures, so
+// the result is identical for any worker count and interleaving. This is how
+// exploration builds its per-run index over a freshly set-up pool.
+func NewFromSignatures(p Params, sigs []*fingerprint.Signature, workers int) *Index {
 	ix := NewSized(p, len(sigs))
 	signed := make([]int32, 0, len(sigs))
 	wins := make([][]uint64, 0, len(sigs))
@@ -192,10 +188,7 @@ func NewFromSignatures(p Params, sigs []*fingerprint.Signature) *Index {
 			bmap[k] = append(b, id)
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > ix.p.Bands {
-		workers = ix.p.Bands
-	}
+	workers = min(workers, ix.p.Bands)
 	if workers <= 1 {
 		counts := make(map[uint64]int32, len(signed))
 		for band := 0; band < ix.p.Bands; band++ {

@@ -199,12 +199,11 @@ func snapshotBuckets(ix *Index) []map[uint64][]int32 {
 	return out
 }
 
-// TestRemoveInsertRestoresState is the warm-session eviction contract:
-// removing any subset of members and re-inserting them with their original
+// TestRemoveInsertRestoresState is the canonical-form contract: removing
+// any subset of members and re-inserting them with their original
 // signatures must restore the exact bucket state — byte-for-byte, not just
-// probe-equivalent — regardless of removal or reinsertion order. Sessions
-// rely on this to roll back a run's retire/admit churn and to treat
-// incremental evict/reinsert as equivalent to a rebuild.
+// probe-equivalent — regardless of removal or reinsertion order. It is what
+// makes the index state a pure function of the live (id, signature) set.
 func TestRemoveInsertRestoresState(t *testing.T) {
 	sigs := cloneFamily(t, 4, 4)
 	ix := New(DefaultParams())

@@ -59,9 +59,6 @@ type Config struct {
 	// MaxPayload bounds a single frame payload (<= 0 selects
 	// wire.DefaultMaxFramePayload).
 	MaxPayload int
-	// Summaries enables per-session function-summary tracking
-	// (explore.SessionConfig.Summaries).
-	Summaries bool
 	// Store is an optional persistent similarity database shared by every
 	// session the server opens (explore.SessionConfig.Store): submissions
 	// from any client warm it, and it survives server restarts.
@@ -358,9 +355,7 @@ func (s *Server) openSession(payload []byte) (*explore.Session, error) {
 			opts.Workers = ov.Workers
 		}
 	}
-	return explore.NewSession(explore.SessionConfig{
-		Explore: opts, Summaries: s.cfg.Summaries, Store: s.cfg.Store,
-	})
+	return explore.NewSession(explore.SessionConfig{Explore: opts, Store: s.cfg.Store})
 }
 
 // sessionWorker owns one explore.Session: submits run strictly FIFO, each
