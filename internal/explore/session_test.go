@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
 	"fmsa/internal/workload"
 )
@@ -212,6 +214,116 @@ func TestSessionWarmColdIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sparseSessionSpecs is a corpus of unrelated functions that vary scalar
+// type, arity, region count, block length and return type, so that unlike
+// sessionSpecs' clone families a few members share no band bucket with
+// fewer than two others.
+func sparseSessionSpecs(n int) []workload.FuncSpec {
+	scalars := []*ir.Type{ir.I32(), ir.I64(), ir.F32(), ir.F64()}
+	specs := make([]workload.FuncSpec, 0, n)
+	for i := 0; i < n; i++ {
+		specs = append(specs, workload.FuncSpec{
+			Name:        fmt.Sprintf("g%03d", i),
+			Seed:        int64(7000 + 13*i),
+			Scalar:      scalars[i%4],
+			NumParams:   1 + i%4,
+			Regions:     1 + (i/4)%4,
+			OpsPerBlock: 2 + (i*7)%11,
+			Internal:    true,
+			VoidRet:     i%5 == 0,
+		})
+	}
+	return specs
+}
+
+// TestSessionLSHSparseListsMatchCold: in LSH mode a stored list may take a
+// changed member only if the two share a band bucket. The corpus gives
+// owners complete lists shorter than t (so the suffix bound never applies
+// and any member above the similarity floor would enter) and changes
+// members that are such owners' non-mates. The warm session must store
+// exactly the lists a cold session stores and merge exactly like it.
+func TestSessionLSHSparseListsMatchCold(t *testing.T) {
+	base := sparseSessionSpecs(60)
+	delta := append([]workload.FuncSpec(nil), base...)
+	changed := map[string]bool{}
+	for _, i := range []int{4, 19, 33, 47, 58} {
+		delta[i].Seed += 1000 // structural change: new bucket keys
+		changed[delta[i].Name] = true
+	}
+	opts := sessionOpts(1, RankLSH)
+
+	warm, err := NewSession(SessionConfig{Explore: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := warm.Submit(buildFromSpecs(base)); err != nil {
+		t.Fatal(err)
+	}
+	mWarm := buildFromSpecs(delta)
+	repWarm, d, err := warm.Submit(mWarm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Warm || d.Changed != len(changed) || d.SeededLists == 0 {
+		t.Fatalf("unexpected delta %+v", d)
+	}
+	cold, err := NewSession(SessionConfig{Explore: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mCold := buildFromSpecs(delta)
+	repCold, _, err := cold.Submit(mCold)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The corpus must exercise the filter: an unchanged owner with a
+	// complete list shorter than t, and a changed member outside that list
+	// whose similarity clears the floor.
+	exercised := 0
+	for name, ce := range cold.entries {
+		if changed[name] || ce.list == nil || !ce.list.complete || len(ce.list.cands) >= opts.Threshold {
+			continue
+		}
+		inList := map[string]bool{}
+		for _, c := range ce.list.cands {
+			inList[c.name] = true
+		}
+		for other := range changed {
+			if !inList[other] && fingerprint.Similarity(ce.fp, cold.entries[other].fp) >= opts.MinSimilarity {
+				exercised++
+			}
+		}
+	}
+	if exercised == 0 {
+		t.Fatal("corpus has no sparse complete list with a changed non-mate above the floor")
+	}
+
+	// A reconciled list is an exact prefix of the cold list, and all of it
+	// when it claims to be complete.
+	for name, ce := range cold.entries {
+		we := warm.entries[name]
+		if we == nil || (we.list == nil) != (ce.list == nil) {
+			t.Fatalf("@%s: warm and cold sessions disagree on having a list", name)
+		}
+		wl, cl := we.list, ce.list
+		if wl == nil {
+			continue
+		}
+		prefix := len(wl.cands) <= len(cl.cands) && slices.Equal(wl.cands, cl.cands[:len(wl.cands)])
+		if !prefix || (wl.complete && (!cl.complete || len(wl.cands) != len(cl.cands))) {
+			t.Fatalf("@%s: warm list is no exact prefix of the cold one\nwarm: %+v\ncold: %+v", name, wl, cl)
+		}
+	}
+	if !reflect.DeepEqual(outcomeOf(repWarm), outcomeOf(repCold)) {
+		t.Fatalf("warm != cold\nwarm: %+v\ncold: %+v", outcomeOf(repWarm), outcomeOf(repCold))
+	}
+	if printModule(t, mWarm) != printModule(t, mCold) {
+		t.Fatal("warm and cold merged modules differ")
+	}
+	t.Logf("%d (owner, changed non-mate) pairs above the floor; %d lists seeded", exercised, d.SeededLists)
 }
 
 // TestSessionWarmWorkFloor: a warm 1% constant delta on the xalancbmk

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -93,7 +94,7 @@ func TestTruncSExtProperty(t *testing.T) {
 		}
 		return c.Uint() == uint64(v)&mask
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(100))}); err != nil {
 		t.Error(err)
 	}
 }

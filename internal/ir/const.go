@@ -1,7 +1,6 @@
 package ir
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 )
@@ -48,14 +47,17 @@ func truncSExt(v int64, bits int) int64 {
 func (c *ConstInt) Type() *Type { return c.typ }
 
 // Ident returns the decimal form of the constant (true/false for i1).
-func (c *ConstInt) Ident() string {
+func (c *ConstInt) Ident() string { return string(c.appendIdent(nil)) }
+
+// appendIdent appends the spelling Ident returns.
+func (c *ConstInt) appendIdent(dst []byte) []byte {
 	if c.typ.Bits == 1 {
 		if c.V != 0 {
-			return "true"
+			return append(dst, "true"...)
 		}
-		return "false"
+		return append(dst, "false"...)
 	}
-	return strconv.FormatInt(c.V, 10)
+	return strconv.AppendInt(dst, c.V, 10)
 }
 
 func (c *ConstInt) isConstant() {}
@@ -96,28 +98,26 @@ func (c *ConstFloat) Type() *Type { return c.typ }
 // Ident returns the textual form of the constant, always containing a '.',
 // 'e', or special-value spelling so the parser can distinguish it from
 // integers.
-func (c *ConstFloat) Ident() string {
-	if math.IsInf(c.V, 1) {
-		return "+inf"
+func (c *ConstFloat) Ident() string { return string(c.appendIdent(nil)) }
+
+// appendIdent appends the spelling Ident returns.
+func (c *ConstFloat) appendIdent(dst []byte) []byte {
+	switch {
+	case math.IsInf(c.V, 1):
+		return append(dst, "+inf"...)
+	case math.IsInf(c.V, -1):
+		return append(dst, "-inf"...)
+	case math.IsNaN(c.V):
+		return append(dst, "nan"...)
 	}
-	if math.IsInf(c.V, -1) {
-		return "-inf"
-	}
-	if math.IsNaN(c.V) {
-		return "nan"
-	}
-	s := strconv.FormatFloat(c.V, 'g', -1, 64)
-	hasDotOrExp := false
-	for _, r := range s {
+	start := len(dst)
+	dst = strconv.AppendFloat(dst, c.V, 'g', -1, 64)
+	for _, r := range dst[start:] {
 		if r == '.' || r == 'e' || r == 'E' {
-			hasDotOrExp = true
-			break
+			return dst
 		}
 	}
-	if !hasDotOrExp {
-		s += ".0"
-	}
-	return s
+	return append(dst, ".0"...)
 }
 
 func (c *ConstFloat) isConstant() {}
@@ -186,5 +186,5 @@ func ConstantsEqual(a, b Value) bool {
 
 // FormatConst renders a constant with its type, e.g. "i32 42".
 func FormatConst(c Constant) string {
-	return fmt.Sprintf("%s %s", c.Type(), c.Ident())
+	return c.Type().String() + " " + c.Ident()
 }

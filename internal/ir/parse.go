@@ -8,17 +8,26 @@ import (
 )
 
 // ParseModule parses textual IR in the format produced by FormatModule.
+//
+// Two passes read the source, each lexing it once on demand: the first
+// creates every function shell and global so bodies can reference symbols
+// defined later in the file, the second parses the bodies. A malformed token
+// anywhere in the source is reported ahead of any syntax error.
 func ParseModule(name, src string) (*Module, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	p := &parser{mod: NewModule(name)}
+	p.start(src)
+	err := p.scanHeaders()
+	if err == nil && p.lexErr == nil {
+		p.start(src)
+		err = p.parseBodies()
 	}
-	p := &parser{toks: toks, mod: NewModule(name)}
-	if err := p.scanHeaders(); err != nil {
-		return nil, err
-	}
-	p.pos = 0
-	if err := p.parseBodies(); err != nil {
+	if err != nil || p.lexErr != nil {
+		// The first malformed token takes precedence, also over a syntax
+		// error ahead of it; the passes may have stopped short of it or,
+		// skipping bodies, past it.
+		if lerr := lexAll(src); lerr != nil {
+			return nil, lerr
+		}
 		return nil, err
 	}
 	return p.mod, nil
@@ -34,7 +43,7 @@ func MustParseModule(name, src string) *Module {
 	return m
 }
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tEOF tokKind = iota
@@ -47,6 +56,9 @@ const (
 	tPunct
 )
 
+// token is one lexeme. Its text is a substring of the source: the name
+// without its sigil for locals and globals, the contents without quotes for
+// strings.
 type token struct {
 	kind tokKind
 	text string
@@ -68,72 +80,114 @@ func (t token) String() string {
 	}
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || c == '.' || c == '$' ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+// is reports whether t is the punctuation s.
+func (t token) is(s string) bool { return t.kind == tPunct && t.text == s }
+
+func isIdentStart(c byte) bool { return charClass[c] == cIdent || c == '.' }
+
+func isIdentChar(c byte) bool { return charClass[c] >= cMinus }
+
+// Character classes of the lexer. The classes from cMinus on are the
+// characters that may continue an identifier.
+const (
+	cOther byte = iota
+	cSpace
+	cNewline
+	cComment
+	cSigil // % or @
+	cQuote
+	cPunct
+	cPlus  // starts a number
+	cMinus // starts a number
+	cDot   // starts "..." or an identifier
+	cDigit // starts a number
+	cIdent // starts an identifier
+)
+
+var charClass = func() (t [256]byte) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = cIdent, cIdent
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = cDigit
+	}
+	t['_'], t['$'] = cIdent, cIdent
+	t['.'] = cDot
+	t['+'], t['-'] = cPlus, cMinus
+	t[' '], t['\t'], t['\r'] = cSpace, cSpace, cSpace
+	t['\n'] = cNewline
+	t[';'] = cComment
+	t['%'], t['@'] = cSigil, cSigil
+	t['"'] = cQuote
+	for _, c := range "(){}[],=:*" {
+		t[c] = cPunct
+	}
+	return t
+}()
+
+// lexer yields the tokens of src one at a time. It is a small value:
+// copying it is a free checkpoint, which is how the parser looks ahead.
+type lexer struct {
+	src  string
+	off  int
+	line int
 }
 
-func isIdentChar(c byte) bool {
-	return isIdentStart(c) || (c >= '0' && c <= '9') || c == '-'
-}
-
-func lex(src string) ([]token, error) {
-	var toks []token
-	line := 1
-	i := 0
+// next scans the token at the lexer's position. At the end of the source it
+// returns tEOF, on every later call too.
+func (lx *lexer) next() (token, error) {
+	src, i := lx.src, lx.off
 	for i < len(src) {
 		c := src[i]
-		switch {
-		case c == '\n':
-			line++
+		switch charClass[c] {
+		case cNewline:
+			lx.line++
 			i++
-		case c == ' ' || c == '\t' || c == '\r':
+		case cSpace:
 			i++
-		case c == ';': // comment to end of line
+		case cComment: // to end of line
 			for i < len(src) && src[i] != '\n' {
 				i++
 			}
-		case c == '%' || c == '@':
+		case cSigil:
 			j := i + 1
 			for j < len(src) && isIdentChar(src[j]) {
 				j++
 			}
 			if j == i+1 {
-				return nil, fmt.Errorf("line %d: empty identifier after %q", line, string(c))
+				lx.off = i
+				return token{}, fmt.Errorf("line %d: empty identifier after %q", lx.line, string(c))
 			}
 			kind := tLocal
 			if c == '@' {
 				kind = tGlobal
 			}
-			toks = append(toks, token{kind, src[i+1 : j], line})
-			i = j
-		case c == '"':
+			return lx.emit(kind, i+1, j, j)
+		case cQuote:
 			j := i + 1
 			for j < len(src) && src[j] != '"' {
 				j++
 			}
 			if j == len(src) {
-				return nil, fmt.Errorf("line %d: unterminated string", line)
+				lx.off = i
+				return token{}, fmt.Errorf("line %d: unterminated string", lx.line)
 			}
-			toks = append(toks, token{tString, src[i+1 : j], line})
-			i = j + 1
-		case c == '-' || c == '+' || (c >= '0' && c <= '9'):
-			if strings.HasPrefix(src[i:], "+inf") || strings.HasPrefix(src[i:], "-inf") {
-				toks = append(toks, token{tFloat, src[i : i+4], line})
-				i += 4
-				break
-			}
+			return lx.emit(tString, i+1, j, j+1)
+		case cPlus, cMinus, cDigit:
 			j := i
 			if c == '-' || c == '+' {
+				if strings.HasPrefix(src[i+1:], "inf") {
+					return lx.emit(tFloat, i, i+4, i+4)
+				}
 				j++
 			}
-			isFloat := false
+			kind := tInt
 			for j < len(src) {
 				d := src[j]
 				if d >= '0' && d <= '9' {
 					j++
 				} else if d == '.' || d == 'e' || d == 'E' {
-					isFloat = true
+					kind = tFloat
 					j++
 					if j < len(src) && (src[j] == '-' || src[j] == '+') && (d == 'e' || d == 'E') {
 						j++
@@ -142,47 +196,68 @@ func lex(src string) ([]token, error) {
 					break
 				}
 			}
-			kind := tInt
-			if isFloat {
-				kind = tFloat
+			return lx.emit(kind, i, j, j)
+		case cPunct:
+			return lx.emit(tPunct, i, i+1, i+1)
+		case cDot, cIdent:
+			if c == '.' && strings.HasPrefix(src[i:], "...") {
+				return lx.emit(tPunct, i, i+3, i+3)
 			}
-			toks = append(toks, token{kind, src[i:j], line})
-			i = j
-		case strings.HasPrefix(src[i:], "..."):
-			toks = append(toks, token{tPunct, "...", line})
-			i += 3
-		case strings.IndexByte("(){}[],=:*", c) >= 0:
-			toks = append(toks, token{tPunct, string(c), line})
-			i++
+			j := i + 1
+			for j < len(src) && isIdentChar(src[j]) {
+				j++
+			}
+			return lx.emit(tIdent, i, j, j)
 		default:
-			if isIdentStart(c) {
-				j := i + 1
-				for j < len(src) && isIdentChar(src[j]) {
-					j++
-				}
-				toks = append(toks, token{tIdent, src[i:j], line})
-				i = j
-				break
-			}
-			return nil, fmt.Errorf("line %d: unexpected character %q", line, string(c))
+			lx.off = i
+			return token{}, fmt.Errorf("line %d: unexpected character %q", lx.line, string(c))
 		}
 	}
-	toks = append(toks, token{tEOF, "", line})
-	return toks, nil
+	lx.off = i
+	return token{kind: tEOF, line: lx.line}, nil
+}
+
+// emit returns the token spelled src[from:to] and resumes scanning at end.
+func (lx *lexer) emit(kind tokKind, from, to, end int) (token, error) {
+	lx.off = end
+	return token{kind, lx.src[from:to], lx.line}, nil
+}
+
+// lexAll lexes src to the end and returns its first lexical error.
+func lexAll(src string) error {
+	lx := lexer{src: src, line: 1}
+	for {
+		t, err := lx.next()
+		if err != nil || t.kind == tEOF {
+			return err
+		}
+	}
 }
 
 type parser struct {
-	toks []token
-	pos  int
-	mod  *Module
+	lx     lexer // positioned just past tok
+	tok    token // the current token
+	lexErr error // the first lexical error; tok reads as EOF from there on
+	mod    *Module
 
 	// per-function state
-	fn      *Func
-	locals  map[string]Value
-	blocks  map[string]*Block
-	fixups  []fixup
-	namePfx map[string]bool
+	fn     *Func
+	locals map[string]Value
+	blocks map[string]*Block
+	fixups []fixup
+	shapes [][]int   // per function header, in source order (scanHeaders)
+	slab   *InstSlab // the current body's instructions
+
+	// The instruction being parsed: its operands in order (nil for a forward
+	// reference) and its forward references, whose inst is set by build.
+	ops []Value
+	fwd []fixup
+
+	useBuf []Use // storage for first use lists, see build
 }
+
+// useChunk is the number of uses build carves use lists from per allocation.
+const useChunk = 1024
 
 // fixup records a forward reference to a not-yet-defined local value.
 type fixup struct {
@@ -192,8 +267,47 @@ type fixup struct {
 	line  int
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+// start positions the parser on the first token of src.
+func (p *parser) start(src string) {
+	p.lx = lexer{src: src, line: 1}
+	p.advance()
+}
+
+// advance makes the following token current. A lexical error is recorded
+// and ends the input, so the parse winds down and ParseModule reports it.
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	t, err := p.lx.next()
+	if err != nil {
+		p.lexErr = err
+		t = token{kind: tEOF, line: p.lx.line}
+	}
+	p.tok = t
+}
+
+func (p *parser) cur() token { return p.tok }
+
+func (p *parser) next() token {
+	t := p.tok
+	p.advance()
+	return t
+}
+
+// peek returns the token after the current one without consuming anything;
+// a lexical error there reads as EOF.
+func (p *parser) peek() token {
+	if p.lexErr != nil {
+		return p.tok
+	}
+	lx := p.lx
+	t, err := lx.next()
+	if err != nil {
+		return token{kind: tEOF, line: lx.line}
+	}
+	return t
+}
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("line %d: %s", p.cur().line, fmt.Sprintf(format, args...))
@@ -209,7 +323,7 @@ func (p *parser) expectPunct(s string) error {
 
 func (p *parser) acceptPunct(s string) bool {
 	if p.cur().kind == tPunct && p.cur().text == s {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -217,7 +331,7 @@ func (p *parser) acceptPunct(s string) bool {
 
 func (p *parser) acceptIdent(s string) bool {
 	if p.cur().kind == tIdent && p.cur().text == s {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -232,7 +346,8 @@ func (p *parser) expectIdent() (string, error) {
 }
 
 // scanHeaders walks the token stream creating function shells and globals so
-// bodies can reference symbols defined later in the file.
+// bodies can reference symbols defined later in the file. It records each
+// function's body shape for parseBodies.
 func (p *parser) scanHeaders() error {
 	for p.cur().kind != tEOF {
 		switch {
@@ -244,7 +359,7 @@ func (p *parser) scanHeaders() error {
 			if err := p.parseFuncHeader(true); err != nil {
 				return err
 			}
-			p.skipBody()
+			p.shapes = append(p.shapes, p.skipBody())
 		default:
 			return p.errf("expected global or function, got %s", p.cur())
 		}
@@ -252,27 +367,90 @@ func (p *parser) scanHeaders() error {
 	return nil
 }
 
-// skipBody advances past a balanced '{' ... '}' body if one follows.
-func (p *parser) skipBody() {
-	if !(p.cur().kind == tPunct && p.cur().text == "{") {
-		return
+// skipBody advances past a balanced '{' ... '}' body if one follows and
+// returns one instruction-count estimate per label: each line whose first
+// token is "name:" opens a label, each later line with a token adds an
+// instruction (exact for printer output, a harmless capacity hint
+// otherwise).
+//
+// The body is skipped byte by byte rather than token by token: outside
+// strings and comments every brace is a brace token, and newlines inside
+// strings do not count, just as in the lexer. Only malformed tokens go
+// unnoticed here; the body parse reports them.
+func (p *parser) skipBody() []int {
+	if !p.cur().is("{") {
+		return nil
 	}
-	depth := 0
-	for p.cur().kind != tEOF {
-		t := p.next()
-		if t.kind == tPunct && t.text == "{" {
+	src, i, line := p.lx.src, p.lx.off, p.lx.line
+	depth := 1
+	var counts []int
+	firstTok := -1 // the last line whose first token has been seen
+	for i < len(src) && depth > 0 {
+		switch c := src[i]; c {
+		case '\n':
+			line++
+			i++
+		case ' ', '\t', '\r':
+			i++
+		case ';':
+			for i < len(src) && src[i] != '\n' {
+				i++
+			}
+		case '{':
 			depth++
-		} else if t.kind == tPunct && t.text == "}" {
+			i++
+		case '}':
 			depth--
-			if depth == 0 {
-				return
+			i++
+		default:
+			if depth == 1 && line != firstTok {
+				firstTok = line
+				if labelAt(src, i) {
+					counts = append(counts, 0)
+				} else if len(counts) > 0 {
+					counts[len(counts)-1]++
+				}
+			}
+			if c == '"' {
+				j := strings.IndexByte(src[i+1:], '"')
+				if j < 0 {
+					depth = -1 // stop at the quote: the lexer reports it
+					break
+				}
+				i += j + 1
+			}
+			// The rest of the line matters only where it opens a comment,
+			// a string or a brace.
+			for i++; i < len(src) && !bodySkipStop[src[i]]; i++ {
 			}
 		}
 	}
+	p.lx.off, p.lx.line = i, line
+	p.advance()
+	return counts
+}
+
+// bodySkipStop marks the bytes skipBody must look at past a line's first
+// token.
+var bodySkipStop = [256]bool{'\n': true, ';': true, '"': true, '{': true, '}': true}
+
+// labelAt reports whether a label definition "name:" starts at src[i].
+func labelAt(src string, i int) bool {
+	if !isIdentStart(src[i]) || strings.HasPrefix(src[i:], "...") {
+		return false
+	}
+	j := i + 1
+	for j < len(src) && isIdentChar(src[j]) {
+		j++
+	}
+	for j < len(src) && charClass[src[j]] == cSpace {
+		j++
+	}
+	return j < len(src) && src[j] == ':'
 }
 
 func (p *parser) parseBodies() error {
-	for p.cur().kind != tEOF {
+	for nfunc := 0; p.cur().kind != tEOF; {
 		switch {
 		case p.cur().kind == tGlobal:
 			// Already handled in scanHeaders; skip to end of line item.
@@ -281,13 +459,15 @@ func (p *parser) parseBodies() error {
 			if err := p.parseFuncHeader(false); err != nil {
 				return err
 			}
+			nfunc++
 		case p.cur().kind == tIdent && p.cur().text == "define":
 			if err := p.parseFuncHeader(false); err != nil {
 				return err
 			}
-			if err := p.parseBody(); err != nil {
+			if err := p.parseBody(p.shapes[nfunc]); err != nil {
 				return err
 			}
+			nfunc++
 		default:
 			return p.errf("expected global or function, got %s", p.cur())
 		}
@@ -407,9 +587,13 @@ func (p *parser) parseFuncHeader(scan bool) error {
 	}
 	f := p.mod.FuncByName(fname)
 	p.fn = f
-	p.locals = map[string]Value{}
-	p.blocks = map[string]*Block{}
-	p.fixups = nil
+	if p.locals == nil {
+		p.locals = map[string]Value{}
+		p.blocks = map[string]*Block{}
+	}
+	clear(p.locals)
+	clear(p.blocks)
+	p.fixups = p.fixups[:0]
 	for i, nm := range pnames {
 		if nm != "" {
 			f.Params[i].SetName(nm)
@@ -428,63 +612,29 @@ func (p *parser) getBlock(name string) *Block {
 	return b
 }
 
-// bodyShape scans ahead from the token after '{' to the matching '}' and
-// returns one instruction-count estimate per label. Labels are counted
-// exactly; instructions are estimated as distinct source lines between
-// labels (exact for printer output, a harmless capacity hint otherwise).
-// The scan does not consume tokens.
-func (p *parser) bodyShape() []int {
-	depth := 1
-	var counts []int
-	lastLine := -1
-	for i := p.pos; i < len(p.toks); i++ {
-		t := p.toks[i]
-		if t.kind == tPunct {
-			switch t.text {
-			case "{":
-				depth++
-				continue
-			case "}":
-				depth--
-				if depth == 0 {
-					return counts
-				}
-				continue
-			}
-		}
-		if depth != 1 {
-			continue
-		}
-		if t.kind == tIdent && i+1 < len(p.toks) && p.toks[i+1].kind == tPunct && p.toks[i+1].text == ":" {
-			counts = append(counts, 0)
-			lastLine = t.line
-			continue
-		}
-		if len(counts) > 0 && t.line != lastLine {
-			counts[len(counts)-1]++
-			lastLine = t.line
-		}
-	}
-	return counts
-}
-
-func (p *parser) parseBody() error {
+// parseBody parses a function body whose shape skipBody recorded: the
+// block slice, each block's instruction slice and one slab of instructions
+// are sized from it up front.
+func (p *parser) parseBody(shape []int) error {
 	if err := p.expectPunct("{"); err != nil {
 		return err
 	}
-	// Pre-size the block and instruction slices from one lookahead pass so
-	// large printed functions append without repeated re-allocation.
-	shape := p.bodyShape()
 	if len(shape) > 0 && p.fn.Blocks == nil {
 		p.fn.Blocks = make([]*Block, 0, len(shape))
 	}
+	total := 0
+	for _, n := range shape {
+		total += n
+	}
+	p.slab = NewInstSlab(total)
 	nextLabel := 0
 	var cur *Block
 	for !p.acceptPunct("}") {
 		t := p.cur()
-		if t.kind == tIdent && p.toks[p.pos+1].kind == tPunct && p.toks[p.pos+1].text == ":" {
+		if t.kind == tIdent && p.peek().is(":") {
 			// Label.
-			p.pos += 2
+			p.advance()
+			p.advance()
 			cur = p.getBlock(t.text)
 			if cur.parent != nil {
 				return fmt.Errorf("line %d: duplicate label %q", t.line, t.text)
@@ -530,7 +680,7 @@ func (p *parser) parseType() (*Type, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tIdent:
-		p.pos++
+		p.advance()
 		switch {
 		case t.text == "void":
 			ty = Void()
@@ -556,7 +706,7 @@ func (p *parser) parseType() (*Type, error) {
 			return nil, fmt.Errorf("line %d: unknown type %q", t.line, t.text)
 		}
 	case t.kind == tPunct && t.text == "[":
-		p.pos++
+		p.advance()
 		nTok := p.next()
 		if nTok.kind != tInt {
 			return nil, fmt.Errorf("line %d: expected array length", nTok.line)
@@ -577,7 +727,7 @@ func (p *parser) parseType() (*Type, error) {
 		}
 		ty = ArrayOf(n, elem)
 	case t.kind == tPunct && t.text == "{":
-		p.pos++
+		p.advance()
 		var fields []*Type
 		for !p.acceptPunct("}") {
 			if len(fields) > 0 {
@@ -597,7 +747,7 @@ func (p *parser) parseType() (*Type, error) {
 	}
 	// Function type suffix: "<ret> (<params>)".
 	if p.cur().kind == tPunct && p.cur().text == "(" {
-		p.pos++
+		p.advance()
 		var params []*Type
 		variadic := false
 		for !p.acceptPunct(")") {
@@ -628,16 +778,17 @@ func (p *parser) parseType() (*Type, error) {
 	return ty, nil
 }
 
-// parseValueRef parses a value reference of known type ty, returning the
-// value or recording a fixup on inst/index for forward local references.
-func (p *parser) parseValueRef(ty *Type, inst *Inst, index int) (Value, error) {
+// parseValueRef parses a value reference of known type ty. The caller
+// appends the result to p.ops at once: a local not yet defined yields nil
+// and is recorded as a forward reference of that operand slot.
+func (p *parser) parseValueRef(ty *Type) (Value, error) {
 	t := p.next()
 	switch t.kind {
 	case tLocal:
 		if v, ok := p.locals[t.text]; ok {
 			return v, nil
 		}
-		p.fixups = append(p.fixups, fixup{inst: inst, index: index, name: t.text, line: t.line})
+		p.fwd = append(p.fwd, fixup{index: len(p.ops), name: t.text, line: t.line})
 		return nil, nil
 	case tGlobal:
 		if f := p.mod.FuncByName(t.text); f != nil {
@@ -705,14 +856,28 @@ func (p *parser) parseValueRef(ty *Type, inst *Inst, index int) (Value, error) {
 	return nil, fmt.Errorf("line %d: expected value, got %s", t.line, t)
 }
 
-// parseTypedValue parses "<type> <valueref>".
-func (p *parser) parseTypedValue(inst *Inst, index int) (*Type, Value, error) {
+// operand parses a value reference of type ty into the next operand slot.
+func (p *parser) operand(ty *Type) error {
+	v, err := p.parseValueRef(ty)
+	p.ops = append(p.ops, v)
+	return err
+}
+
+// typedOperand parses "<type> <valueref>" into the next operand slot and
+// returns the type.
+func (p *parser) typedOperand() (*Type, error) {
 	ty, err := p.parseType()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	v, err := p.parseValueRef(ty, inst, index)
-	return ty, v, err
+	return ty, p.operand(ty)
+}
+
+// labelOperand parses "label %name" into the next operand slot.
+func (p *parser) labelOperand() error {
+	b, err := p.parseLabelRef()
+	p.ops = append(p.ops, b)
+	return err
 }
 
 // parseLabelRef parses "label %name".
@@ -753,7 +918,12 @@ func (p *parser) parseInst() (*Inst, error) {
 	if opTok.kind != tIdent {
 		return nil, fmt.Errorf("line %d: expected opcode, got %s", opTok.line, opTok)
 	}
-	in, err := p.parseInstBody(opTok.text, opTok.line)
+	op, ok := opcodeByName[opTok.text]
+	if !ok {
+		return nil, fmt.Errorf("line %d: unknown instruction %q", opTok.line, opTok.text)
+	}
+	p.ops, p.fwd = p.ops[:0], p.fwd[:0]
+	in, err := p.parseInstBody(op)
 	if err != nil {
 		return nil, err
 	}
@@ -768,53 +938,52 @@ func (p *parser) parseInst() (*Inst, error) {
 	return in, nil
 }
 
-// setOrFix attaches v (or its pending fixup) as operand index of in. The
-// operand slot must already exist.
-func (p *parser) attach(in *Inst, index int, v Value) {
-	if v != nil {
-		in.SetOperand(index, v)
+// build makes the parsed instruction from the body's slab: it fills the
+// operand slots in order, which tracks each use in source order, and hands
+// the forward references to the function's fixups.
+func (p *parser) build(op Opcode, typ *Type) *Inst {
+	in := p.slab.NewInst(op, typ, len(p.ops))
+	for i, v := range p.ops {
+		if v != nil {
+			// A value's first use gives it room for two from a shared
+			// chunk: most values have one or two uses.
+			if len(p.useBuf) < 2 {
+				p.useBuf = make([]Use, useChunk)
+			}
+			p.useBuf = PresizeUses(v, 2, p.useBuf)
+			in.SetOperand(i, v)
+		}
 	}
+	for _, fx := range p.fwd {
+		fx.inst = in
+		p.fixups = append(p.fixups, fx)
+	}
+	return in
 }
 
-// reserve appends a nil operand slot to in and returns its index.
-func reserve(in *Inst) int {
-	in.operands = append(in.operands, nil)
-	return len(in.operands) - 1
-}
-
-func (p *parser) parseInstBody(op string, line int) (*Inst, error) {
-	if bop, ok := binaryOps[op]; ok {
-		in := NewInst(bop, nil)
+// parseInstBody parses the operands of opcode op into p.ops and builds the
+// instruction.
+func (p *parser) parseInstBody(op Opcode) (*Inst, error) {
+	switch {
+	case op.IsBinary():
 		ty, err := p.parseType()
 		if err != nil {
 			return nil, err
 		}
-		in.typ = ty
-		i0 := reserve(in)
-		v0, err := p.parseValueRef(ty, in, i0)
-		if err != nil {
+		if err := p.operand(ty); err != nil {
 			return nil, err
 		}
-		p.attach(in, i0, v0)
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
-		i1 := reserve(in)
-		v1, err := p.parseValueRef(ty, in, i1)
-		if err != nil {
+		if err := p.operand(ty); err != nil {
 			return nil, err
 		}
-		p.attach(in, i1, v1)
-		return in, nil
-	}
-	if cop, ok := castOps[op]; ok {
-		in := NewInst(cop, nil)
-		i0 := reserve(in)
-		_, v, err := p.parseTypedValue(in, i0)
-		if err != nil {
+		return p.build(op, ty), nil
+	case op.IsCast():
+		if _, err := p.typedOperand(); err != nil {
 			return nil, err
 		}
-		p.attach(in, i0, v)
 		if !p.acceptIdent("to") {
 			return nil, p.errf("expected 'to' in cast")
 		}
@@ -822,78 +991,58 @@ func (p *parser) parseInstBody(op string, line int) (*Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		in.typ = to
-		return in, nil
+		return p.build(op, to), nil
 	}
 
 	switch op {
-	case "ret":
-		if p.acceptIdent("void") {
-			return NewInst(OpRet, Void()), nil
-		}
-		in := NewInst(OpRet, Void())
-		i0 := reserve(in)
-		_, v, err := p.parseTypedValue(in, i0)
-		if err != nil {
-			return nil, err
-		}
-		p.attach(in, i0, v)
-		return in, nil
-
-	case "br":
-		if p.cur().kind == tIdent && p.cur().text == "label" {
-			b, err := p.parseLabelRef()
-			if err != nil {
+	case OpRet:
+		if !p.acceptIdent("void") {
+			if _, err := p.typedOperand(); err != nil {
 				return nil, err
 			}
-			return NewInst(OpBr, Void(), b), nil
 		}
-		in := NewInst(OpBr, Void())
-		i0 := reserve(in)
-		_, v, err := p.parseTypedValue(in, i0)
-		if err != nil {
-			return nil, err
-		}
-		p.attach(in, i0, v)
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		thenB, err := p.parseLabelRef()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		elseB, err := p.parseLabelRef()
-		if err != nil {
-			return nil, err
-		}
-		in.AppendOperand(thenB)
-		in.AppendOperand(elseB)
-		return in, nil
+		return p.build(OpRet, Void()), nil
 
-	case "switch":
-		in := NewInst(OpSwitch, Void())
-		i0 := reserve(in)
-		condTy, v, err := p.parseTypedValue(in, i0)
-		if err != nil {
+	case OpBr:
+		if p.cur().kind == tIdent && p.cur().text == "label" {
+			if err := p.labelOperand(); err != nil {
+				return nil, err
+			}
+			return p.build(OpBr, Void()), nil
+		}
+		if _, err := p.typedOperand(); err != nil {
 			return nil, err
 		}
-		p.attach(in, i0, v)
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
-		def, err := p.parseLabelRef()
+		if err := p.labelOperand(); err != nil {
+			return nil, err
+		}
+		if err := p.expectPunct(","); err != nil {
+			return nil, err
+		}
+		if err := p.labelOperand(); err != nil {
+			return nil, err
+		}
+		return p.build(OpBr, Void()), nil
+
+	case OpSwitch:
+		condTy, err := p.typedOperand()
 		if err != nil {
 			return nil, err
 		}
-		in.AppendOperand(def)
+		if err := p.expectPunct(","); err != nil {
+			return nil, err
+		}
+		if err := p.labelOperand(); err != nil {
+			return nil, err
+		}
 		if err := p.expectPunct("["); err != nil {
 			return nil, err
 		}
 		for !p.acceptPunct("]") {
-			cty, cv, err := p.parseTypedValue(nil, 0)
+			cty, err := p.typedOperand()
 			if err != nil {
 				return nil, err
 			}
@@ -903,38 +1052,31 @@ func (p *parser) parseInstBody(op string, line int) (*Inst, error) {
 			if err := p.expectPunct(","); err != nil {
 				return nil, err
 			}
-			dest, err := p.parseLabelRef()
-			if err != nil {
+			if err := p.labelOperand(); err != nil {
 				return nil, err
 			}
-			in.AppendOperand(cv)
-			in.AppendOperand(dest)
 		}
-		return in, nil
+		return p.build(OpSwitch, Void()), nil
 
-	case "unreachable":
-		return NewInst(OpUnreachable, Void()), nil
+	case OpUnreachable:
+		return p.build(OpUnreachable, Void()), nil
 
-	case "resume":
-		in := NewInst(OpResume, Void())
-		i0 := reserve(in)
-		_, v, err := p.parseTypedValue(in, i0)
-		if err != nil {
+	case OpResume:
+		if _, err := p.typedOperand(); err != nil {
 			return nil, err
 		}
-		p.attach(in, i0, v)
-		return in, nil
+		return p.build(OpResume, Void()), nil
 
-	case "alloca":
+	case OpAlloca:
 		ty, err := p.parseType()
 		if err != nil {
 			return nil, err
 		}
-		in := NewInst(OpAlloca, PointerTo(ty))
+		in := p.build(OpAlloca, PointerTo(ty))
 		in.Alloc = ty
 		return in, nil
 
-	case "load":
+	case OpLoad:
 		ty, err := p.parseType()
 		if err != nil {
 			return nil, err
@@ -942,67 +1084,46 @@ func (p *parser) parseInstBody(op string, line int) (*Inst, error) {
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
-		in := NewInst(OpLoad, ty)
-		i0 := reserve(in)
-		_, v, err := p.parseTypedValue(in, i0)
-		if err != nil {
+		if _, err := p.typedOperand(); err != nil {
 			return nil, err
 		}
-		p.attach(in, i0, v)
-		return in, nil
+		return p.build(OpLoad, ty), nil
 
-	case "store":
-		in := NewInst(OpStore, Void())
-		i0 := reserve(in)
-		_, v0, err := p.parseTypedValue(in, i0)
-		if err != nil {
-			return nil, err
-		}
-		p.attach(in, i0, v0)
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		i1 := reserve(in)
-		_, v1, err := p.parseTypedValue(in, i1)
-		if err != nil {
-			return nil, err
-		}
-		p.attach(in, i1, v1)
-		return in, nil
-
-	case "getelementptr":
-		_, err := p.parseType() // pointee type, redundant with pointer operand
-		if err != nil {
+	case OpStore:
+		if _, err := p.typedOperand(); err != nil {
 			return nil, err
 		}
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
-		in := NewInst(OpGEP, nil)
-		i0 := reserve(in)
-		baseTy, v0, err := p.parseTypedValue(in, i0)
+		if _, err := p.typedOperand(); err != nil {
+			return nil, err
+		}
+		return p.build(OpStore, Void()), nil
+
+	case OpGEP:
+		if _, err := p.parseType(); err != nil { // pointee type, redundant with pointer operand
+			return nil, err
+		}
+		if err := p.expectPunct(","); err != nil {
+			return nil, err
+		}
+		baseTy, err := p.typedOperand()
 		if err != nil {
 			return nil, err
 		}
-		p.attach(in, i0, v0)
-		var idxVals []Value
 		for p.acceptPunct(",") {
-			ii := reserve(in)
-			_, iv, err := p.parseTypedValue(in, ii)
-			if err != nil {
+			if _, err := p.typedOperand(); err != nil {
 				return nil, err
 			}
-			p.attach(in, ii, iv)
-			idxVals = append(idxVals, iv)
 		}
-		rt, err := GEPResultTypeChecked(baseTy, idxVals)
+		rt, err := GEPResultTypeChecked(baseTy, p.ops[1:])
 		if err != nil {
 			return nil, p.errf("%s", err)
 		}
-		in.typ = rt
-		return in, nil
+		return p.build(OpGEP, rt), nil
 
-	case "icmp", "fcmp":
+	case OpICmp, OpFCmp:
 		predName, err := p.expectIdent()
 		if err != nil {
 			return nil, err
@@ -1011,47 +1132,34 @@ func (p *parser) parseInstBody(op string, line int) (*Inst, error) {
 		if !ok {
 			return nil, p.errf("unknown predicate %q", predName)
 		}
-		o := OpICmp
-		if op == "fcmp" {
-			o = OpFCmp
-		}
-		in := NewInst(o, Bool())
-		in.Pred = pred
-		i0 := reserve(in)
-		ty, v0, err := p.parseTypedValue(in, i0)
+		ty, err := p.typedOperand()
 		if err != nil {
 			return nil, err
 		}
-		p.attach(in, i0, v0)
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
-		i1 := reserve(in)
-		v1, err := p.parseValueRef(ty, in, i1)
-		if err != nil {
+		if err := p.operand(ty); err != nil {
 			return nil, err
 		}
-		p.attach(in, i1, v1)
+		in := p.build(op, Bool())
+		in.Pred = pred
 		return in, nil
 
-	case "phi":
+	case OpPhi:
 		ty, err := p.parseType()
 		if err != nil {
 			return nil, err
 		}
-		in := NewInst(OpPhi, ty)
 		first := true
 		for first || p.acceptPunct(",") {
 			first = false
 			if err := p.expectPunct("["); err != nil {
 				return nil, err
 			}
-			iv := reserve(in)
-			v, err := p.parseValueRef(ty, in, iv)
-			if err != nil {
+			if err := p.operand(ty); err != nil {
 				return nil, err
 			}
-			p.attach(in, iv, v)
 			if err := p.expectPunct(","); err != nil {
 				return nil, err
 			}
@@ -1059,115 +1167,89 @@ func (p *parser) parseInstBody(op string, line int) (*Inst, error) {
 			if t.kind != tLocal {
 				return nil, fmt.Errorf("line %d: expected block name in phi, got %s", t.line, t)
 			}
-			in.AppendOperand(p.getBlock(t.text))
+			p.ops = append(p.ops, p.getBlock(t.text))
 			if err := p.expectPunct("]"); err != nil {
 				return nil, err
 			}
 		}
-		return in, nil
+		return p.build(OpPhi, ty), nil
 
-	case "select":
-		in := NewInst(OpSelect, nil)
-		i0 := reserve(in)
-		_, c, err := p.parseTypedValue(in, i0)
-		if err != nil {
+	case OpSelect:
+		if _, err := p.typedOperand(); err != nil {
 			return nil, err
 		}
-		p.attach(in, i0, c)
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
-		i1 := reserve(in)
-		ty, v1, err := p.parseTypedValue(in, i1)
+		ty, err := p.typedOperand()
 		if err != nil {
 			return nil, err
 		}
-		p.attach(in, i1, v1)
-		in.typ = ty
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
-		i2 := reserve(in)
-		_, v2, err := p.parseTypedValue(in, i2)
-		if err != nil {
+		if _, err := p.typedOperand(); err != nil {
 			return nil, err
 		}
-		p.attach(in, i2, v2)
-		return in, nil
+		return p.build(OpSelect, ty), nil
 
-	case "call", "invoke":
-		o := OpCall
-		if op == "invoke" {
-			o = OpInvoke
-		}
+	case OpCall, OpInvoke:
 		retTy, err := p.parseType()
 		if err != nil {
 			return nil, err
 		}
-		in := NewInst(o, retTy)
 		// Callee: global or local (indirect).
 		t := p.next()
-		var callee Value
 		switch t.kind {
 		case tGlobal:
-			if f := p.mod.FuncByName(t.text); f != nil {
-				callee = f
-			} else {
+			f := p.mod.FuncByName(t.text)
+			if f == nil {
 				return nil, fmt.Errorf("line %d: call of undefined function @%s", t.line, t.text)
 			}
+			p.ops = append(p.ops, f)
 		case tLocal:
 			v, ok := p.locals[t.text]
 			if !ok {
 				return nil, fmt.Errorf("line %d: indirect callee %%%s must be defined before use", t.line, t.text)
 			}
-			callee = v
+			p.ops = append(p.ops, v)
 		default:
 			return nil, fmt.Errorf("line %d: expected callee, got %s", t.line, t)
 		}
-		in.AppendOperand(callee)
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
-		narg := 0
 		for !p.acceptPunct(")") {
-			if narg > 0 {
+			if len(p.ops) > 1 {
 				if err := p.expectPunct(","); err != nil {
 					return nil, err
 				}
 			}
-			ia := reserve(in)
-			_, av, err := p.parseTypedValue(in, ia)
-			if err != nil {
+			if _, err := p.typedOperand(); err != nil {
 				return nil, err
 			}
-			p.attach(in, ia, av)
-			narg++
 		}
-		if o == OpInvoke {
+		if op == OpInvoke {
 			if !p.acceptIdent("to") {
 				return nil, p.errf("expected 'to' in invoke")
 			}
-			normal, err := p.parseLabelRef()
-			if err != nil {
+			if err := p.labelOperand(); err != nil {
 				return nil, err
 			}
 			if !p.acceptIdent("unwind") {
 				return nil, p.errf("expected 'unwind' in invoke")
 			}
-			lpad, err := p.parseLabelRef()
-			if err != nil {
+			if err := p.labelOperand(); err != nil {
 				return nil, err
 			}
-			in.AppendOperand(normal)
-			in.AppendOperand(lpad)
 		}
-		return in, nil
+		return p.build(op, retTy), nil
 
-	case "landingpad":
-		in := NewInst(OpLandingPad, Token())
+	case OpLandingPad:
+		var clauses []string
 		for {
 			if p.acceptIdent("cleanup") {
-				in.Clauses = append(in.Clauses, "cleanup")
+				clauses = append(clauses, "cleanup")
 				continue
 			}
 			if p.acceptIdent("catch") {
@@ -1175,29 +1257,23 @@ func (p *parser) parseInstBody(op string, line int) (*Inst, error) {
 				if t.kind != tGlobal {
 					return nil, fmt.Errorf("line %d: expected @typeinfo after catch", t.line)
 				}
-				in.Clauses = append(in.Clauses, t.text)
+				clauses = append(clauses, t.text)
 				continue
 			}
 			break
 		}
+		in := p.build(OpLandingPad, Token())
+		in.Clauses = clauses
 		return in, nil
 	}
-	return nil, fmt.Errorf("line %d: unknown instruction %q", line, op)
+	panic("ir: parser has no case for opcode " + op.String())
 }
 
-var binaryOps = map[string]Opcode{
-	"add": OpAdd, "sub": OpSub, "mul": OpMul,
-	"sdiv": OpSDiv, "udiv": OpUDiv, "srem": OpSRem, "urem": OpURem,
-	"fadd": OpFAdd, "fsub": OpFSub, "fmul": OpFMul, "fdiv": OpFDiv, "frem": OpFRem,
-	"shl": OpShl, "lshr": OpLShr, "ashr": OpAShr,
-	"and": OpAnd, "or": OpOr, "xor": OpXor,
-}
-
-var castOps = map[string]Opcode{
-	"trunc": OpTrunc, "zext": OpZExt, "sext": OpSExt,
-	"fptrunc": OpFPTrunc, "fpext": OpFPExt,
-	"fptosi": OpFPToSI, "fptoui": OpFPToUI,
-	"sitofp": OpSIToFP, "uitofp": OpUIToFP,
-	"ptrtoint": OpPtrToInt, "inttoptr": OpIntToPtr,
-	"bitcast": OpBitCast,
-}
+// opcodeByName maps the mnemonics of the textual format to their opcodes.
+var opcodeByName = func() map[string]Opcode {
+	m := make(map[string]Opcode, NumOpcodes)
+	for op := OpInvalid + 1; op < NumOpcodes; op++ {
+		m[op.String()] = op
+	}
+	return m
+}()

@@ -1,10 +1,9 @@
 package ir
 
 import (
-	"bufio"
 	"encoding/hex"
-	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -21,6 +20,14 @@ func newNamer() *namer {
 	return &namer{names: map[Value]string{}, used: map[string]bool{}}
 }
 
+// reset forgets every name so the namer can serve the next function,
+// keeping its map storage.
+func (n *namer) reset() {
+	clear(n.names)
+	clear(n.used)
+	n.next = 0
+}
+
 func (n *namer) assign(v Named) string {
 	if s, ok := n.names[v]; ok {
 		return s
@@ -29,45 +36,63 @@ func (n *namer) assign(v Named) string {
 	if want == "" {
 		// Blocks need identifier-shaped names: bare numbers cannot appear
 		// as label definitions in the textual syntax.
+		want = strconv.Itoa(n.next)
 		if _, isBlock := v.(*Block); isBlock {
-			want = fmt.Sprintf("bb%d", n.next)
-		} else {
-			want = fmt.Sprintf("%d", n.next)
+			want = "bb" + want
 		}
 		n.next++
 	}
 	name := want
 	for i := 1; n.used[name]; i++ {
-		name = fmt.Sprintf("%s.%d", want, i)
+		name = want + "." + strconv.Itoa(i)
 	}
 	n.used[name] = true
 	n.names[v] = name
 	return name
 }
 
-func (n *namer) ref(v Value) string {
+// appendRef appends the reference form of v: "%name" for locals, "@name"
+// for symbols, the literal spelling for constants.
+func (n *namer) appendRef(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case *Param:
-		return "%" + n.assign(x)
+		return append(append(dst, '%'), n.assign(x)...)
 	case *Inst:
-		return "%" + n.assign(x)
+		return append(append(dst, '%'), n.assign(x)...)
 	case *Block:
-		return "%" + n.assign(x)
-	case *Func, *Global:
-		return v.Ident()
-	case Constant:
-		return v.Ident()
+		return append(append(dst, '%'), n.assign(x)...)
+	case *Func:
+		return append(append(dst, '@'), x.name...)
+	case *Global:
+		return append(append(dst, '@'), x.name...)
+	case *ConstInt:
+		return x.appendIdent(dst)
+	case *ConstFloat:
+		return x.appendIdent(dst)
 	default:
-		return v.Ident()
+		return append(dst, v.Ident()...)
 	}
 }
 
-// typedRef renders an operand as "<type> <ref>".
-func (n *namer) typedRef(v Value) string {
+// appendTypedRef appends an operand as "<type> <ref>", or "label %name" for
+// a block.
+func (n *namer) appendTypedRef(dst []byte, v Value) []byte {
 	if b, ok := v.(*Block); ok {
-		return "label %" + n.assign(b)
+		return append(append(dst, "label %"...), n.assign(b)...)
 	}
-	return v.Type().String() + " " + n.ref(v)
+	dst = append(append(dst, v.Type().String()...), ' ')
+	return n.appendRef(dst, v)
+}
+
+// appendTypedRefs appends vs as comma-separated typed references.
+func (n *namer) appendTypedRefs(dst []byte, vs ...Value) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = n.appendTypedRef(dst, v)
+	}
+	return dst
 }
 
 // FormatModule renders the module in the textual IR format accepted by
@@ -78,115 +103,104 @@ func FormatModule(m *Module) string {
 	return sb.String()
 }
 
-// PrintModule streams the module's textual IR form to w through a buffered
-// writer, avoiding the one-large-string materialization of FormatModule.
+// PrintModule writes the module's textual IR form to w, one Write per
+// function, avoiding the one-large-string materialization of FormatModule.
 // It returns the first write error encountered.
 func PrintModule(w io.Writer, m *Module) error {
-	bw := bufio.NewWriter(w)
+	var buf []byte
 	if m.Name != "" {
-		fmt.Fprintf(bw, "; module %s\n", m.Name)
+		buf = append(append(append(buf, "; module "...), m.Name...), '\n')
 	}
 	for _, g := range m.Globals {
-		bw.WriteString(formatGlobal(g))
-		bw.WriteByte('\n')
+		buf = append(appendGlobal(buf, g), '\n')
 	}
 	if len(m.Globals) > 0 {
-		bw.WriteByte('\n')
+		buf = append(buf, '\n')
 	}
+	n := newNamer()
 	for i, f := range m.Funcs {
 		if i > 0 {
-			bw.WriteByte('\n')
+			buf = append(buf, '\n')
 		}
-		printFunc(bw, f)
+		n.reset()
+		buf = appendFunc(buf, f, n)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		buf = buf[:0]
 	}
-	return bw.Flush()
+	if len(buf) > 0 {
+		_, err := w.Write(buf)
+		return err
+	}
+	return nil
 }
 
-func formatGlobal(g *Global) string {
-	var sb strings.Builder
-	sb.WriteString(g.Ident())
-	sb.WriteString(" = ")
+func appendGlobal(dst []byte, g *Global) []byte {
+	dst = append(append(append(dst, '@'), g.name...), " = "...)
 	if g.Linkage == InternalLinkage {
-		sb.WriteString("internal ")
+		dst = append(dst, "internal "...)
 	}
-	sb.WriteString("global ")
-	sb.WriteString(g.ValueType().String())
+	dst = append(append(dst, "global "...), g.ValueType().String()...)
 	if g.Init == nil {
-		sb.WriteString(" zeroinitializer")
-	} else {
-		sb.WriteString(" bytes \"")
-		sb.WriteString(hex.EncodeToString(g.Init))
-		sb.WriteString("\"")
+		return append(dst, " zeroinitializer"...)
 	}
-	return sb.String()
+	dst = hex.AppendEncode(append(dst, " bytes \""...), g.Init)
+	return append(dst, '"')
 }
 
 // FormatFunc renders a single function (definition or declaration).
-func FormatFunc(f *Func) string {
-	var sb strings.Builder
-	bw := bufio.NewWriter(&sb)
-	printFunc(bw, f)
-	bw.Flush()
-	return sb.String()
-}
+func FormatFunc(f *Func) string { return string(appendFunc(nil, f, newNamer())) }
 
-// printFunc streams one function's textual form to bw.
-func printFunc(bw *bufio.Writer, f *Func) {
-	n := newNamer()
+// appendFunc appends one function's textual form, naming its locals with n.
+func appendFunc(dst []byte, f *Func, n *namer) []byte {
 	sig := f.Sig()
 	if f.IsDecl() {
-		bw.WriteString("declare ")
+		dst = append(dst, "declare "...)
 	} else {
-		bw.WriteString("define ")
+		dst = append(dst, "define "...)
 		if f.Linkage == InternalLinkage {
-			bw.WriteString("internal ")
+			dst = append(dst, "internal "...)
 		}
 	}
-	bw.WriteString(sig.Ret.String())
-	bw.WriteString(" @")
-	bw.WriteString(f.Name())
-	bw.WriteString("(")
+	dst = append(append(append(dst, sig.Ret.String()...), " @"...), f.name...)
+	dst = append(dst, '(')
 	for i, p := range f.Params {
 		if i > 0 {
-			bw.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		bw.WriteString(p.Type().String())
+		dst = append(dst, p.Type().String()...)
 		if !f.IsDecl() {
-			bw.WriteString(" %")
-			bw.WriteString(n.assign(p))
+			dst = append(append(dst, " %"...), n.assign(p)...)
 		}
 	}
 	if sig.Variadic {
 		if len(f.Params) > 0 {
-			bw.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		bw.WriteString("...")
+		dst = append(dst, "..."...)
 	}
-	bw.WriteString(")")
+	dst = append(dst, ')')
 	if f.IsDecl() {
-		bw.WriteString("\n")
-		return
+		return append(dst, '\n')
 	}
-	bw.WriteString(" {\n")
+	dst = append(dst, " {\n"...)
 	// Pre-assign block names so forward branch references are stable.
 	for _, b := range f.Blocks {
 		n.assign(b)
 	}
 	for _, b := range f.Blocks {
-		bw.WriteString(n.names[b])
-		bw.WriteString(":\n")
+		dst = append(append(dst, n.names[b]...), ":\n"...)
 		for _, in := range b.Insts {
-			bw.WriteString("  ")
-			bw.WriteString(formatInst(in, n))
-			bw.WriteByte('\n')
+			dst = append(appendInst(append(dst, "  "...), in, n), '\n')
 		}
 	}
-	bw.WriteString("}\n")
+	return append(dst, "}\n"...)
 }
 
 // FormatInst renders one instruction using a throwaway namer; intended for
 // debugging output.
-func FormatInst(in *Inst) string { return formatInst(in, newNamer()) }
+func FormatInst(in *Inst) string { return string(appendInst(nil, in, newNamer())) }
 
 // Namer assigns stable, unique names to the values of one function for
 // human-readable listings (alignment views, diffs). Unlike FormatInst, the
@@ -199,115 +213,101 @@ type Namer struct {
 func NewNamer() *Namer { return &Namer{n: newNamer()} }
 
 // Inst renders an instruction with this namer's stable names.
-func (nm *Namer) Inst(in *Inst) string { return formatInst(in, nm.n) }
+func (nm *Namer) Inst(in *Inst) string { return string(appendInst(nil, in, nm.n)) }
 
 // Label returns the display label of a block (without the trailing colon).
 func (nm *Namer) Label(b *Block) string { return nm.n.assign(b) }
 
-func formatInst(in *Inst, n *namer) string {
-	var sb strings.Builder
+// appendInst appends the textual form of in (without indentation or
+// newline), naming locals with n.
+func appendInst(dst []byte, in *Inst, n *namer) []byte {
 	if !in.Type().IsVoid() {
-		sb.WriteString("%")
-		sb.WriteString(n.assign(in))
-		sb.WriteString(" = ")
+		dst = append(append(append(dst, '%'), n.assign(in)...), " = "...)
 	}
 	switch in.Op {
 	case OpRet:
 		if in.NumOperands() == 0 {
-			sb.WriteString("ret void")
-		} else {
-			sb.WriteString("ret ")
-			sb.WriteString(n.typedRef(in.Operand(0)))
+			return append(dst, "ret void"...)
 		}
+		return n.appendTypedRef(append(dst, "ret "...), in.Operand(0))
 	case OpBr:
 		if in.NumOperands() == 1 {
-			sb.WriteString("br ")
-			sb.WriteString(n.typedRef(in.Operand(0)))
-		} else {
-			fmt.Fprintf(&sb, "br %s, %s, %s",
-				n.typedRef(in.Operand(0)), n.typedRef(in.Operand(1)), n.typedRef(in.Operand(2)))
+			return n.appendTypedRef(append(dst, "br "...), in.Operand(0))
 		}
+		return n.appendTypedRefs(append(dst, "br "...), in.Operand(0), in.Operand(1), in.Operand(2))
 	case OpSwitch:
-		fmt.Fprintf(&sb, "switch %s, %s [", n.typedRef(in.Operand(0)), n.typedRef(in.Operand(1)))
+		dst = n.appendTypedRefs(append(dst, "switch "...), in.Operand(0), in.Operand(1))
+		dst = append(dst, " ["...)
 		for i := 2; i < in.NumOperands(); i += 2 {
 			if i > 2 {
-				sb.WriteString(" ")
+				dst = append(dst, ' ')
 			}
-			fmt.Fprintf(&sb, " %s, %s", n.typedRef(in.Operand(i)), n.typedRef(in.Operand(i+1)))
+			dst = n.appendTypedRefs(append(dst, ' '), in.Operand(i), in.Operand(i+1))
 		}
-		sb.WriteString(" ]")
+		return append(dst, " ]"...)
 	case OpUnreachable:
-		sb.WriteString("unreachable")
+		return append(dst, "unreachable"...)
 	case OpInvoke:
-		args := in.CallArgs()
-		fmt.Fprintf(&sb, "invoke %s %s(", in.Type(), n.ref(in.Callee()))
-		for i, a := range args {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(n.typedRef(a))
-		}
-		fmt.Fprintf(&sb, ") to %s unwind %s",
-			n.typedRef(in.InvokeNormal()), n.typedRef(in.InvokeUnwind()))
+		dst = append(append(append(dst, "invoke "...), in.Type().String()...), ' ')
+		dst = append(n.appendRef(dst, in.Callee()), '(')
+		dst = append(n.appendTypedRefs(dst, in.CallArgs()...), ") to "...)
+		dst = append(n.appendTypedRef(dst, in.InvokeNormal()), " unwind "...)
+		return n.appendTypedRef(dst, in.InvokeUnwind())
 	case OpResume:
-		sb.WriteString("resume ")
-		sb.WriteString(n.typedRef(in.Operand(0)))
+		return n.appendTypedRef(append(dst, "resume "...), in.Operand(0))
 	case OpAlloca:
-		fmt.Fprintf(&sb, "alloca %s", in.Alloc)
+		return append(append(dst, "alloca "...), in.Alloc.String()...)
 	case OpLoad:
-		fmt.Fprintf(&sb, "load %s, %s", in.Type(), n.typedRef(in.Operand(0)))
+		dst = append(append(append(dst, "load "...), in.Type().String()...), ", "...)
+		return n.appendTypedRef(dst, in.Operand(0))
 	case OpStore:
-		fmt.Fprintf(&sb, "store %s, %s", n.typedRef(in.Operand(0)), n.typedRef(in.Operand(1)))
+		return n.appendTypedRefs(append(dst, "store "...), in.Operand(0), in.Operand(1))
 	case OpGEP:
 		base := in.Operand(0)
-		fmt.Fprintf(&sb, "getelementptr %s, %s", base.Type().Elem, n.typedRef(base))
-		for _, idx := range in.Operands()[1:] {
-			sb.WriteString(", ")
-			sb.WriteString(n.typedRef(idx))
-		}
+		dst = append(append(append(dst, "getelementptr "...), base.Type().Elem.String()...), ", "...)
+		return n.appendTypedRefs(dst, in.operands...)
 	case OpICmp, OpFCmp:
-		fmt.Fprintf(&sb, "%s %s %s, %s", in.Op, in.Pred,
-			n.typedRef(in.Operand(0)), n.ref(in.Operand(1)))
+		dst = append(append(append(append(dst, in.Op.String()...), ' '), in.Pred.String()...), ' ')
+		dst = append(n.appendTypedRef(dst, in.Operand(0)), ", "...)
+		return n.appendRef(dst, in.Operand(1))
 	case OpPhi:
-		fmt.Fprintf(&sb, "phi %s ", in.Type())
+		dst = append(append(append(dst, "phi "...), in.Type().String()...), ' ')
 		for i := 0; i < in.NumPhiIncoming(); i++ {
 			v, b := in.PhiIncoming(i)
 			if i > 0 {
-				sb.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			fmt.Fprintf(&sb, "[ %s, %%%s ]", n.ref(v), n.assign(b))
+			dst = append(n.appendRef(append(dst, "[ "...), v), ", %"...)
+			dst = append(append(dst, n.assign(b)...), " ]"...)
 		}
+		return dst
 	case OpSelect:
-		fmt.Fprintf(&sb, "select %s, %s, %s",
-			n.typedRef(in.Operand(0)), n.typedRef(in.Operand(1)), n.typedRef(in.Operand(2)))
+		return n.appendTypedRefs(append(dst, "select "...), in.Operand(0), in.Operand(1), in.Operand(2))
 	case OpCall:
-		fmt.Fprintf(&sb, "call %s %s(", in.Type(), n.ref(in.Callee()))
-		for i, a := range in.CallArgs() {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(n.typedRef(a))
-		}
-		sb.WriteString(")")
+		dst = append(append(append(dst, "call "...), in.Type().String()...), ' ')
+		dst = append(n.appendRef(dst, in.Callee()), '(')
+		return append(n.appendTypedRefs(dst, in.CallArgs()...), ')')
 	case OpLandingPad:
-		sb.WriteString("landingpad")
+		dst = append(dst, "landingpad"...)
 		for _, c := range in.Clauses {
 			if c == "cleanup" {
-				sb.WriteString(" cleanup")
+				dst = append(dst, " cleanup"...)
 			} else {
-				fmt.Fprintf(&sb, " catch @%s", c)
+				dst = append(append(dst, " catch @"...), c...)
 			}
 		}
-	default:
-		if in.Op.IsBinary() {
-			fmt.Fprintf(&sb, "%s %s, %s", in.Op,
-				n.typedRef(in.Operand(0)), n.ref(in.Operand(1)))
-		} else if in.Op.IsCast() {
-			fmt.Fprintf(&sb, "%s %s to %s", in.Op,
-				n.typedRef(in.Operand(0)), in.Type())
-		} else {
-			fmt.Fprintf(&sb, "<unknown op %s>", in.Op)
-		}
+		return dst
 	}
-	return sb.String()
+	switch {
+	case in.Op.IsBinary():
+		dst = append(append(dst, in.Op.String()...), ' ')
+		dst = append(n.appendTypedRef(dst, in.Operand(0)), ", "...)
+		return n.appendRef(dst, in.Operand(1))
+	case in.Op.IsCast():
+		dst = append(append(dst, in.Op.String()...), ' ')
+		dst = append(n.appendTypedRef(dst, in.Operand(0)), " to "...)
+		return append(dst, in.Type().String()...)
+	default:
+		return append(append(append(dst, "<unknown op "...), in.Op.String()...), '>')
+	}
 }

@@ -4,6 +4,7 @@ package ir_test
 // use the workload generator without an import cycle.
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -38,7 +39,7 @@ func TestFormatParseRoundTripProperty(t *testing.T) {
 		}
 		return ir.FormatModule(m2) == text1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(25))}); err != nil {
 		t.Error(err)
 	}
 }

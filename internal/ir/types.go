@@ -10,8 +10,7 @@
 package ir
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -51,28 +50,56 @@ type Type struct {
 	// Variadic marks a FuncKind type as variadic.
 	Variadic bool
 
-	str         string        // cached textual form
-	contentHash atomic.Uint64 // cached ContentHash (0 = not yet computed)
+	str         string               // cached textual form
+	contentHash atomic.Uint64        // cached ContentHash (0 = not yet computed)
+	ptrTo       atomic.Pointer[Type] // cached PointerTo(t) (nil = not yet built)
 }
 
 var (
 	internMu  sync.Mutex
 	internTab = map[string]*Type{}
+	internKey []byte // intern's spelling scratch, guarded by internMu
 
 	voidType  = &Type{Kind: VoidKind, str: "void"}
 	labelType = &Type{Kind: LabelKind, str: "label"}
 	tokenType = &Type{Kind: TokenKind, str: "token"}
+
+	// intTypes[b] is the interned b-bit integer type (index 0 is unused);
+	// f32Type and f64Type are the interned float types. Int and Float are
+	// array loads with no lock.
+	intTypes = func() (ts [65]*Type) {
+		for b := 1; b <= 64; b++ {
+			ts[b] = intern(&Type{Kind: IntKind, Bits: b})
+		}
+		return ts
+	}()
+	f32Type = intern(&Type{Kind: FloatKind, Bits: 32})
+	f64Type = intern(&Type{Kind: FloatKind, Bits: 64})
 )
 
-func intern(t *Type) *Type {
-	key := t.computeString()
+// intern returns the one *Type spelled like proto, creating it from proto's
+// shape when the spelling is new. proto itself is never retained, so
+// callers pass a stack literal and a hit allocates nothing.
+//
+// Every type a constructor hands out is the interned pointer for its
+// spelling: the scalar arrays (intTypes, f32Type, f64Type) are filled from
+// intern before any constructor can run, and the pointer type cached on an
+// element (Type.ptrTo) is the value intern returned for it. Pointer equality
+// is therefore type equality however a type was obtained.
+func intern(proto *Type) *Type {
 	internMu.Lock()
 	defer internMu.Unlock()
-	if got, ok := internTab[key]; ok {
+	internKey = proto.appendSpelling(internKey[:0])
+	if got, ok := internTab[string(internKey)]; ok {
 		return got
 	}
-	t.str = key
-	internTab[key] = t
+	t := &Type{Kind: proto.Kind, Bits: proto.Bits, Elem: proto.Elem, Len: proto.Len,
+		Ret: proto.Ret, Variadic: proto.Variadic, str: string(internKey)}
+	if proto.Kind == StructKind || proto.Kind == FuncKind {
+		t.Fields = make([]*Type, len(proto.Fields))
+		copy(t.Fields, proto.Fields)
+	}
+	internTab[t.str] = t
 	return t
 }
 
@@ -88,46 +115,55 @@ func Token() *Type { return tokenType }
 // Int returns the integer type of the given bit width (1..64).
 func Int(bits int) *Type {
 	if bits < 1 || bits > 64 {
-		panic(fmt.Sprintf("ir: invalid integer width %d", bits))
+		panic("ir: invalid integer width " + strconv.Itoa(bits))
 	}
-	return intern(&Type{Kind: IntKind, Bits: bits})
+	return intTypes[bits]
 }
 
 // Bool returns the 1-bit integer type.
-func Bool() *Type { return Int(1) }
+func Bool() *Type { return intTypes[1] }
 
 // I8 returns the 8-bit integer type.
-func I8() *Type { return Int(8) }
+func I8() *Type { return intTypes[8] }
 
 // I16 returns the 16-bit integer type.
-func I16() *Type { return Int(16) }
+func I16() *Type { return intTypes[16] }
 
 // I32 returns the 32-bit integer type.
-func I32() *Type { return Int(32) }
+func I32() *Type { return intTypes[32] }
 
 // I64 returns the 64-bit integer type.
-func I64() *Type { return Int(64) }
+func I64() *Type { return intTypes[64] }
 
 // Float returns the floating-point type of the given width (32 or 64).
 func Float(bits int) *Type {
-	if bits != 32 && bits != 64 {
-		panic(fmt.Sprintf("ir: invalid float width %d", bits))
+	switch bits {
+	case 32:
+		return f32Type
+	case 64:
+		return f64Type
 	}
-	return intern(&Type{Kind: FloatKind, Bits: bits})
+	panic("ir: invalid float width " + strconv.Itoa(bits))
 }
 
 // F32 returns the 32-bit floating-point type.
-func F32() *Type { return Float(32) }
+func F32() *Type { return f32Type }
 
 // F64 returns the 64-bit floating-point type.
-func F64() *Type { return Float(64) }
+func F64() *Type { return f64Type }
 
-// PointerTo returns the pointer type with element type elem.
+// PointerTo returns the pointer type with element type elem. The result is
+// cached on elem, so only the first call per element type interns.
 func PointerTo(elem *Type) *Type {
 	if elem == nil {
 		panic("ir: PointerTo(nil)")
 	}
-	return intern(&Type{Kind: PointerKind, Elem: elem})
+	if p := elem.ptrTo.Load(); p != nil {
+		return p
+	}
+	p := intern(&Type{Kind: PointerKind, Elem: elem})
+	elem.ptrTo.Store(p) // racing stores write the same interned pointer
+	return p
 }
 
 // ArrayOf returns the array type with n elements of type elem.
@@ -140,65 +176,69 @@ func ArrayOf(n int, elem *Type) *Type {
 
 // StructOf returns the struct type with the given field types.
 func StructOf(fields ...*Type) *Type {
-	cp := make([]*Type, len(fields))
-	copy(cp, fields)
-	return intern(&Type{Kind: StructKind, Fields: cp})
+	return intern(&Type{Kind: StructKind, Fields: fields})
 }
 
 // FuncOf returns the function type with the given return and parameter types.
 func FuncOf(ret *Type, params ...*Type) *Type {
-	cp := make([]*Type, len(params))
-	copy(cp, params)
-	return intern(&Type{Kind: FuncKind, Ret: ret, Fields: cp})
+	return intern(&Type{Kind: FuncKind, Ret: ret, Fields: params})
 }
 
 // VarFuncOf returns a variadic function type.
 func VarFuncOf(ret *Type, params ...*Type) *Type {
-	cp := make([]*Type, len(params))
-	copy(cp, params)
-	return intern(&Type{Kind: FuncKind, Ret: ret, Fields: cp, Variadic: true})
+	return intern(&Type{Kind: FuncKind, Ret: ret, Fields: params, Variadic: true})
 }
 
-func (t *Type) computeString() string {
+// appendSpelling appends the textual form of t, built from its parts.
+func (t *Type) appendSpelling(dst []byte) []byte {
 	switch t.Kind {
 	case VoidKind:
-		return "void"
+		return append(dst, "void"...)
 	case LabelKind:
-		return "label"
+		return append(dst, "label"...)
 	case TokenKind:
-		return "token"
+		return append(dst, "token"...)
 	case IntKind:
-		return fmt.Sprintf("i%d", t.Bits)
+		return strconv.AppendInt(append(dst, 'i'), int64(t.Bits), 10)
 	case FloatKind:
-		return fmt.Sprintf("f%d", t.Bits)
+		return strconv.AppendInt(append(dst, 'f'), int64(t.Bits), 10)
 	case PointerKind:
-		return t.Elem.String() + "*"
+		return append(append(dst, t.Elem.String()...), '*')
 	case ArrayKind:
-		return fmt.Sprintf("[%d x %s]", t.Len, t.Elem)
+		dst = strconv.AppendInt(append(dst, '['), int64(t.Len), 10)
+		dst = append(append(dst, " x "...), t.Elem.String()...)
+		return append(dst, ']')
 	case StructKind:
-		parts := make([]string, len(t.Fields))
-		for i, f := range t.Fields {
-			parts[i] = f.String()
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		return append(appendTypeList(append(dst, '{'), t.Fields, false), '}')
 	case FuncKind:
-		parts := make([]string, len(t.Fields))
-		for i, f := range t.Fields {
-			parts[i] = f.String()
-		}
-		if t.Variadic {
-			parts = append(parts, "...")
-		}
-		return t.Ret.String() + " (" + strings.Join(parts, ", ") + ")"
+		dst = append(append(dst, t.Ret.String()...), " ("...)
+		return append(appendTypeList(dst, t.Fields, t.Variadic), ')')
 	default:
-		panic(fmt.Sprintf("ir: unknown type kind %d", t.Kind))
+		panic("ir: unknown type kind " + strconv.Itoa(int(t.Kind)))
 	}
+}
+
+// appendTypeList appends ts comma-separated, then "..." when variadic.
+func appendTypeList(dst []byte, ts []*Type, variadic bool) []byte {
+	for i, f := range ts {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, f.String()...)
+	}
+	if variadic {
+		if len(ts) > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, "..."...)
+	}
+	return dst
 }
 
 // String returns the textual form of the type, e.g. "i32" or "{i32, f64}*".
 func (t *Type) String() string {
 	if t.str == "" {
-		t.str = t.computeString()
+		t.str = string(t.appendSpelling(nil))
 	}
 	return t.str
 }

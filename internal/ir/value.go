@@ -1,6 +1,6 @@
 package ir
 
-import "fmt"
+import "strconv"
 
 // Value is anything that can appear as an instruction operand: parameters,
 // instructions, basic blocks (as labels), functions, globals and constants.
@@ -187,7 +187,7 @@ func (p *Param) Parent() *Func { return p.parent }
 // Ident returns the reference form "%name".
 func (p *Param) Ident() string {
 	if p.name == "" {
-		return fmt.Sprintf("%%arg%d", p.Index)
+		return "%arg" + strconv.Itoa(p.Index)
 	}
 	return "%" + p.name
 }
