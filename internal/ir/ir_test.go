@@ -308,6 +308,18 @@ func TestParseErrors(t *testing.T) {
 	// so ParseModule must surface it as... (we guard with recover here).
 }
 
+// TestParseUndefinedLabelFirstReferenced: with several undefined labels the
+// error names the first one the body references, on every parse.
+func TestParseUndefinedLabelFirstReferenced(t *testing.T) {
+	src := "define void @f(i1 %c) {\nentry:\n  br i1 %c, label %b, label %a\n}\n"
+	for i := 0; i < 20; i++ {
+		_, err := ParseModule("bad", src)
+		if want := "in f: branch to undefined label %b"; err == nil || err.Error() != want {
+			t.Fatalf("parse %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestParsePhiForwardRef(t *testing.T) {
 	src := `
 define i32 @f(i1 %c) {

@@ -244,6 +244,7 @@ type parser struct {
 	fn     *Func
 	locals map[string]Value
 	blocks map[string]*Block
+	refs   []*Block // blocks' values in first-reference order
 	fixups []fixup
 	shapes [][]int   // per function header, in source order (scanHeaders)
 	slab   *InstSlab // the current body's instructions
@@ -593,6 +594,7 @@ func (p *parser) parseFuncHeader(scan bool) error {
 	}
 	clear(p.locals)
 	clear(p.blocks)
+	p.refs = p.refs[:0]
 	p.fixups = p.fixups[:0]
 	for i, nm := range pnames {
 		if nm != "" {
@@ -609,6 +611,7 @@ func (p *parser) getBlock(name string) *Block {
 	}
 	b := NewBlock(name)
 	p.blocks[name] = b
+	p.refs = append(p.refs, b)
 	return b
 }
 
@@ -663,10 +666,10 @@ func (p *parser) parseBody(shape []int) error {
 		}
 		fx.inst.SetOperand(fx.index, v)
 	}
-	// Blocks referenced but never defined are an error.
-	for name, b := range p.blocks {
+	// Blocks referenced but never defined are an error; name the first.
+	for _, b := range p.refs {
 		if b.parent == nil {
-			return fmt.Errorf("in %s: branch to undefined label %%%s", p.fn.Name(), name)
+			return fmt.Errorf("in %s: branch to undefined label %%%s", p.fn.Name(), b.Name())
 		}
 	}
 	p.fn = nil

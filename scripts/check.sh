@@ -57,7 +57,8 @@
 #  - serve: serve's TestServeWarmMatchesCold, TestServeBackpressure,
 #    TestServeGracefulDrain and TestServeShutdownAdmissionRace, plus
 #    explore's TestSessionWarmWorkFloor, TestSessionWarmColdIdentical,
-#    TestSessionConvergesToCold and TestSessionModeFlipMatchesCold — over a
+#    TestSessionConvergesToCold, TestSessionModeFlipMatchesCold and
+#    TestSessionLSHSparseListsMatchCold — over a
 #    live server, a warm 1% delta of the 350-function 483.xalancbmk shrink
 #    merges like a cold session for workers 1/2/8 and every stream
 #    resubmission stays warm; a 1-slot server answers a burst with Busy;
@@ -65,7 +66,9 @@
 #    the warm delta aligns and bounds at least 5x less than a cold session
 #    (exact counts); and warm submits, random submit/evict/resubmit
 #    sequences and a pool crossing the LSH cutoff both ways all merge like
-#    cold runs in both ranking modes.
+#    cold runs in both ranking modes; in LSH mode a stored list takes only
+#    its owner's bucket-mates, also where short complete lists would let a
+#    changed non-mate in.
 #  - fuzz-simdb: short smoke-fuzz of the fmdb segment walker (corrupt or
 #    truncated segments must error, never panic or over-read, and accepted
 #    input must walk->encode->walk losslessly).
@@ -128,7 +131,7 @@ gate bound-huge         go test -run TestBoundPrunesHugeBodyPairs -count=1 ./int
 gate ingest             go test -count=1 -run '^TestIngestFormatsAgree$' ./internal/wire/
 gate global             go test -count=1 -run '^TestGlobalQuickCorpora$' ./internal/global/
 gate fuzz-serve-frame   go test -run '^$' -fuzz 'FuzzServeFrame' -fuzztime 10s ./internal/wire/
-gate serve              go test -count=1 -run '^(TestServeWarmMatchesCold|TestServeBackpressure|TestServeGracefulDrain|TestServeShutdownAdmissionRace|TestSessionWarmWorkFloor|TestSessionWarmColdIdentical|TestSessionConvergesToCold|TestSessionModeFlipMatchesCold)$' ./internal/serve/ ./internal/explore/
+gate serve              go test -count=1 -run '^(TestServeWarmMatchesCold|TestServeBackpressure|TestServeGracefulDrain|TestServeShutdownAdmissionRace|TestSessionWarmWorkFloor|TestSessionWarmColdIdentical|TestSessionConvergesToCold|TestSessionModeFlipMatchesCold|TestSessionLSHSparseListsMatchCold)$' ./internal/serve/ ./internal/explore/
 gate fuzz-simdb         go test -run '^$' -fuzz 'FuzzSimDBSegment' -fuzztime 10s ./internal/wire/
 gate simdb              go test -count=1 -run '^(TestSessionStoreColdIdentical|TestStoreReopenRoundTrip|TestStoreNeverResurrects|TestNewFromBandKeysMatchesInserts)$' ./internal/explore/ ./internal/simdb/ ./internal/lsh/
 gate perfbench-selftest env GOTOOLCHAIN=local GOPROXY=off GOWORK=off go -C perfbench test -short ./...
