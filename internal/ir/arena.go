@@ -56,7 +56,8 @@ func (a *InstArena) Reset() { a.si, a.used = 0, 0 }
 
 // InstSlab batch-allocates instructions and their operand storage for bodies
 // whose instruction count is known up front (the wire decoder reads it from
-// the body header): one exact-size instruction allocation plus a few operand
+// the body header, the text parser counts the body's lines before parsing
+// it): one exact-size instruction allocation plus a few operand
 // slabs per body instead of several allocations per instruction. Unlike
 // InstArena a slab is never recycled — decoded bodies stay live — so it
 // retains no slack beyond the tail of the last operand slab.

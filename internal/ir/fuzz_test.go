@@ -39,6 +39,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add("define i32 @n() {\nentry:\n  ret i32 null\n}\n")
 	f.Add("define i32 @m() {\nentry:\n  ret i32 nan\n}\n")
 	f.Add("define void @s(i32 %a) {\nentry:\n  switch i32 %a, label %entry [ i32 %b, label %entry ]\nx:\n  %b = add i32 1, 2\n  ret void\n}\n")
+	f.Add("@s = global [2 x i8] bytes \n")
 	// One seed per construct the generator does not emit.
 	f.Add("define i64 @sw(i64 %x) {\nentry:\n  switch i64 %x, label %d [ i64 0, label %a  i64 -7, label %b ]\na:\n  ret i64 1\nb:\n  ret i64 2\nd:\n  ret i64 %x\n}\n")
 	f.Add("declare void @ext(i64)\n\ndefine void @eh(i64 %x) {\nentry:\n  invoke void @ext(i64 %x) to label %ok unwind label %lp\nok:\n  ret void\nlp:\n  %t = landingpad cleanup catch @ti\n  resume token %t\n}\n\n@ti = global i8 zeroinitializer\n")

@@ -9,10 +9,11 @@ import (
 
 // ParseModule parses textual IR in the format produced by FormatModule.
 //
-// Two passes read the source, each lexing it once on demand: the first
-// creates every function shell and global so bodies can reference symbols
-// defined later in the file, the second parses the bodies. A malformed token
-// anywhere in the source is reported ahead of any syntax error.
+// Two passes read the source once each, lexing on demand. The first creates
+// every function shell and global, so bodies can reference symbols defined
+// later in the file, and skips the bodies without lexing them; the second
+// parses the bodies. A malformed token anywhere in the source is reported
+// ahead of any syntax error.
 func ParseModule(name, src string) (*Module, error) {
 	p := &parser{mod: NewModule(name)}
 	p.start(src)
@@ -316,14 +317,14 @@ func (p *parser) errf(format string, args ...any) error {
 
 func (p *parser) expectPunct(s string) error {
 	t := p.next()
-	if t.kind != tPunct || t.text != s {
+	if !t.is(s) {
 		return fmt.Errorf("line %d: expected %q, got %s", t.line, s, t)
 	}
 	return nil
 }
 
 func (p *parser) acceptPunct(s string) bool {
-	if p.cur().kind == tPunct && p.cur().text == s {
+	if p.tok.is(s) {
 		p.advance()
 		return true
 	}
@@ -708,7 +709,7 @@ func (p *parser) parseType() (*Type, error) {
 		default:
 			return nil, fmt.Errorf("line %d: unknown type %q", t.line, t.text)
 		}
-	case t.kind == tPunct && t.text == "[":
+	case t.is("["):
 		p.advance()
 		nTok := p.next()
 		if nTok.kind != tInt {
@@ -729,7 +730,7 @@ func (p *parser) parseType() (*Type, error) {
 			return nil, err
 		}
 		ty = ArrayOf(n, elem)
-	case t.kind == tPunct && t.text == "{":
+	case t.is("{"):
 		p.advance()
 		var fields []*Type
 		for !p.acceptPunct("}") {
@@ -749,7 +750,7 @@ func (p *parser) parseType() (*Type, error) {
 		return nil, fmt.Errorf("line %d: expected type, got %s", t.line, t)
 	}
 	// Function type suffix: "<ret> (<params>)".
-	if p.cur().kind == tPunct && p.cur().text == "(" {
+	if p.tok.is("(") {
 		p.advance()
 		var params []*Type
 		variadic := false
