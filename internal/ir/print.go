@@ -103,9 +103,15 @@ func FormatModule(m *Module) string {
 	return sb.String()
 }
 
-// PrintModule writes the module's textual IR form to w, one Write per
-// function, avoiding the one-large-string materialization of FormatModule.
-// It returns the first write error encountered.
+// printChunk is the size at which PrintModule hands its buffer to the
+// writer: large enough that a file sees few writes, small enough that the
+// buffer stays far below the module's text.
+const printChunk = 64 << 10
+
+// PrintModule writes the module's textual IR form to w, appending whole
+// functions to one reused buffer and writing it whenever it passes
+// printChunk, avoiding the one-large-string materialization of
+// FormatModule. It returns the first write error encountered.
 func PrintModule(w io.Writer, m *Module) error {
 	var buf []byte
 	if m.Name != "" {
@@ -124,10 +130,12 @@ func PrintModule(w io.Writer, m *Module) error {
 		}
 		n.reset()
 		buf = appendFunc(buf, f, n)
-		if _, err := w.Write(buf); err != nil {
-			return err
+		if len(buf) >= printChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
-		buf = buf[:0]
 	}
 	if len(buf) > 0 {
 		_, err := w.Write(buf)
