@@ -63,8 +63,13 @@ type Scoring struct {
 var DefaultScoring = Scoring{Match: 1, Mismatch: -1, Gap: -1}
 
 // maxDirectCells bounds the traceback matrix of direct Needleman–Wunsch;
-// larger problems are routed to the linear-space Hirschberg algorithm.
-const maxDirectCells = 1 << 24 // 16M cells ≈ 16 MiB of direction bytes
+// larger problems are routed to the linear-space Hirschberg algorithm. At
+// the bound, DefaultScoring's delta planes take about 8 MiB (4 bits a
+// cell) and other scorings' direction bytes 16 MiB. The bound stays where
+// it is although the planes halved the footprint: the route decides which
+// of the co-optimal alignments comes back, so moving it would change
+// merges.
+const maxDirectCells = 1 << 24
 
 // useDirect reports whether an n×m problem fits the direct Needleman–Wunsch
 // traceback matrix. The bound is checked by division rather than as

@@ -487,6 +487,28 @@ func dirtyPools(rng *rand.Rand) {
 		cs[i] = nwCell{code: uint32(rng.Intn(4)), score: rng.Int31() - 1<<30}
 	}
 	putCells(cs)
+	scr := getBitScratch()
+	scr.planes = resize(scr.planes, 1<<10)
+	for i := range scr.planes {
+		scr.planes[i] = deltaWord{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+	}
+	scr.masks = resize(scr.masks, 1<<10)
+	for i := range scr.masks {
+		scr.masks[i] = rng.Uint64()
+	}
+	scr.rowMask = resize(scr.rowMask, 1<<8)
+	for i := range scr.rowMask {
+		scr.rowMask[i] = rng.Intn(1 << 10)
+	}
+	scr.keys, scr.slots = resize(scr.keys, 1<<9), resize(scr.slots, 1<<9)
+	for i := range scr.keys {
+		scr.keys[i], scr.slots[i] = uint32(rng.Intn(4)), rng.Int31n(1<<8)
+	}
+	scr.steps = resize(scr.steps, 1<<10)
+	for i := range scr.steps {
+		scr.steps[i] = Step{Op: Op(rng.Intn(4)), I: rng.Intn(300), J: rng.Intn(300)}
+	}
+	putBitScratch(scr)
 }
 
 // TestCodedKernelsMatchOracle property-tests the coded kernels against the
@@ -494,6 +516,9 @@ func dirtyPools(rng *rand.Rand) {
 // empty and single-element sides, odd and even row counts (Hirschberg's
 // middle split), the lopsided 300×2 and 2×300 shapes, random sizes, and a
 // scoring whose gap undercuts two mismatches — all on dirty pooled scratch.
+// Under DefaultScoring it adds sides of 63–200 codes and 300×70/70×300 over
+// alphabets of 1–4 codes, so the bit-parallel fill's carries and shifts
+// cross 64-column words in both orientations.
 func TestCodedKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	check := func(name string, a, b []uint32, sc Scoring, got, want []Step) {
@@ -525,6 +550,25 @@ func TestCodedKernelsMatchOracle(t *testing.T) {
 					check("HirschbergCodes", a, b, sc, HirschbergCodes(a, b, sc), refHirschberg(a, b, sc))
 				}
 			}
+		}
+	}
+	sides := []int{63, 64, 65, 127, 128, 129, 200}
+	var wide [][2]int
+	for _, n := range sides {
+		for _, m := range sides {
+			wide = append(wide, [2]int{n, m})
+		}
+	}
+	wide = append(wide, [2]int{300, 70}, [2]int{70, 300})
+	for alphabet := 1; alphabet <= 4; alphabet++ {
+		for _, sh := range wide {
+			a := randCodes(rng, sh[0], alphabet)
+			b := randCodes(rng, sh[1], alphabet)
+			want, _ := refNW(a, b, DefaultScoring)
+			dirtyPools(rng)
+			check("NeedlemanWunschCodes", a, b, DefaultScoring, NeedlemanWunschCodes(a, b, DefaultScoring), want)
+			dirtyPools(rng)
+			check("AlignCodes", a, b, DefaultScoring, AlignCodes(a, b, DefaultScoring), want)
 		}
 	}
 }

@@ -26,7 +26,9 @@ func AlignCodes(a, b []uint32, sc Scoring) []Step {
 }
 
 // NeedlemanWunschCodes computes an optimal global alignment with full
-// dynamic programming (O(n·m) time and traceback space).
+// dynamic programming (O(n·m) time and traceback space). Under
+// DefaultScoring the fill is bit-parallel (nwBitCodes); any other Scoring
+// takes the scalar row kernel. Both return the same steps.
 func NeedlemanWunschCodes(a, b []uint32, sc Scoring) []Step {
 	n, m := len(a), len(b)
 	if n == 0 {
@@ -42,6 +44,10 @@ func NeedlemanWunschCodes(a, b []uint32, sc Scoring) []Step {
 			steps = append(steps, Step{Op: OpGapA, I: i, J: -1})
 		}
 		return steps
+	}
+
+	if sc == DefaultScoring {
+		return nwBitCodes(a, b)
 	}
 
 	// Every cell the traceback can reach is written before it is read, so

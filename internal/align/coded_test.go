@@ -3,6 +3,7 @@ package align
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -216,13 +217,51 @@ func relatedCodes(rng *rand.Rand, base []uint32, rate, alphabet int) []uint32 {
 // alignSink keeps benchmarked alignments live.
 var alignSink []Step
 
+// TestAlignCodesScratchBound aligns 54,912 distinct codes — lto-t10's
+// @main, whose phis all get fresh codes — against an 80-code partner, in
+// both argument orders, and requires the call to allocate at most 16 MiB
+// from a cold pool. The bit-parallel fill keys its match masks on the
+// shorter sequence and needs about 6 MiB here; masks keyed on the longer
+// one would take about 377 MB.
+func TestAlignCodesScratchBound(t *testing.T) {
+	const limit = 16 << 20
+	long := make([]uint32, 54912)
+	for i := range long {
+		long[i] = uint32(i)
+	}
+	rng := rand.New(rand.NewSource(31))
+	short := relatedCodes(rng, long[20000:20070], 5, len(long))
+	for len(short) < 80 {
+		short = append(short, uint32(rng.Intn(len(long))))
+	}
+	short = short[:80]
+	for _, tc := range []struct {
+		name string
+		a, b []uint32
+	}{{"54912x80", long, short}, {"80x54912", short, long}} {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		steps := AlignCodes(tc.a, tc.b, DefaultScoring)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes allocated", tc.name, got)
+		if got > limit {
+			t.Errorf("%s: AlignCodes allocated %d bytes, want <= %d", tc.name, got, limit)
+		}
+		checkColumns(t, tc.name, tc.a, tc.b, steps)
+	}
+}
+
 // BenchmarkAlignCodes times the coded dispatcher on the shapes exploration
-// feeds it: mid-size pairs, a large square pair, and 54912×80 — a huge
-// function (lto-t10's @main) against a typical partner — and reports the
-// cost per dynamic-programming cell.
+// feeds it: lto-t10's median function (22×22), mid-size and large square
+// pairs, paper-scale's largest function (924×900), and 54912×80 and
+// 80×54912 — a huge function (lto-t10's @main) against a typical partner,
+// in both orders — and reports the cost per dynamic-programming cell.
 func BenchmarkAlignCodes(b *testing.B) {
 	const alphabet = 24
-	for _, shape := range [][2]int{{300, 300}, {2000, 2000}, {54912, 80}} {
+	for _, shape := range [][2]int{{22, 22}, {300, 300}, {924, 900}, {2000, 2000}, {54912, 80}, {80, 54912}} {
 		n, m := shape[0], shape[1]
 		b.Run(fmt.Sprintf("%dx%d", n, m), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(int64(n*7 + m)))

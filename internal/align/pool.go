@@ -14,6 +14,7 @@ var (
 	i32Pool  sync.Pool // *[]int32
 	bytePool sync.Pool // *[]byte
 	cellPool sync.Pool // *[]nwCell
+	bitPool  sync.Pool // *bitScratch
 )
 
 // getInt32 returns an int32 scratch slice of length n with arbitrary
@@ -64,4 +65,26 @@ func putCells(s []nwCell) {
 		return
 	}
 	cellPool.Put(&s)
+}
+
+// getBitScratch returns pooled bit-parallel scratch with arbitrary contents.
+func getBitScratch() *bitScratch {
+	if s, ok := bitPool.Get().(*bitScratch); ok {
+		return s
+	}
+	return new(bitScratch)
+}
+
+// putBitScratch recycles scratch obtained from getBitScratch.
+func putBitScratch(s *bitScratch) {
+	bitPool.Put(s)
+}
+
+// resize returns s resliced to length n, reallocated when too small; the
+// contents are arbitrary.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -15,6 +15,11 @@
 #  - fuzz-roundtrip / fuzz-decode-verify: short smoke-fuzz of the textual
 #    parse/print round trip and of the wire decoder + staged IR verifier
 #    (the decoder must never accept a module the verifier rejects).
+#  - fuzz-align: short smoke-fuzz of the alignment dispatcher against the
+#    textbook Needleman–Wunsch oracle (two code sequences of up to 256
+#    entries over 1–4 codes; AlignCodes must return the oracle's steps
+#    exactly, tie-breaks included, across the bit-parallel fill's 64-column
+#    word boundaries).
 #  - verify-sweep: explore's TestVerifyBoundaries and TestVerifyCleanCorpus
 #    — on the paper-scale profiles plus the quick SPEC-like and
 #    MiBench-like corpora, the staged verifier finds zero full-level
@@ -122,6 +127,7 @@ gate race-tests         go test -race ./...
 gate audit-corpus       go test -run 'TestAuditCleanCorpus' -count=1 ./internal/explore/
 gate fuzz-roundtrip     go test -run '^$' -fuzz 'FuzzRoundTrip' -fuzztime 10s ./internal/ir/
 gate fuzz-decode-verify go test -run '^$' -fuzz 'FuzzDecodeVerify' -fuzztime 10s ./internal/wire/
+gate fuzz-align        go test -run '^$' -fuzz 'FuzzAlignOracle' -fuzztime 10s ./internal/align/
 gate fuzz-stablehash    go test -run '^$' -fuzz 'FuzzStableHash' -fuzztime 10s ./internal/global/
 gate verify-sweep       go test -count=1 -run '^(TestVerifyBoundaries|TestVerifyCleanCorpus)$' ./internal/explore/
 gate rank               go test -count=1 -run '^TestLSHRecallTop1$' ./internal/explore/
