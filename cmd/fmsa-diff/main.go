@@ -82,7 +82,7 @@ func main() {
 func alignEntries(seq1, seq2 []linearize.Entry) []align.Step {
 	in := encode.NewInterner()
 	a, b := in.Encode(seq1).Codes, in.Encode(seq2).Codes
-	return align.DecomposeMismatches(align.AlignCodes(a, b, align.DefaultScoring))
+	return align.DecomposeMismatches(align.AlignCodes(a, b))
 }
 
 // Render builds the two-column alignment listing.

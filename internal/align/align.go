@@ -49,26 +49,20 @@ type Step struct {
 	I, J int
 }
 
-// Scoring assigns weights to matches, mismatches and gaps. The paper uses a
-// standard scheme rewarding matches and equally penalizing mismatches and
-// gaps.
-type Scoring struct {
-	Match    int
-	Mismatch int
-	Gap      int
-}
-
-// DefaultScoring is the paper's scheme: matches rewarded, mismatches and
-// gaps equally penalized.
-var DefaultScoring = Scoring{Match: 1, Mismatch: -1, Gap: -1}
+// The paper's scoring scheme (§III-C), the only one the linear-gap kernels
+// use: matches are rewarded, and mismatches and gaps equally penalized.
+const (
+	matchScore    = 1
+	mismatchScore = -1
+	gapScore      = -1
+)
 
 // maxDirectCells bounds the traceback matrix of direct Needleman–Wunsch;
 // larger problems are routed to the linear-space Hirschberg algorithm. At
-// the bound, DefaultScoring's delta planes take about 8 MiB (4 bits a
-// cell) and other scorings' direction bytes 16 MiB. The bound stays where
-// it is although the planes halved the footprint: the route decides which
-// of the co-optimal alignments comes back, so moving it would change
-// merges.
+// the bound the bit-parallel fill's delta planes take about 8 MiB (4 bits
+// a cell). Both routes run the same bit-parallel row kernel, but the route
+// decides which of the co-optimal alignments comes back, so moving the
+// bound would change merges.
 const maxDirectCells = 1 << 24
 
 // useDirect reports whether an n×m problem fits the direct Needleman–Wunsch
@@ -81,34 +75,34 @@ func useDirect(n, m int) bool {
 	return n == 0 || m == 0 || n <= maxDirectCells/m
 }
 
-// Direction codes for the traceback matrix.
+// Direction codes for the banded kernel's traceback matrix.
 const (
 	dirDiag byte = iota + 1
 	dirUp        // gap in B (consume A)
 	dirLeft      // gap in A (consume B)
 )
 
-// Score computes the total score of an alignment under sc.
-func Score(steps []Step, sc Scoring) int {
+// Score computes the total score of an alignment under the paper's scheme.
+func Score(steps []Step) int {
 	total := 0
 	for _, s := range steps {
 		switch s.Op {
 		case OpMatch:
-			total += sc.Match
+			total += matchScore
 		case OpMismatch:
-			total += sc.Mismatch
+			total += mismatchScore
 		default:
-			total += sc.Gap
+			total += gapScore
 		}
 	}
 	return total
 }
 
 // DecomposeMismatches rewrites every mismatch column as a pair of gap
-// columns (A[i] vs blank, then blank vs B[j]). When the mismatch penalty
-// does not undercut two gaps, the result has equal score, and it simplifies
-// merged-code generation: every aligned column is then either an exact
-// match or code unique to one input.
+// columns (A[i] vs blank, then blank vs B[j]). This lowers the score (each
+// split mismatch scores −2 instead of −1), but nothing reads the score
+// after decomposition: the merger needs only the invariant that every
+// column is then either an exact match or code unique to one input.
 func DecomposeMismatches(steps []Step) []Step {
 	mis := 0
 	for _, s := range steps {

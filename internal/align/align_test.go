@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,7 +20,7 @@ func codesOf(s string) []uint32 {
 
 func alignStrings(t *testing.T, a, b string) []Step {
 	t.Helper()
-	steps := NeedlemanWunschCodes(codesOf(a), codesOf(b), DefaultScoring)
+	steps := NeedlemanWunschCodes(codesOf(a), codesOf(b))
 	if !Validate(steps, len(a), len(b)) {
 		t.Fatalf("invalid alignment of %q and %q: %v", a, b, steps)
 	}
@@ -118,28 +119,28 @@ func TestValidateRejectsBadAlignments(t *testing.T) {
 
 // slowScore is the optimal linear-gap score by memoized recursion, for
 // cross-checking the kernels on small inputs.
-func slowScore(a, b []uint32, sc Scoring) int {
+func slowScore(a, b []uint32) int {
 	memo := map[[2]int]int{}
 	var rec func(i, j int) int
 	rec = func(i, j int) int {
 		if i == len(a) {
-			return (len(b) - j) * sc.Gap
+			return (len(b) - j) * gapScore
 		}
 		if j == len(b) {
-			return (len(a) - i) * sc.Gap
+			return (len(a) - i) * gapScore
 		}
 		if v, ok := memo[[2]int{i, j}]; ok {
 			return v
 		}
-		sub := sc.Mismatch
+		sub := mismatchScore
 		if a[i] == b[j] {
-			sub = sc.Match
+			sub = matchScore
 		}
 		best := rec(i+1, j+1) + sub
-		if v := rec(i+1, j) + sc.Gap; v > best {
+		if v := rec(i+1, j) + gapScore; v > best {
 			best = v
 		}
-		if v := rec(i, j+1) + sc.Gap; v > best {
+		if v := rec(i, j+1) + gapScore; v > best {
 			best = v
 		}
 		memo[[2]int{i, j}] = best
@@ -153,12 +154,12 @@ func TestNWOptimality(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		a := randCodes(r, r.Intn(12), 4)
 		b := randCodes(r, r.Intn(12), 4)
-		steps := NeedlemanWunschCodes(a, b, DefaultScoring)
+		steps := NeedlemanWunschCodes(a, b)
 		if !Validate(steps, len(a), len(b)) {
 			t.Fatalf("invalid alignment of %v, %v", a, b)
 		}
-		got := Score(steps, DefaultScoring)
-		want := slowScore(a, b, DefaultScoring)
+		got := Score(steps)
+		want := slowScore(a, b)
 		if got != want {
 			t.Fatalf("NW score %d != optimal %d for %v, %v", got, want, a, b)
 		}
@@ -170,14 +171,14 @@ func TestHirschbergMatchesNW(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		a := randCodes(r, r.Intn(40), 3)
 		b := randCodes(r, r.Intn(40), 3)
-		h := HirschbergCodes(a, b, DefaultScoring)
+		h := HirschbergCodes(a, b)
 		if !Validate(h, len(a), len(b)) {
 			t.Fatalf("hirschberg invalid for %v, %v: %v", a, b, h)
 		}
-		nw := NeedlemanWunschCodes(a, b, DefaultScoring)
-		if Score(h, DefaultScoring) != Score(nw, DefaultScoring) {
+		nw := NeedlemanWunschCodes(a, b)
+		if Score(h) != Score(nw) {
 			t.Fatalf("hirschberg score %d != NW %d for %v, %v",
-				Score(h, DefaultScoring), Score(nw, DefaultScoring), a, b)
+				Score(h), Score(nw), a, b)
 		}
 	}
 }
@@ -203,12 +204,12 @@ func TestHirschbergProperty(t *testing.T) {
 	// alignment whose score equals the NW optimum.
 	f := func(aRaw, bRaw []byte) bool {
 		a, b := quickCodes(aRaw, 60, 8), quickCodes(bRaw, 60, 8)
-		h := HirschbergCodes(a, b, DefaultScoring)
+		h := HirschbergCodes(a, b)
 		if !Validate(h, len(a), len(b)) {
 			return false
 		}
-		nw := NeedlemanWunschCodes(a, b, DefaultScoring)
-		return Score(h, DefaultScoring) == Score(nw, DefaultScoring)
+		nw := NeedlemanWunschCodes(a, b)
+		return Score(h) == Score(nw)
 	}
 	if err := quick.Check(f, quickConfig(150, 16)); err != nil {
 		t.Error(err)
@@ -222,11 +223,11 @@ func TestAlignDispatch(t *testing.T) {
 	for _, sh := range [][2]int{{0, 0}, {0, 7}, {7, 0}, {100, 100}, {200, 300}} {
 		a := randCodes(rng, sh[0], 2)
 		b := randCodes(rng, sh[1], 2)
-		steps := AlignCodes(a, b, DefaultScoring)
+		steps := AlignCodes(a, b)
 		if !Validate(steps, len(a), len(b)) {
 			t.Fatalf("AlignCodes produced an invalid %dx%d alignment", sh[0], sh[1])
 		}
-		if !slices.Equal(steps, NeedlemanWunschCodes(a, b, DefaultScoring)) {
+		if !slices.Equal(steps, NeedlemanWunschCodes(a, b)) {
 			t.Fatalf("AlignCodes diverges from NeedlemanWunschCodes at %dx%d", sh[0], sh[1])
 		}
 	}
@@ -236,7 +237,7 @@ func TestScoreComputation(t *testing.T) {
 	steps := []Step{
 		{Op: OpMatch}, {Op: OpMatch}, {Op: OpMismatch}, {Op: OpGapA}, {Op: OpGapB},
 	}
-	if got := Score(steps, DefaultScoring); got != 2-1-1-1 {
+	if got := Score(steps); got != 2-1-1-1 {
 		t.Errorf("Score = %d, want -1", got)
 	}
 }
@@ -246,23 +247,22 @@ func TestScoreComputation(t *testing.T) {
 // each column from the scores — diagonal when the diagonal move attains the
 // cell's score, else up (a gap in b), else left — instead of replaying
 // recorded directions. It also returns the matrix's last row, which
-// refHirschberg splits on. Scores are int32, the kernels' arithmetic, so a
-// Scoring whose weights wrap within a few cells still compares exactly.
-func refNW(a, b []uint32, sc Scoring) ([]Step, []int32) {
-	return refBandNW(a, b, sc, -1)
+// refHirschberg splits on.
+func refNW(a, b []uint32) ([]Step, []int32) {
+	return refBandNW(a, b, -1)
 }
 
 // refNWSteps is refNW without its last row, in the kernels' shape.
-func refNWSteps(a, b []uint32, sc Scoring) []Step {
-	steps, _ := refNW(a, b, sc)
+func refNWSteps(a, b []uint32) []Step {
+	steps, _ := refNW(a, b)
 	return steps
 }
 
 // refBandNW is refNW restricted to the cells with |i−j| ≤ band, or to every
 // cell when band < 0: a move may only come from a cell inside the band.
-func refBandNW(a, b []uint32, sc Scoring, band int) ([]Step, []int32) {
+func refBandNW(a, b []uint32, band int) ([]Step, []int32) {
 	n, m := len(a), len(b)
-	gap := int32(sc.Gap)
+	gap := int32(gapScore)
 	in := func(i, j int) bool { return band < 0 || abs(i-j) <= band }
 	h := make([][]int32, n+1)
 	for i := range h {
@@ -272,9 +272,9 @@ func refBandNW(a, b []uint32, sc Scoring, band int) ([]Step, []int32) {
 	// tie-break order: diagonal, up, left.
 	moves := func(i, j int) (val [3]int32, ok [3]bool) {
 		if i > 0 && j > 0 && in(i-1, j-1) {
-			sub := int32(sc.Mismatch)
+			sub := int32(mismatchScore)
 			if a[i-1] == b[j-1] {
-				sub = int32(sc.Match)
+				sub = matchScore
 			}
 			val[0], ok[0] = h[i-1][j-1]+sub, true
 		}
@@ -326,9 +326,9 @@ func refBandNW(a, b []uint32, sc Scoring, band int) ([]Step, []int32) {
 // refBanded is the reference for BandedCodes: the band widens to at least
 // one cell and to the length difference plus one, so (n, m) stays
 // reachable.
-func refBanded(band int) func(a, b []uint32, sc Scoring) []Step {
-	return func(a, b []uint32, sc Scoring) []Step {
-		steps, _ := refBandNW(a, b, sc, max(band, 1, abs(len(a)-len(b))+1))
+func refBanded(band int) func(a, b []uint32) []Step {
+	return func(a, b []uint32) []Step {
+		steps, _ := refBandNW(a, b, max(band, 1, abs(len(a)-len(b))+1))
 		return steps
 	}
 }
@@ -419,8 +419,8 @@ func refGotoh(a, b []uint32, sc AffineScoring) []Step {
 }
 
 // refGotohAligner is refGotoh in GotohAlignerCodes' shape.
-func refGotohAligner(a, b []uint32, sc Scoring) []Step {
-	return refGotoh(a, b, AffineScoring{Match: sc.Match, Mismatch: sc.Mismatch, GapOpen: sc.Gap, GapExtend: sc.Gap})
+func refGotohAligner(a, b []uint32) []Step {
+	return refGotoh(a, b, DefaultAffineScoring)
 }
 
 func abs(x int) int {
@@ -433,23 +433,23 @@ func abs(x int) int {
 // refHirschberg is Hirschberg's recursion over refNW: split a at its middle
 // and b at the first column maximizing prefix plus suffix score, down to
 // direct alignment once either side has at most one element.
-func refHirschberg(a, b []uint32, sc Scoring) []Step {
+func refHirschberg(a, b []uint32) []Step {
 	n, m := len(a), len(b)
 	if n <= 1 || m <= 1 {
-		steps, _ := refNW(a, b, sc)
+		steps, _ := refNW(a, b)
 		return steps
 	}
 	mid := n / 2
-	_, pre := refNW(a[:mid], b, sc)
-	_, suf := refNW(reversed(a[mid:]), reversed(b), sc)
+	_, pre := refNW(a[:mid], b)
+	_, suf := refNW(reversed(a[mid:]), reversed(b))
 	split := 0
 	for j := range pre {
 		if pre[j]+suf[m-j] > pre[split]+suf[m-split] {
 			split = j
 		}
 	}
-	steps := refHirschberg(a[:mid], b[:split], sc)
-	for _, s := range refHirschberg(a[mid:], b[split:], sc) {
+	steps := refHirschberg(a[:mid], b[:split])
+	for _, s := range refHirschberg(a[mid:], b[split:]) {
 		if s.I >= 0 {
 			s.I += mid
 		}
@@ -482,11 +482,6 @@ func dirtyPools(rng *rand.Rand) {
 		is[i] = rng.Int31() - 1<<30
 	}
 	putInt32(is)
-	cs := getCells(1 << 10)
-	for i := range cs {
-		cs[i] = nwCell{code: uint32(rng.Intn(4)), score: rng.Int31() - 1<<30}
-	}
-	putCells(cs)
 	scr := getBitScratch()
 	scr.planes = resize(scr.planes, 1<<10)
 	for i := range scr.planes {
@@ -514,19 +509,37 @@ func dirtyPools(rng *rand.Rand) {
 // TestCodedKernelsMatchOracle property-tests the coded kernels against the
 // reference for exact step equality: tie-heavy alphabets of 1–3 codes,
 // empty and single-element sides, odd and even row counts (Hirschberg's
-// middle split), the lopsided 300×2 and 2×300 shapes, random sizes, and a
-// scoring whose gap undercuts two mismatches — all on dirty pooled scratch.
-// Under DefaultScoring it adds sides of 63–200 codes and 300×70/70×300 over
-// alphabets of 1–4 codes, so the bit-parallel fill's carries and shifts
-// cross 64-column words in both orientations.
+// middle split), the lopsided 300×2 and 2×300 shapes and random sizes, all
+// on dirty pooled scratch. It adds sides of 63–200 codes and 300×70/70×300
+// over alphabets of 1–4 codes, so the bit-parallel fill's carries and
+// shifts cross 64-column words in both orientations, and Hirschberg's
+// score rows cross their 64-row mask blocks. Each pair also checks
+// lastRowBits against the reference's last row, so an error in the score
+// rows shows even where it moves no split.
 func TestCodedKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	check := func(name string, a, b []uint32, sc Scoring, got, want []Step) {
+	check := func(name string, a, b []uint32, got, want []Step) {
 		t.Helper()
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s diverges from the reference on a=%v b=%v %+v:\ngot  %v\nwant %v",
-				name, a, b, sc, got, want)
+			t.Fatalf("%s diverges from the reference on a=%v b=%v:\ngot  %v\nwant %v",
+				name, a, b, got, want)
 		}
+	}
+	// checkAll runs every routed kernel, and Hirschberg's score row, on one
+	// pair, each on freshly dirtied scratch.
+	checkAll := func(a, b []uint32) {
+		t.Helper()
+		want, last := refNW(a, b)
+		dirtyPools(rng)
+		if got := lastRowBits(a, b); !slices.Equal(got, last) {
+			t.Fatalf("lastRowBits diverges from the reference on a=%v b=%v:\ngot  %v\nwant %v", a, b, got, last)
+		}
+		dirtyPools(rng)
+		check("NeedlemanWunschCodes", a, b, NeedlemanWunschCodes(a, b), want)
+		dirtyPools(rng)
+		check("AlignCodes", a, b, AlignCodes(a, b), want) // direct route at these sizes
+		dirtyPools(rng)
+		check("HirschbergCodes", a, b, HirschbergCodes(a, b), refHirschberg(a, b))
 	}
 	shapes := [][2]int{
 		{0, 0}, {0, 6}, {6, 0}, {1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 3},
@@ -535,20 +548,10 @@ func TestCodedKernelsMatchOracle(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		shapes = append(shapes, [2]int{rng.Intn(40), rng.Intn(40)})
 	}
-	for _, sc := range []Scoring{DefaultScoring, {Match: 3, Mismatch: -2, Gap: -4}} {
-		for alphabet := 1; alphabet <= 3; alphabet++ {
-			for _, sh := range shapes {
-				for trial := 0; trial < 2; trial++ {
-					a := randCodes(rng, sh[0], alphabet)
-					b := randCodes(rng, sh[1], alphabet)
-					want, _ := refNW(a, b, sc)
-					dirtyPools(rng)
-					check("NeedlemanWunschCodes", a, b, sc, NeedlemanWunschCodes(a, b, sc), want)
-					dirtyPools(rng)
-					check("AlignCodes", a, b, sc, AlignCodes(a, b, sc), want) // direct route at these sizes
-					dirtyPools(rng)
-					check("HirschbergCodes", a, b, sc, HirschbergCodes(a, b, sc), refHirschberg(a, b, sc))
-				}
+	for alphabet := 1; alphabet <= 3; alphabet++ {
+		for _, sh := range shapes {
+			for trial := 0; trial < 2; trial++ {
+				checkAll(randCodes(rng, sh[0], alphabet), randCodes(rng, sh[1], alphabet))
 			}
 		}
 	}
@@ -562,13 +565,7 @@ func TestCodedKernelsMatchOracle(t *testing.T) {
 	wide = append(wide, [2]int{300, 70}, [2]int{70, 300})
 	for alphabet := 1; alphabet <= 4; alphabet++ {
 		for _, sh := range wide {
-			a := randCodes(rng, sh[0], alphabet)
-			b := randCodes(rng, sh[1], alphabet)
-			want, _ := refNW(a, b, DefaultScoring)
-			dirtyPools(rng)
-			check("NeedlemanWunschCodes", a, b, DefaultScoring, NeedlemanWunschCodes(a, b, DefaultScoring), want)
-			dirtyPools(rng)
-			check("AlignCodes", a, b, DefaultScoring, AlignCodes(a, b, DefaultScoring), want)
+			checkAll(randCodes(rng, sh[0], alphabet), randCodes(rng, sh[1], alphabet))
 		}
 	}
 }
@@ -579,16 +576,25 @@ func BenchmarkNeedlemanWunsch500(b *testing.B) {
 	s2 := randCodes(r, 500, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NeedlemanWunschCodes(s1, s2, DefaultScoring)
+		NeedlemanWunschCodes(s1, s2)
 	}
 }
 
-func BenchmarkHirschberg500(b *testing.B) {
-	r := rand.New(rand.NewSource(6))
-	s1 := randCodes(r, 500, 8)
-	s2 := randCodes(r, 500, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		HirschbergCodes(s1, s2, DefaultScoring)
+// BenchmarkHirschberg times the linear-space kernel on random pairs over 8
+// codes: two square shapes the direct kernel would also take, and 4097×4096,
+// the first shape AlignCodes routes to Hirschberg (TestAlignCodesRouting).
+func BenchmarkHirschberg(b *testing.B) {
+	for _, shape := range [][2]int{{500, 500}, {2000, 2000}, {4097, 4096}} {
+		n, m := shape[0], shape[1]
+		b.Run(fmt.Sprintf("%dx%d", n, m), func(b *testing.B) {
+			r := rand.New(rand.NewSource(int64(n + m)))
+			s1 := randCodes(r, n, 8)
+			s2 := randCodes(r, m, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				alignSink = HirschbergCodes(s1, s2)
+			}
+		})
 	}
 }

@@ -2,8 +2,9 @@ package align
 
 import "math/bits"
 
-// The bit-parallel Needleman–Wunsch kernel for DefaultScoring (DESIGN.md
-// §8, after BitPAl: Loving, Hernandez & Benson, Bioinformatics 2014).
+// The bit-parallel Needleman–Wunsch kernel (DESIGN.md §8, after BitPAl:
+// Loving, Hernandez & Benson, Bioinformatics 2014), for the paper's scheme
+// of +1 per match and −1 per mismatch or gap.
 //
 // Shift every score by its cell's coordinates, H′[i][j] = H[i][j] + i + j.
 // Then a match adds 3 along the diagonal, a mismatch 1 and a gap 0, the
@@ -31,19 +32,20 @@ type deltaWord struct{ vLo, vHi, hLo, hHi uint64 }
 // this package it comes back dirty; the kernel writes each word before it
 // reads it.
 type bitScratch struct {
-	planes  []deltaWord // (rows+1)·words; row 0 is the zero border
-	masks   []uint64    // one words-long match mask per distinct row code
+	planes  []deltaWord // (rows+1)·words, row 0 the zero border; 2·words in lastRowBits
+	masks   []uint64    // one words-long match mask per distinct row code of the fill or block
 	rowMask []int       // offset into masks of each row's mask
 	keys    []uint32    // open-addressed table: row code → mask number
 	slots   []int32     // mask number + 1 of each table slot, 0 when empty
 	steps   []Step      // traceback buffer, filled from the back
 }
 
-// nwBitCodes is NeedlemanWunschCodes under DefaultScoring for non-empty a
-// and b: the same steps, from a fill that computes 64 cells per word
-// operation. The longer sequence runs along the words and the shorter one
-// down the rows; H is symmetric under transposition, so a transposed fill
-// only swaps which plane the traceback reads as v′ and which as h′.
+// nwBitCodes is NeedlemanWunschCodes for non-empty a and b: a fill that
+// computes 64 cells per word operation, then a traceback from the delta
+// planes with the diagonal ≻ up ≻ left tie-break. The longer sequence runs
+// along the words and the shorter one down the rows; H is symmetric under
+// transposition, so a transposed fill only swaps which plane the traceback
+// reads as v′ and which as h′.
 func nwBitCodes(a, b []uint32) []Step {
 	n, m := len(a), len(b)
 	short, long := a, b
@@ -118,6 +120,44 @@ func nwBitCodes(a, b []uint32) []Step {
 	s.steps = buf
 	putBitScratch(s)
 	return steps
+}
+
+// maskBlock is how many rows lastRowBits builds match masks for at a time.
+// At most maskBlock masks are live, so its scratch stays O(len(cols))
+// words however many rows it fills; masks for every row at once would grow
+// with rows·cols and break Hirschberg's linear space.
+const maskBlock = 64
+
+// lastRowBits returns H[len(rows)][0..len(cols)], the last row of the
+// Needleman–Wunsch score matrix of rows × cols, for Hirschberg's split. It
+// rolls two delta rows through nwBitRow and reads H[n][j] as the running
+// sum of the last row's h′, which is H′[n][j], minus the shift n + j. The returned row is
+// pooled scratch; the caller passes it to putInt32 when done.
+func lastRowBits(rows, cols []uint32) []int32 {
+	n, words := len(rows), (len(cols)+63)/64
+	s := getBitScratch()
+	s.planes = resize(s.planes, 2*words)
+	prev, cur := s.planes[:words], s.planes[words:]
+	clear(prev)
+	for lo := 0; lo < n; lo += maskBlock {
+		block := rows[lo:min(n, lo+maskBlock)]
+		buildMasks(s, block, cols, words)
+		for r := range block {
+			off := s.rowMask[r]
+			nwBitRow(cur, prev, s.masks[off:off+words])
+			prev, cur = cur, prev
+		}
+	}
+	out := getInt32(len(cols) + 1)
+	out[0] = -int32(n)
+	sum := int32(0)
+	for j := range cols {
+		w, c := prev[j>>6], uint(j)&63
+		sum += int32(w.hLo>>c&1 | w.hHi>>c&1<<1)
+		out[j+1] = sum - int32(n+j+1)
+	}
+	putBitScratch(s)
+	return out
 }
 
 // buildMasks fills s.masks with one words-long mask per distinct code of

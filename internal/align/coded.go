@@ -14,22 +14,21 @@ package align
 
 // CodedFunc is the signature of a global-alignment algorithm over two code
 // sequences.
-type CodedFunc func(a, b []uint32, sc Scoring) []Step
+type CodedFunc func(a, b []uint32) []Step
 
 // AlignCodes is the default aligner: it routes between direct
 // Needleman–Wunsch and linear-space Hirschberg by problem size (useDirect).
-func AlignCodes(a, b []uint32, sc Scoring) []Step {
+func AlignCodes(a, b []uint32) []Step {
 	if useDirect(len(a), len(b)) {
-		return NeedlemanWunschCodes(a, b, sc)
+		return NeedlemanWunschCodes(a, b)
 	}
-	return HirschbergCodes(a, b, sc)
+	return HirschbergCodes(a, b)
 }
 
 // NeedlemanWunschCodes computes an optimal global alignment with full
-// dynamic programming (O(n·m) time and traceback space). Under
-// DefaultScoring the fill is bit-parallel (nwBitCodes); any other Scoring
-// takes the scalar row kernel. Both return the same steps.
-func NeedlemanWunschCodes(a, b []uint32, sc Scoring) []Step {
+// dynamic programming (O(n·m) time and traceback space), filled
+// bit-parallel by nwBitCodes.
+func NeedlemanWunschCodes(a, b []uint32) []Step {
 	n, m := len(a), len(b)
 	if n == 0 {
 		steps := make([]Step, 0, m)
@@ -45,146 +44,7 @@ func NeedlemanWunschCodes(a, b []uint32, sc Scoring) []Step {
 		}
 		return steps
 	}
-
-	if sc == DefaultScoring {
-		return nwBitCodes(a, b)
-	}
-
-	// Every cell the traceback can reach is written before it is read, so
-	// dirty pooled buffers are harmless. The score rows roll in place
-	// through cells (see nwCell), so only the direction matrix is O(n·m).
-	cells := loadCells(m, b, sc.Gap, false)
-	dirs := getBytes((n + 1) * (m + 1))
-	for j := 1; j <= m; j++ {
-		dirs[j] = dirLeft
-	}
-	mat, mis, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
-	for i := 1; i <= n; i++ {
-		row := dirs[i*(m+1):][: m+1 : m+1]
-		row[0] = dirUp
-		nwRowCodes(row[1:], cells, a[i-1], int32(i-1)*gap, mat, mis, gap)
-	}
-
-	// Walk the path once to count its columns, then again to fill an
-	// exact-size result from the back: the steps come out in order with no
-	// append growth, no reversal pass and no slack capacity.
-	k := 0
-	for i, j := n, m; i > 0 || j > 0; k++ {
-		switch dirs[i*(m+1)+j] {
-		case dirDiag:
-			i, j = i-1, j-1
-		case dirUp:
-			i--
-		case dirLeft:
-			j--
-		default:
-			panic("align: corrupt traceback")
-		}
-	}
-	steps := make([]Step, k)
-	for i, j := n, m; i > 0 || j > 0; {
-		k--
-		switch dirs[i*(m+1)+j] {
-		case dirDiag:
-			op := OpMismatch
-			if a[i-1] == b[j-1] {
-				op = OpMatch
-			}
-			steps[k] = Step{Op: op, I: i - 1, J: j - 1}
-			i, j = i-1, j-1
-		case dirUp:
-			steps[k] = Step{Op: OpGapA, I: i - 1, J: -1}
-			i--
-		default:
-			steps[k] = Step{Op: OpGapB, I: -1, J: j - 1}
-			j--
-		}
-	}
-	putCells(cells)
-	putBytes(dirs)
-	return steps
-}
-
-// nwCell is one column j ≥ 1 of the rolling dynamic-programming row that the
-// coded Needleman–Wunsch kernels share: b's code for the column and the score
-// of the column's cell in the row above, which the row pass overwrites with
-// the current row's score. Keeping the code beside the score, and rolling one
-// row in place instead of swapping two, leaves the inner loop two streams to
-// walk, so its per-cell state stays in registers.
-type nwCell struct {
-	code  uint32
-	score int32
-}
-
-// loadCells returns pooled cells for an m-column row, scored as row 0
-// (cell j holds j·gap) and coded with b, or b reversed when rev is set.
-func loadCells(m int, b []uint32, gap int, rev bool) []nwCell {
-	cells := getCells(m)
-	for j := range cells {
-		c := b[j]
-		if rev {
-			c = b[m-1-j]
-		}
-		cells[j] = nwCell{code: c, score: int32((j + 1) * gap)}
-	}
-	return cells
-}
-
-// nwRowCodes advances cells by one Needleman–Wunsch row for a's element ai
-// and writes the direction of each of the row's cells 1..m to row. pd enters
-// as the column-0 score of the row above; this row's column-0 score is
-// pd + gap. pd and left then carry the previous column's score in the row
-// above and in this row in registers instead of re-reading them from the
-// rows.
-func nwRowCodes(row []byte, cells []nwCell, ai uint32, pd, mat, mis, gap int32) {
-	row = row[:len(cells)]
-	left := pd + gap
-	for j := range cells {
-		c := &cells[j]
-		sub := mis
-		if ai == c.code {
-			sub = mat
-		}
-		// Branch-free select (DESIGN.md §8): the strict "up > diag" and
-		// "left > max(diag, up)" tests become 0/1 bits, and with
-		// dirDiag/dirUp/dirLeft = 1/2/3, 1+upW picks diag or up while OR-ing
-		// in 3 forces left — so ties still resolve diagonal, then up, then
-		// left. Both tests compile to a compare and a flag set.
-		d, u, l := pd+sub, c.score+gap, left+gap
-		best := max(d, u)
-		upW, lfW := b2u(u > d), b2u(l > best)
-		best = max(best, l)
-		pd = c.score
-		c.score = best
-		row[j] = (1 + upW) | lfW*3
-		left = best
-	}
-}
-
-// nwScoreRowCodes is nwRowCodes without directions, for the score-only
-// passes of Hirschberg: the same values through the same max.
-func nwScoreRowCodes(cells []nwCell, ai uint32, pd, mat, mis, gap int32) {
-	left := pd + gap
-	for j := range cells {
-		c := &cells[j]
-		sub := mis
-		if ai == c.code {
-			sub = mat
-		}
-		best := max(pd+sub, c.score+gap, left+gap)
-		pd = c.score
-		c.score = best
-		left = best
-	}
-}
-
-// b2u is the 0/1 value of a comparison; the compiler lowers it to a
-// flag-setting instruction, not a branch.
-func b2u(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
+	return nwBitCodes(a, b)
 }
 
 // HirschbergCodes computes an optimal global alignment in O(n+m) space
@@ -192,42 +52,59 @@ func b2u(b bool) byte {
 // a at its middle and b at the first column maximizing prefix plus suffix
 // score, and recurse. Its score equals NeedlemanWunschCodes'; the columns may
 // differ among co-optimal alignments.
-func HirschbergCodes(a, b []uint32, sc Scoring) []Step {
-	var out []Step
-	hirschRecCodes(0, len(a), 0, len(b), a, b, sc, &out)
-	return out
+func HirschbergCodes(a, b []uint32) []Step {
+	rev := make([]uint32, len(a)+len(b))
+	ra, rb := rev[:len(a)], rev[len(a):]
+	for i, c := range a {
+		ra[len(a)-1-i] = c
+	}
+	for j, c := range b {
+		rb[len(b)-1-j] = c
+	}
+	h := hirschberg{a: a, b: b, ra: ra, rb: rb}
+	h.rec(0, len(a), 0, len(b))
+	return h.out
 }
 
-func hirschRecCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, out *[]Step) {
+// hirschberg is one HirschbergCodes call: the two sequences, their reversed
+// copies for the suffix score passes, and the steps emitted so far.
+type hirschberg struct {
+	a, b, ra, rb []uint32
+	out          []Step
+}
+
+func (h *hirschberg) rec(aLo, aHi, bLo, bHi int) {
 	n, m := aHi-aLo, bHi-bLo
 	switch {
 	case n == 0:
 		for j := bLo; j < bHi; j++ {
-			*out = append(*out, Step{Op: OpGapB, I: -1, J: j})
+			h.out = append(h.out, Step{Op: OpGapB, I: -1, J: j})
 		}
 		return
 	case m == 0:
 		for i := aLo; i < aHi; i++ {
-			*out = append(*out, Step{Op: OpGapA, I: i, J: -1})
+			h.out = append(h.out, Step{Op: OpGapA, I: i, J: -1})
 		}
 		return
 	case n == 1 || m == 1:
-		steps := NeedlemanWunschCodes(a[aLo:aHi], b[bLo:bHi], sc)
-		for _, s := range steps {
+		for _, s := range NeedlemanWunschCodes(h.a[aLo:aHi], h.b[bLo:bHi]) {
 			if s.I >= 0 {
 				s.I += aLo
 			}
 			if s.J >= 0 {
 				s.J += bLo
 			}
-			*out = append(*out, s)
+			h.out = append(h.out, s)
 		}
 		return
 	}
 
+	// The suffix scores of a[mid:aHi] × b[bLo:bHi] are the last row of the
+	// reversed ranges, which sit at the mirrored offsets of ra and rb.
 	mid := aLo + n/2
-	scoreL := nwLastRowCodes(aLo, mid, bLo, bHi, a, b, sc, false)
-	scoreR := nwLastRowCodes(mid, aHi, bLo, bHi, a, b, sc, true)
+	na, nb := len(h.a), len(h.b)
+	scoreL := lastRowBits(h.a[aLo:mid], h.b[bLo:bHi])
+	scoreR := lastRowBits(h.ra[na-aHi:na-mid], h.rb[nb-bHi:nb-bLo])
 
 	best, bestJ := scoreL[0]+scoreR[m], 0
 	for j := 1; j <= m; j++ {
@@ -237,34 +114,8 @@ func hirschRecCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, out *[]St
 	}
 	putInt32(scoreL)
 	putInt32(scoreR)
-	hirschRecCodes(aLo, mid, bLo, bLo+bestJ, a, b, sc, out)
-	hirschRecCodes(mid, aHi, bLo+bestJ, bHi, a, b, sc, out)
-}
-
-// nwLastRowCodes computes the final row of the score matrix for
-// a[aLo:aHi] × b[bLo:bHi], or of both ranges reversed (suffix alignment
-// scores) when rev is set. The returned row is pooled scratch — the caller
-// passes it to putInt32 when done.
-func nwLastRowCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, rev bool) []int32 {
-	n, m := aHi-aLo, bHi-bLo
-	// Loading b's band reversed for the suffix pass lets both directions
-	// share one forward row kernel.
-	cells := loadCells(m, b[bLo:bHi], sc.Gap, rev)
-	mat, mis, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
-	for i := 1; i <= n; i++ {
-		ai := a[aLo+i-1]
-		if rev {
-			ai = a[aHi-i]
-		}
-		nwScoreRowCodes(cells, ai, int32(i-1)*gap, mat, mis, gap)
-	}
-	out := getInt32(m + 1)
-	out[0] = int32(n) * gap
-	for j, c := range cells {
-		out[j+1] = c.score
-	}
-	putCells(cells)
-	return out
+	h.rec(aLo, mid, bLo, bLo+bestJ)
+	h.rec(mid, aHi, bLo+bestJ, bHi)
 }
 
 // GotohCodes computes an optimal global alignment under affine gap
@@ -275,9 +126,7 @@ func nwLastRowCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, rev bool)
 func GotohCodes(a, b []uint32, sc AffineScoring) []Step {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
-		return NeedlemanWunschCodes(a, b, Scoring{
-			Match: sc.Match, Mismatch: sc.Mismatch, Gap: sc.GapExtend,
-		})
+		return NeedlemanWunschCodes(a, b)
 	}
 
 	const negInf = int32(-1 << 29)
@@ -401,16 +250,10 @@ func GotohCodes(a, b []uint32, sc AffineScoring) []Step {
 	return rev
 }
 
-// GotohAlignerCodes adapts GotohCodes to the CodedFunc shape: the linear
-// Scoring's Gap is the extension penalty and one extra gap penalty the
-// opening cost.
-func GotohAlignerCodes(a, b []uint32, sc Scoring) []Step {
-	return GotohCodes(a, b, AffineScoring{
-		Match:     sc.Match,
-		Mismatch:  sc.Mismatch,
-		GapOpen:   sc.Gap,
-		GapExtend: sc.Gap,
-	})
+// GotohAlignerCodes is GotohCodes under DefaultAffineScoring, in the
+// CodedFunc shape.
+func GotohAlignerCodes(a, b []uint32) []Step {
+	return GotohCodes(a, b, DefaultAffineScoring)
 }
 
 // BandedCodes computes a global alignment restricted to a diagonal band of
@@ -422,13 +265,13 @@ func GotohAlignerCodes(a, b []uint32, sc Scoring) []Step {
 // bioinformatics response to that trade-off. When the band covers the whole
 // matrix it runs direct Needleman–Wunsch, and when the banded matrix would be
 // oversized it falls back to AlignCodes.
-func BandedCodes(a, b []uint32, sc Scoring, band int) []Step {
+func BandedCodes(a, b []uint32, band int) []Step {
 	n, m := len(a), len(b)
 	if band <= 0 {
 		band = 1
 	}
 	if n == 0 || m == 0 {
-		return NeedlemanWunschCodes(a, b, sc)
+		return NeedlemanWunschCodes(a, b)
 	}
 	diff := n - m
 	if diff < 0 {
@@ -438,11 +281,11 @@ func BandedCodes(a, b []uint32, sc Scoring, band int) []Step {
 		band = diff + 1
 	}
 	if band >= n+m {
-		return NeedlemanWunschCodes(a, b, sc)
+		return NeedlemanWunschCodes(a, b)
 	}
 	width := 2*band + 1
 	if n+1 > maxDirectCells/width {
-		return AlignCodes(a, b, sc)
+		return AlignCodes(a, b)
 	}
 
 	const negInf = int32(-1 << 29)
@@ -465,7 +308,7 @@ func BandedCodes(a, b []uint32, sc Scoring, band int) []Step {
 	}
 	score[at(0, kOf(0, 0))] = 0
 	for j := 1; j <= m && kOf(0, j) < width; j++ {
-		score[at(0, kOf(0, j))] = int32(j * sc.Gap)
+		score[at(0, kOf(0, j))] = int32(j * gapScore)
 		dirs[at(0, kOf(0, j))] = dirLeft
 	}
 
@@ -477,29 +320,29 @@ func BandedCodes(a, b []uint32, sc Scoring, band int) []Step {
 			}
 			best, dir := negInf, byte(0)
 			if j == 0 {
-				best, dir = int32(i*sc.Gap), dirUp
+				best, dir = int32(i*gapScore), dirUp
 			}
 			if i > 0 && j > 0 {
 				if prev := score[at(i-1, k)]; prev > negInf {
-					sub := sc.Mismatch
+					sub := int32(mismatchScore)
 					if a[i-1] == b[j-1] {
-						sub = sc.Match
+						sub = matchScore
 					}
-					if v := prev + int32(sub); v > best {
+					if v := prev + sub; v > best {
 						best, dir = v, dirDiag
 					}
 				}
 			}
 			if k+1 < width {
 				if prev := score[at(i-1, k+1)]; prev > negInf {
-					if v := prev + int32(sc.Gap); v > best {
+					if v := prev + gapScore; v > best {
 						best, dir = v, dirUp
 					}
 				}
 			}
 			if k-1 >= 0 {
 				if prev := score[at(i, k-1)]; prev > negInf {
-					if v := prev + int32(sc.Gap); v > best {
+					if v := prev + gapScore; v > best {
 						best, dir = v, dirLeft
 					}
 				}
@@ -547,7 +390,7 @@ func BandedCodes(a, b []uint32, sc Scoring, band int) []Step {
 
 // BandedAlignerCodes returns a CodedFunc-shaped adapter with a fixed band.
 func BandedAlignerCodes(band int) CodedFunc {
-	return func(a, b []uint32, sc Scoring) []Step {
-		return BandedCodes(a, b, sc, band)
+	return func(a, b []uint32) []Step {
+		return BandedCodes(a, b, band)
 	}
 }

@@ -33,11 +33,12 @@ func fuzzCodes(data []byte) (a, b []uint32) {
 	return a, b
 }
 
-// FuzzAlignOracle: AlignCodes under DefaultScoring returns refNW's steps
-// exactly, on any pair of sequences. Seeds sit at and around the 64-column
-// word boundaries of the bit-parallel fill, in both orientations. Run as a
-// smoke in CI: go test -run '^$' -fuzz FuzzAlignOracle -fuzztime 10s
-// ./internal/align/.
+// FuzzAlignOracle: on any pair of sequences, AlignCodes returns refNW's
+// steps exactly and HirschbergCodes returns refHirschberg's. Seeds sit at
+// and around the 64-column word boundaries of the bit-parallel fill, in
+// both orientations; sides above 128 cross the 64-row mask blocks of
+// Hirschberg's score rows. Run as a smoke in CI: go test -run '^$' -fuzz
+// FuzzAlignOracle -fuzztime 10s ./internal/align/.
 func FuzzAlignOracle(f *testing.F) {
 	payload := make([]byte, 128)
 	for i := range payload {
@@ -54,9 +55,12 @@ func FuzzAlignOracle(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := fuzzCodes(data)
-		want, _ := refNW(a, b, DefaultScoring)
-		if got := AlignCodes(a, b, DefaultScoring); !slices.Equal(got, want) {
+		want, _ := refNW(a, b)
+		if got := AlignCodes(a, b); !slices.Equal(got, want) {
 			t.Fatalf("AlignCodes diverges from the reference on a=%v b=%v:\ngot  %v\nwant %v", a, b, got, want)
+		}
+		if got, want := HirschbergCodes(a, b), refHirschberg(a, b); !slices.Equal(got, want) {
+			t.Fatalf("HirschbergCodes diverges from the reference on a=%v b=%v:\ngot  %v\nwant %v", a, b, got, want)
 		}
 	})
 }

@@ -13,8 +13,8 @@ type AffineScoring struct {
 	GapExtend int // cost per blank
 }
 
-// DefaultAffineScoring mirrors DefaultScoring but discourages scattered
-// gaps.
+// DefaultAffineScoring mirrors the paper's linear scheme, plus one gap
+// penalty to open each gap, which discourages scattered gaps.
 var DefaultAffineScoring = AffineScoring{Match: 1, Mismatch: -1, GapOpen: -1, GapExtend: -1}
 
 // AffineScore computes the total affine-gap score of an alignment.

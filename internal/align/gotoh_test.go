@@ -118,10 +118,10 @@ func TestGotohPrefersContiguousGaps(t *testing.T) {
 // TestGotohNeverWorseThanNWOnGapRuns checks the affine aligner against plain
 // Needleman–Wunsch on the measure it optimizes: under affine scoring, where
 // every gap run pays an opening penalty, Gotoh's alignment scores at least
-// as well as NW's. This is Gotoh's optimality: NW with DefaultScoring never
-// places a gap in a directly after a gap in b (a mismatch scores better
-// than the two gaps), so its alignment is one of the paths Gotoh's dynamic
-// program maximizes over. Gotoh need not produce fewer gap runs outright —
+// as well as NW's. This is Gotoh's optimality: NW under the paper's scheme
+// never places a gap in a directly after a gap in b (a mismatch scores
+// better than the two gaps), so its alignment is one of the paths Gotoh's
+// dynamic program maximizes over. Gotoh need not produce fewer gap runs outright —
 // it may trade one run for more matches — so runs are not compared.
 func TestGotohNeverWorseThanNWOnGapRuns(t *testing.T) {
 	sc := AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1}
@@ -131,7 +131,7 @@ func TestGotohNeverWorseThanNWOnGapRuns(t *testing.T) {
 		if !Validate(gt, len(a), len(b)) {
 			return false
 		}
-		nw := NeedlemanWunschCodes(a, b, DefaultScoring)
+		nw := NeedlemanWunschCodes(a, b)
 		return AffineScore(gt, sc) >= AffineScore(nw, sc)
 	}
 	if err := quick.Check(f, quickConfig(120, 12)); err != nil {
@@ -141,7 +141,7 @@ func TestGotohNeverWorseThanNWOnGapRuns(t *testing.T) {
 
 func TestGotohAlignerAdapter(t *testing.T) {
 	s := codesOf("abc")
-	steps := GotohAlignerCodes(s, s, DefaultScoring)
+	steps := GotohAlignerCodes(s, s)
 	if !Validate(steps, 3, 3) || countOps(steps)[OpMatch] != 3 {
 		t.Errorf("adapter misaligned identical input: %v", steps)
 	}

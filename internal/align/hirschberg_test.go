@@ -22,16 +22,16 @@ func TestHirschbergCodedTwinProperty(t *testing.T) {
 		a := randCodes(rng, n, alphabet)
 		b := randCodes(rng, m, alphabet)
 
-		h := HirschbergCodes(a, b, DefaultScoring)
+		h := HirschbergCodes(a, b)
 		if !Validate(h, n, m) {
 			t.Fatalf("trial %d: invalid Hirschberg alignment (n=%d m=%d)", trial, n, m)
 		}
-		nw := NeedlemanWunschCodes(a, b, DefaultScoring)
-		if hs, ns := Score(h, DefaultScoring), Score(nw, DefaultScoring); hs != ns {
+		nw := NeedlemanWunschCodes(a, b)
+		if hs, ns := Score(h), Score(nw); hs != ns {
 			t.Fatalf("trial %d: Hirschberg score %d != NW score %d (n=%d m=%d)",
 				trial, hs, ns, n, m)
 		}
-		if want := refHirschberg(a, b, DefaultScoring); !slices.Equal(h, want) {
+		if want := refHirschberg(a, b); !slices.Equal(h, want) {
 			t.Fatalf("trial %d: Hirschberg diverges from the reference:\ngot  %v\nwant %v", trial, h, want)
 		}
 	}
@@ -51,7 +51,7 @@ func TestHirschbergPooledBuffersConcurrent(t *testing.T) {
 	for i := range jobs {
 		a := randCodes(rng, 20+rng.Intn(60), 4)
 		b := randCodes(rng, 20+rng.Intn(60), 4)
-		jobs[i] = job{a: a, b: b, nw: refNWSteps(a, b, DefaultScoring), hirs: refHirschberg(a, b, DefaultScoring)}
+		jobs[i] = job{a: a, b: b, nw: refNWSteps(a, b), hirs: refHirschberg(a, b)}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -60,9 +60,9 @@ func TestHirschbergPooledBuffersConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
 				for _, j := range jobs {
-					steps, want := HirschbergCodes(j.a, j.b, DefaultScoring), j.hirs
+					steps, want := HirschbergCodes(j.a, j.b), j.hirs
 					if (w+rep)%2 == 0 {
-						steps, want = NeedlemanWunschCodes(j.a, j.b, DefaultScoring), j.nw
+						steps, want = NeedlemanWunschCodes(j.a, j.b), j.nw
 					}
 					if !slices.Equal(steps, want) {
 						t.Errorf("worker %d: alignment diverges from the reference (stale pooled row?)", w)
@@ -86,11 +86,11 @@ func TestHirschbergDegenerate(t *testing.T) {
 		{[]uint32{5, 5, 5}, []uint32{5}},
 	}
 	for _, c := range cases {
-		h := HirschbergCodes(c.a, c.b, DefaultScoring)
+		h := HirschbergCodes(c.a, c.b)
 		if !Validate(h, len(c.a), len(c.b)) {
 			t.Errorf("invalid alignment for %v vs %v", c.a, c.b)
 		}
-		if want := refHirschberg(c.a, c.b, DefaultScoring); !slices.Equal(h, want) {
+		if want := refHirschberg(c.a, c.b); !slices.Equal(h, want) {
 			t.Errorf("%v vs %v: got %v, want %v", c.a, c.b, h, want)
 		}
 	}

@@ -13,7 +13,6 @@ import "sync"
 var (
 	i32Pool  sync.Pool // *[]int32
 	bytePool sync.Pool // *[]byte
-	cellPool sync.Pool // *[]nwCell
 	bitPool  sync.Pool // *bitScratch
 )
 
@@ -48,23 +47,6 @@ func putBytes(s []byte) {
 		return
 	}
 	bytePool.Put(&s)
-}
-
-// getCells returns an nwCell scratch slice of length n with arbitrary
-// contents.
-func getCells(n int) []nwCell {
-	if p, ok := cellPool.Get().(*[]nwCell); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]nwCell, n)
-}
-
-// putCells recycles a slice obtained from getCells.
-func putCells(s []nwCell) {
-	if cap(s) == 0 {
-		return
-	}
-	cellPool.Put(&s)
 }
 
 // getBitScratch returns pooled bit-parallel scratch with arbitrary contents.

@@ -92,7 +92,7 @@ func SOAEligible(a, b *ir.Func) bool {
 // only used for pairs that passed SOAEligible. Equal codes mean equivalent
 // entries because the pair is two distinct phi-free functions (RunSOA
 // demotes phis first), the encode contract's domain.
-func lockstepAlign(a, b []uint32, sc align.Scoring) []align.Step {
+func lockstepAlign(a, b []uint32) []align.Step {
 	n, m := len(a), len(b)
 	if n != m {
 		// Not lockstep-mergeable; an all-gap alignment makes the merge

@@ -198,8 +198,8 @@ func TestNormalizePadsDegenerateAlignment(t *testing.T) {
 	f2 := m.FuncByName("guard_mul")
 
 	opts := DefaultOptions()
-	opts.Align = func(a, b []uint32, sc align.Scoring) []align.Step {
-		steps := align.AlignCodes(a, b, sc)
+	opts.Align = func(a, b []uint32) []align.Step {
+		steps := align.AlignCodes(a, b)
 		// Degenerate rewrite: split every matched landingpad column into
 		// a gap pair.
 		seq1 := linearize.Linearize(f1)

@@ -176,7 +176,7 @@ func alignSeqs(enc1, enc2 *encode.Encoded, opts *Options) []align.Step {
 			opts.Timings.CountAlignMemo(false)
 		}
 	}
-	steps := opts.Align(enc1.Codes, enc2.Codes, opts.Scoring)
+	steps := opts.Align(enc1.Codes, enc2.Codes)
 	if opts.Timings != nil {
 		opts.Timings.AddAlignCells(int64(len(enc1.Codes)) * int64(len(enc2.Codes)))
 	}

@@ -123,8 +123,6 @@ type AlignMemo interface {
 // Options configures a merge operation. The zero value is not usable; start
 // from DefaultOptions.
 type Options struct {
-	// Scoring is the alignment scoring scheme.
-	Scoring align.Scoring
 	// Align is the alignment algorithm, run over the two sequences'
 	// equivalence codes (defaults to align.AlignCodes, which picks
 	// Needleman–Wunsch or Hirschberg by problem size).
@@ -172,7 +170,6 @@ type Options struct {
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
-		Scoring:     align.DefaultScoring,
 		Align:       align.AlignCodes,
 		Order:       linearize.OrderRPO,
 		ReuseParams: true,

@@ -18,7 +18,7 @@ func planFor(t *testing.T, src, n1, n2 string, reuse bool) (paramPlan, *ir.Func,
 	in := encode.NewInterner()
 	enc1 := in.Encode(linearize.Linearize(f1))
 	enc2 := in.Encode(linearize.Linearize(f2))
-	steps := align.DecomposeMismatches(align.AlignCodes(enc1.Codes, enc2.Codes, align.DefaultScoring))
+	steps := align.DecomposeMismatches(align.AlignCodes(enc1.Codes, enc2.Codes))
 	return buildParamPlan(f1, f2, enc1.Seq, enc2.Seq, steps, reuse), f1, f2
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmsa/internal/align"
 	"fmsa/internal/ir"
 	"fmsa/internal/simdb"
+	"fmsa/internal/tti"
 	"fmsa/internal/wire"
 	"fmsa/internal/workload"
 )
@@ -356,7 +357,7 @@ func TestSessionStoreDigestMismatch(t *testing.T) {
 	}
 
 	custom := opts
-	custom.Merge.Align = func(a, b []uint32, s align.Scoring) []align.Step { return align.AlignCodes(a, b, s) }
+	custom.Merge.Align = func(a, b []uint32) []align.Step { return align.AlignCodes(a, b) }
 	before := openTestStore(t, path).Stats().Attempts
 	got, d, after := storeRun(t, path, custom, specs)
 	if d.NegStoreHits != 0 || after.Attempts != before {
@@ -501,5 +502,23 @@ func TestSessionStoreConcurrentSessions(t *testing.T) {
 	if d.NegStoreHits == 0 || !sameOutcome(restart, want) {
 		t.Fatalf("restart after concurrent sessions: NegStoreHits=%d, identical=%v",
 			d.NegStoreHits, sameOutcome(restart, want))
+	}
+}
+
+// TestAttemptDigestPinned pins attemptDigest for the default options on
+// both targets. Persisted attempt entries are keyed on the digest, so a
+// change to the hashed text orphans every entry in existing fmdb segments;
+// a deliberate change bumps attemptVersion and updates these values.
+func TestAttemptDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		target tti.Target
+		want   uint64
+	}{{tti.X86{}, 0x9237a847bc89372b}, {tti.Thumb{}, 0x17d390064230489e}} {
+		o := DefaultOptions()
+		o.Target = tc.target
+		got, ok := attemptDigest(o)
+		if !ok || got != tc.want {
+			t.Errorf("%s: attemptDigest = %#x, %v; want %#x, true", tc.target.Name(), got, ok, tc.want)
+		}
 	}
 }

@@ -239,10 +239,10 @@ func (nm *negMemo) attempt(k negKey) (a simdb.Attempt, fits bool) {
 const attemptVersion = 1
 
 // attemptDigest hashes every option a pair's outcome depends on: the
-// target, the alignment scoring, the linearization order, parameter reuse
-// and the bound's MinProfit (0 in exploration). ok is false for options
-// that cannot be named by value — a custom Target or Merge.Align — and such
-// sessions neither read nor write persisted attempt entries.
+// target, the linearization order, parameter reuse and the bound's
+// MinProfit (0 in exploration). ok is false for options that cannot be
+// named by value — a custom Target or Merge.Align — and such sessions
+// neither read nor write persisted attempt entries.
 func attemptDigest(o Options) (digest uint64, ok bool) {
 	switch o.Target.(type) {
 	case tti.X86, tti.Thumb:
@@ -254,10 +254,10 @@ func attemptDigest(o Options) (digest uint64, ok bool) {
 		return 0, false
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "fmsa-attempt/v%d target=%s scoring=%d,%d,%d order=%d reuse=%t minprofit=%d",
-		attemptVersion, o.Target.Name(),
-		o.Merge.Scoring.Match, o.Merge.Scoring.Mismatch, o.Merge.Scoring.Gap,
-		o.Merge.Order, o.Merge.ReuseParams, pruneMinProfit)
+	// The alignment scoring is fixed; it stays in the text so that digests,
+	// and with them persisted attempt entries, keep their values.
+	fmt.Fprintf(h, "fmsa-attempt/v%d target=%s scoring=1,-1,-1 order=%d reuse=%t minprofit=%d",
+		attemptVersion, o.Target.Name(), o.Merge.Order, o.Merge.ReuseParams, pruneMinProfit)
 	return h.Sum64(), true
 }
 

@@ -15,11 +15,12 @@
 #  - fuzz-roundtrip / fuzz-decode-verify: short smoke-fuzz of the textual
 #    parse/print round trip and of the wire decoder + staged IR verifier
 #    (the decoder must never accept a module the verifier rejects).
-#  - fuzz-align: short smoke-fuzz of the alignment dispatcher against the
-#    textbook Needleman–Wunsch oracle (two code sequences of up to 256
-#    entries over 1–4 codes; AlignCodes must return the oracle's steps
-#    exactly, tie-breaks included, across the bit-parallel fill's 64-column
-#    word boundaries).
+#  - fuzz-align: short smoke-fuzz of the alignment kernels against the
+#    textbook oracles (two code sequences of up to 256 entries over 1–4
+#    codes; AlignCodes must return the Needleman–Wunsch oracle's steps and
+#    HirschbergCodes the Hirschberg oracle's, exactly, tie-breaks included,
+#    across the bit-parallel fill's 64-column words and the 64-row mask
+#    blocks of Hirschberg's score rows).
 #  - verify-sweep: explore's TestVerifyBoundaries and TestVerifyCleanCorpus
 #    — on the paper-scale profiles plus the quick SPEC-like and
 #    MiBench-like corpora, the staged verifier finds zero full-level
@@ -43,9 +44,11 @@
 #  - kernels: the alignment path's package tests — the coded kernels match
 #    the reference Needleman–Wunsch/Hirschberg oracle step for step, the
 #    equivalence codes obey the encode contract (equal codes exactly when
-#    the entries are equivalent), and on the quick corpora exploration with
-#    the linearization cache and alignment memo on commits the same merges
-#    and module as with both off.
+#    the entries are equivalent), Hirschberg's linear-space scratch stays
+#    within its allocation bound (skipped under -race, whose sync.Pool
+#    drops puts), and on the quick corpora exploration with the
+#    linearization cache and alignment memo on commits the same merges and
+#    module as with both off.
 #  - bound-huge: the profitability bound must prune 483.xalancbmk's @main
 #    against its closest partners and stay admissible there, so a loosened
 #    branch floor fails by name rather than somewhere inside race-tests.
@@ -131,7 +134,7 @@ gate fuzz-align        go test -run '^$' -fuzz 'FuzzAlignOracle' -fuzztime 10s .
 gate fuzz-stablehash    go test -run '^$' -fuzz 'FuzzStableHash' -fuzztime 10s ./internal/global/
 gate verify-sweep       go test -count=1 -run '^(TestVerifyBoundaries|TestVerifyCleanCorpus)$' ./internal/explore/
 gate rank               go test -count=1 -run '^TestLSHRecallTop1$' ./internal/explore/
-gate kernels            go test -count=1 -run 'TestCodedKernelsMatchOracle|TestContract|TestKernelCrossCheck' ./internal/align/ ./internal/encode/ ./internal/explore/
+gate kernels            go test -count=1 -run 'TestCodedKernelsMatchOracle|TestHirschbergScratchBound|TestContract|TestKernelCrossCheck' ./internal/align/ ./internal/encode/ ./internal/explore/
 gate bound              go test -count=1 -run '^TestBoundDecisionInvariance$' ./internal/explore/
 gate bound-huge         go test -run TestBoundPrunesHugeBodyPairs -count=1 ./internal/core/
 gate ingest             go test -count=1 -run '^TestIngestFormatsAgree$' ./internal/wire/
