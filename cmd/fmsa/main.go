@@ -12,12 +12,12 @@
 //	fmsa -merge glist_add_float32,glist_add_float64 module.ll
 //
 // Global mode treats every input file as its own translation unit and runs
-// the two-round sharded cross-TU pipeline: round 1 summarizes each unit
-// (stable hash + MinHash signature), round 2 plans folds and merge pairs
-// from the summaries alone and commits them per unit. Results are
-// bit-identical for any -shards and -workers value:
+// the two-round cross-TU pipeline: round 1 summarizes each unit (stable
+// hash + MinHash signature), round 2 plans folds and merge pairs from the
+// summaries alone and commits them per unit. Results are bit-identical for
+// any -workers value:
 //
-//	fmsa -global -shards 8 tu0.ll tu1.ll tu2.fmir
+//	fmsa -global tu0.ll tu1.ll tu2.fmir
 package main
 
 import (
@@ -49,8 +49,7 @@ func main() {
 		ranking    = flag.String("ranking", "exact", "candidate ranking: exact (quadratic scan) or lsh (MinHash index, sub-quadratic)")
 		audit      = flag.String("audit", "off", "merge auditing: off, committed (static checks, diagnostics reported) or deep (reject merges whose behavior diverges)")
 		verifyLvl  = flag.String("verify", "full", "IR verification at pipeline boundaries and inside exploration: off, fast or full")
-		globalMode = flag.Bool("global", false, "two-round sharded cross-TU merging: each input file is one translation unit")
-		shards     = flag.Int("shards", 1, "round-2 shard count for -global (results are bit-identical for any value)")
+		globalMode = flag.Bool("global", false, "two-round cross-TU merging: each input file is one translation unit")
 		mergePair  = flag.String("merge", "", "merge exactly this comma-separated function pair")
 		out        = flag.String("o", "", "write the optimized module to this file (default: stdout)")
 		quiet      = flag.Bool("q", false, "suppress the statistics report")
@@ -88,7 +87,7 @@ func main() {
 	}
 
 	if *globalMode {
-		runGlobal(units, tgt, level, *shards, *workers, *out, *quiet)
+		runGlobal(units, tgt, level, *workers, *out, *quiet)
 		return
 	}
 
@@ -170,18 +169,17 @@ func main() {
 	emit(mod, *out)
 }
 
-// runGlobal drives the two-round sharded cross-TU pipeline over the loaded
+// runGlobal drives the two-round cross-TU pipeline over the loaded
 // translation units and emits the linked result.
-func runGlobal(units []*fmsa.Module, tgt tti.Target, level ir.VerifyLevel, shards, workers int, out string, quiet bool) {
+func runGlobal(units []*fmsa.Module, tgt tti.Target, level ir.VerifyLevel, workers int, out string, quiet bool) {
 	opts := global.DefaultOptions()
 	opts.Target = tgt
-	opts.Shards = shards
 	opts.Workers = workers
 	linked, rep, err := global.Run(units, opts)
 	fatal(err)
 	verifyGate(linked, level, "post-global")
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "translation units: %d (%d shards)\n", rep.TUs, rep.Shards)
+		fmt.Fprintf(os.Stderr, "translation units: %d\n", rep.TUs)
 		fmt.Fprintf(os.Stderr, "folded functions:  %d (%d groups)\n", rep.FoldedFuncs, rep.FoldGroups)
 		fmt.Fprintf(os.Stderr, "merged pairs:      %d of %d planned\n", rep.PairsMerged, rep.PairsPlanned)
 		fmt.Fprintf(os.Stderr, "exact scoring:     %d pairs (%d summary probes, %d bound skips)\n",

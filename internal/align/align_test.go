@@ -531,7 +531,7 @@ func TestCodedKernelsMatchOracle(t *testing.T) {
 		t.Helper()
 		want, last := refNW(a, b)
 		dirtyPools(rng)
-		if got := lastRowBits(a, b); !slices.Equal(got, last) {
+		if got := lastRowBits(nil, a, b); !slices.Equal(got, last) {
 			t.Fatalf("lastRowBits diverges from the reference on a=%v b=%v:\ngot  %v\nwant %v", a, b, got, last)
 		}
 		dirtyPools(rng)

@@ -40,13 +40,14 @@ type bitScratch struct {
 	steps   []Step      // traceback buffer, filled from the back
 }
 
-// nwBitCodes is NeedlemanWunschCodes for non-empty a and b: a fill that
-// computes 64 cells per word operation, then a traceback from the delta
-// planes with the diagonal ≻ up ≻ left tie-break. The longer sequence runs
-// along the words and the shorter one down the rows; H is symmetric under
-// transposition, so a transposed fill only swaps which plane the traceback
-// reads as v′ and which as h′.
-func nwBitCodes(a, b []uint32) []Step {
+// nwBitCodes appends NeedlemanWunschCodes(a, b) for non-empty a and b to
+// dst: a fill that computes 64 cells per word operation, then a traceback
+// from the delta planes with the diagonal ≻ up ≻ left tie-break. The longer
+// sequence runs along the words and the shorter one down the rows; H is
+// symmetric under transposition, so a transposed fill only swaps which
+// plane the traceback reads as v′ and which as h′. Hirschberg's one-row
+// base cases append straight to their result through dst.
+func nwBitCodes(dst []Step, a, b []uint32) []Step {
 	n, m := len(a), len(b)
 	short, long := a, b
 	tr := n > m
@@ -64,8 +65,8 @@ func nwBitCodes(a, b []uint32) []Step {
 	}
 
 	// Walk once from the corner, writing the steps from the back of the
-	// buffer, then copy them into an exact-size result so the alignment
-	// memo keeps no slack capacity.
+	// buffer, then append them to dst. A nil dst gets an exact-size result,
+	// so the alignment memo keeps no slack capacity.
 	planes := s.planes
 	buf := resize(s.steps, n+m)
 	k := len(buf)
@@ -115,11 +116,13 @@ func nwBitCodes(a, b []uint32) []Step {
 		k--
 		buf[k] = Step{Op: OpGapB, I: -1, J: j - 1}
 	}
-	steps := make([]Step, len(buf)-k)
-	copy(steps, buf[k:])
+	if dst == nil {
+		dst = make([]Step, 0, len(buf)-k)
+	}
+	dst = append(dst, buf[k:]...)
 	s.steps = buf
 	putBitScratch(s)
-	return steps
+	return dst
 }
 
 // maskBlock is how many rows lastRowBits builds match masks for at a time.
@@ -128,12 +131,12 @@ func nwBitCodes(a, b []uint32) []Step {
 // with rows·cols and break Hirschberg's linear space.
 const maskBlock = 64
 
-// lastRowBits returns H[len(rows)][0..len(cols)], the last row of the
-// Needleman–Wunsch score matrix of rows × cols, for Hirschberg's split. It
-// rolls two delta rows through nwBitRow and reads H[n][j] as the running
-// sum of the last row's h′, which is H′[n][j], minus the shift n + j. The returned row is
-// pooled scratch; the caller passes it to putInt32 when done.
-func lastRowBits(rows, cols []uint32) []int32 {
+// lastRowBits writes H[len(rows)][0..len(cols)], the last row of the
+// Needleman–Wunsch score matrix of rows × cols, into dst (grown when too
+// short) and returns it, for Hirschberg's split. It rolls two delta rows
+// through nwBitRow and reads H[n][j] as the running sum of the last row's
+// h′, which is H′[n][j], minus the shift n + j.
+func lastRowBits(dst []int32, rows, cols []uint32) []int32 {
 	n, words := len(rows), (len(cols)+63)/64
 	s := getBitScratch()
 	s.planes = resize(s.planes, 2*words)
@@ -148,7 +151,7 @@ func lastRowBits(rows, cols []uint32) []int32 {
 			prev, cur = cur, prev
 		}
 	}
-	out := getInt32(len(cols) + 1)
+	out := resize(dst, len(cols)+1)
 	out[0] = -int32(n)
 	sum := int32(0)
 	for j := range cols {

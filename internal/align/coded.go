@@ -44,7 +44,7 @@ func NeedlemanWunschCodes(a, b []uint32) []Step {
 		}
 		return steps
 	}
-	return nwBitCodes(a, b)
+	return nwBitCodes(nil, a, b)
 }
 
 // HirschbergCodes computes an optimal global alignment in O(n+m) space
@@ -61,16 +61,24 @@ func HirschbergCodes(a, b []uint32) []Step {
 	for j, c := range b {
 		rb[len(b)-1-j] = c
 	}
-	h := hirschberg{a: a, b: b, ra: ra, rb: rb}
+	scores := make([]int32, 2*(len(b)+1))
+	h := hirschberg{
+		a: a, b: b, ra: ra, rb: rb,
+		scoreL: scores[:len(b)+1], scoreR: scores[len(b)+1:],
+		out: make([]Step, 0, len(a)+len(b)),
+	}
 	h.rec(0, len(a), 0, len(b))
 	return h.out
 }
 
 // hirschberg is one HirschbergCodes call: the two sequences, their reversed
-// copies for the suffix score passes, and the steps emitted so far.
+// copies for the suffix score passes, the two score rows every split
+// reuses (a split reads them before it recurses), and the steps emitted so
+// far, which the one-row base cases append to in place.
 type hirschberg struct {
-	a, b, ra, rb []uint32
-	out          []Step
+	a, b, ra, rb   []uint32
+	scoreL, scoreR []int32
+	out            []Step
 }
 
 func (h *hirschberg) rec(aLo, aHi, bLo, bHi int) {
@@ -87,14 +95,15 @@ func (h *hirschberg) rec(aLo, aHi, bLo, bHi int) {
 		}
 		return
 	case n == 1 || m == 1:
-		for _, s := range NeedlemanWunschCodes(h.a[aLo:aHi], h.b[bLo:bHi]) {
-			if s.I >= 0 {
-				s.I += aLo
+		start := len(h.out)
+		h.out = nwBitCodes(h.out, h.a[aLo:aHi], h.b[bLo:bHi])
+		for k := start; k < len(h.out); k++ {
+			if h.out[k].I >= 0 {
+				h.out[k].I += aLo
 			}
-			if s.J >= 0 {
-				s.J += bLo
+			if h.out[k].J >= 0 {
+				h.out[k].J += bLo
 			}
-			h.out = append(h.out, s)
 		}
 		return
 	}
@@ -103,8 +112,8 @@ func (h *hirschberg) rec(aLo, aHi, bLo, bHi int) {
 	// reversed ranges, which sit at the mirrored offsets of ra and rb.
 	mid := aLo + n/2
 	na, nb := len(h.a), len(h.b)
-	scoreL := lastRowBits(h.a[aLo:mid], h.b[bLo:bHi])
-	scoreR := lastRowBits(h.ra[na-aHi:na-mid], h.rb[nb-bHi:nb-bLo])
+	scoreL := lastRowBits(h.scoreL, h.a[aLo:mid], h.b[bLo:bHi])
+	scoreR := lastRowBits(h.scoreR, h.ra[na-aHi:na-mid], h.rb[nb-bHi:nb-bLo])
 
 	best, bestJ := scoreL[0]+scoreR[m], 0
 	for j := 1; j <= m; j++ {
@@ -112,8 +121,6 @@ func (h *hirschberg) rec(aLo, aHi, bLo, bHi int) {
 			best, bestJ = s, j
 		}
 	}
-	putInt32(scoreL)
-	putInt32(scoreR)
 	h.rec(aLo, mid, bLo, bLo+bestJ)
 	h.rec(mid, aHi, bLo+bestJ, bHi)
 }

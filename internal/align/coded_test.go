@@ -236,7 +236,7 @@ func TestAlignCodesScratchBound(t *testing.T) {
 // TestHirschbergScratchBound aligns 8192 distinct codes against 8192 more,
 // the shape that fills the most match masks, and requires the call to
 // allocate at most 4 MiB from a cold pool. Hirschberg's score rows build
-// masks one 64-row block at a time and the call allocates about 1.6 MB;
+// masks one 64-row block at a time and the call allocates about 0.6 MB;
 // masks for all rows of each split at once read about 5.9 MB, growing with
 // n·m instead of n+m.
 func TestHirschbergScratchBound(t *testing.T) {
@@ -258,6 +258,26 @@ func TestHirschbergScratchBound(t *testing.T) {
 	t.Logf("%dx%d: %d bytes allocated", n, n, got)
 	if got > limit {
 		t.Errorf("HirschbergCodes allocated %d bytes, want <= %d", got, limit)
+	}
+	checkColumns(t, "hirschberg", a, b, steps)
+}
+
+// TestHirschbergAllocs bounds the allocations of one HirschbergCodes call
+// on BenchmarkHirschberg's largest shape, 4097×4096 codes over 8 symbols,
+// once the kernel's pooled scratch is warm: the reversed copies, the two
+// score rows every split reuses and the presized result, which the one-row
+// base cases append to in place — three in all. A base case that allocated
+// its own steps, or a split that allocated its score rows, would add
+// thousands.
+func TestHirschbergAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation bound; scripts/check.sh runs it without -race in the kernels gate")
+	}
+	rng := rand.New(rand.NewSource(4097 + 4096))
+	a, b := randCodes(rng, 4097, 8), randCodes(rng, 4096, 8)
+	var steps []Step
+	if got := testing.AllocsPerRun(10, func() { steps = HirschbergCodes(a, b) }); got > 3 {
+		t.Errorf("HirschbergCodes made %.0f allocations per call, want <= 3", got)
 	}
 	checkColumns(t, "hirschberg", a, b, steps)
 }

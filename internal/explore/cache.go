@@ -30,7 +30,7 @@ import (
 // over the current pool at unbounded depth (and, in LSH mode, the current
 // index — a commit offer applies exactly when the merged function would be
 // probed, see offer); complete means they are the entire qualifying set.
-// Stale entries never reorder live ones (an entry's sim/size/insertion
+// Stale entries never reorder live ones (an entry's sim/size/pool-index
 // keys are fixed), so filtering preserves the prefix. A pop whose purged
 // list retains at least t entries (or is complete) reads the true top-t
 // straight off the prefix; only a list that consumptions shrank below t
@@ -56,18 +56,78 @@ type rankCache struct {
 	bySize *sizeIndex
 }
 
-// rankList mirrors the session's warmList invariant inside one run: the
-// live entries of cands are an exact prefix of the owner's full current
-// ranking above MinSimilarity (restricted, in LSH mode, to the probe
-// relation), and complete reports that they are the entire qualifying set
-// rather than a depth-bounded window. Entries of consumed functions linger
-// until purge.
+// rankList is one owner's candidate list: the live entries of cands are an
+// exact prefix of the owner's full current ranking above MinSimilarity
+// (restricted, in LSH mode, to the probe relation), and complete reports
+// that they are the entire qualifying set rather than a depth-bounded
+// window. Entries of consumed functions linger until purge. A session
+// reconciles its stored lists into the same structure to seed a run.
 type rankList struct {
 	// fp is the owner's fingerprint, cached so the commit-offer hot path
 	// (every live list, every commit) needs no lookup.
 	fp       *fingerprint.Fingerprint
 	cands    []candidate
 	complete bool
+}
+
+// before reports whether a ranks strictly before b in the ranking order
+// every candidate list keeps: similarity desc, size desc, pool index asc.
+func before(a, b candidate) bool {
+	if a.sim != b.sim {
+		return a.sim > b.sim
+	}
+	if a.size != b.size {
+		return a.size > b.size
+	}
+	return a.pi < b.pi
+}
+
+// insertBounded places cand at its position in cands — sorted by before,
+// an exact prefix of its owner's ranking, or all of it when complete —
+// keeping at most depth entries. Scans, commit offers and session
+// reconciliation all insert here. Two guards keep the prefix exact:
+//
+//   - an incomplete list cannot grow at its tail: a candidate ranking after
+//     every stored entry may also rank after unstored ones, so its true
+//     position is unknown and it is dropped (it cannot enter the top-t a
+//     list serves, which reads at least t stored entries or rescans);
+//   - a list that reaches depth is marked incomplete, truncated or not: a
+//     real candidate fell off the window, or the next one to rank after
+//     the tail will. finishScan's rule, complete = len < depth, is the same.
+//
+// A scan builds its list from nothing, so it passes complete and ignores
+// the returned flag; finishScan decides completeness from the length.
+func insertBounded(cands []candidate, cand candidate, depth int, complete bool) ([]candidate, bool) {
+	pos := len(cands)
+	for pos > 0 && before(cand, cands[pos-1]) {
+		pos--
+	}
+	if pos >= depth || (pos == len(cands) && !complete) {
+		return cands, complete
+	}
+	cands = append(cands, candidate{})
+	copy(cands[pos+1:], cands[pos:])
+	cands[pos] = cand
+	if len(cands) >= depth {
+		cands = cands[:depth]
+		complete = false
+	}
+	return cands, complete
+}
+
+// insertFloor is the lowest similarity with which a candidate can still
+// enter cands under insertBounded: minSim, raised to the tail's similarity
+// once the list is full (a lower candidate would be cut off at once) or
+// incomplete (it would be a dropped tail append). A candidate scoring
+// exactly the floor may still tie its way in by size or pool index, so
+// callers drop only what bounds or scores strictly below it. Scans, probes,
+// commit offers and reconciliation offers all prefilter against it, each
+// with its own upper bound on the similarity.
+func insertFloor(cands []candidate, depth int, complete bool, minSim float64) float64 {
+	if n := len(cands); n > 0 && (n >= depth || !complete) && cands[n-1].sim > minSim {
+		return cands[n-1].sim
+	}
+	return minSim
 }
 
 // newRankCache builds the initial candidate list of every pool member, in
@@ -87,8 +147,8 @@ func newRankCache(r *runner, t int) *rankCache {
 			c.depth = seed.scanDepth
 		}
 		for i := range r.pool {
-			if sl := seed.lists[i]; sl != nil {
-				built[i] = &rankList{fp: r.poolFPs[i], cands: sl.cands, complete: sl.complete}
+			if rl := seed.lists[i]; rl != nil {
+				built[i] = rl
 			} else {
 				scan = append(scan, int32(i))
 			}
@@ -111,7 +171,7 @@ func newRankCache(r *runner, t int) *rankCache {
 		probes := ls.idx.ProbeBatch(sigs, scan, r.workers)
 		parallelFor(len(scan), r.workers, func(j int) {
 			i := scan[j]
-			built[i] = c.finishScan(int(i), c.rankIDsDepth(r.pool[i], probes[j], depth))
+			built[i] = c.finishScan(int(i), c.rankIDs(r.pool[i], probes[j], depth))
 		})
 	} else {
 		parallelFor(len(scan), r.workers, func(j int) {
@@ -125,16 +185,17 @@ func newRankCache(r *runner, t int) *rankCache {
 	return c
 }
 
-// finishScan hands a setup-scan result to the session store (when seeded)
-// and installs it at the storage depth. A scan that came back shorter than
+// finishScan installs a setup-scan result at the storage depth and hands it
+// to the session store (when seeded). A scan that came back shorter than
 // the depth visited every qualifying candidate, so the list is complete.
 // The stored session copy and the run's list never alias: onScan converts
 // to name-keyed entries.
 func (c *rankCache) finishScan(poolIdx int, cands []candidate) *rankList {
+	rl := &rankList{fp: c.r.poolFPs[poolIdx], cands: cands, complete: len(cands) < c.depth}
 	if seed := c.r.seed; seed != nil && seed.onScan != nil {
-		seed.onScan(poolIdx, cands)
+		seed.onScan(poolIdx, rl)
 	}
-	return &rankList{fp: c.r.poolFPs[poolIdx], cands: cands, complete: len(cands) < c.depth}
+	return rl
 }
 
 // take returns f's candidate ranking — the first t live entries of its
@@ -180,18 +241,18 @@ func (c *rankCache) applyCommit(f1, f2, entered *ir.Func) {
 	if entered == nil {
 		return
 	}
-	fpg := c.r.fpOf(entered)
+	gi := c.r.poolIdx[entered]
 	if ls := c.r.lsh; ls != nil {
-		for _, pi := range ls.probe(c.r.poolIdx[entered]) {
+		for _, pi := range ls.probe(gi) {
 			owner := c.r.pool[pi]
 			if rl := c.lists[owner]; rl != nil {
-				c.offer(owner, rl, entered, fpg)
+				c.offer(owner, rl, gi)
 			}
 		}
 		return
 	}
 	for owner, rl := range c.lists {
-		c.offer(owner, rl, entered, fpg)
+		c.offer(owner, rl, gi)
 	}
 	// The merged function's own ranking is built lazily at its pop: take
 	// finds no cache entry and falls back to a full scan.
@@ -222,7 +283,7 @@ func (rl *rankList) purge(r *runner) {
 // index in LSH mode.
 func (c *rankCache) scanTop(f *ir.Func) []candidate {
 	if ls := c.r.lsh; ls != nil {
-		return c.rankIDs(f, ls.probe(c.r.poolIdx[f]))
+		return c.rankIDs(f, ls.probe(c.r.poolIdx[f]), c.t)
 	}
 	return c.scanExact(f, c.t)
 }
@@ -234,8 +295,8 @@ func (c *rankCache) scanTop(f *ir.Func) []candidate {
 // and falls monotonically on both sides of it, so the walk starts at f's
 // size in the size-sorted index and advances whichever frontier (smaller or
 // larger members) has the higher bound. Once the higher bound is below the
-// insertion floor — MinSimilarity, or the list tail once the list is full —
-// no unvisited member can enter, and the walk stops. The result is exactly
+// insertion floor (insertFloor) no unvisited member can enter, and the walk
+// stops. The result is exactly
 // the pool-order bounded scan's: both compute the top-depth of the same set
 // under the same total key; only the visiting order (and so how fast the
 // floor rises) differs. Safe for concurrent use against a frozen pool.
@@ -250,12 +311,7 @@ func (c *rankCache) scanExact(f *ir.Func, depth int) []candidate {
 	var probes int64
 	self := false
 	for lo >= 0 || hi < n {
-		floor := r.opts.MinSimilarity
-		if len(best) == depth && best[len(best)-1].sim > floor {
-			floor = best[len(best)-1].sim
-		}
-		// A candidate bounded exactly at the floor may still tie its way
-		// in (size, then pool index), so only a strictly lower bound stops.
+		floor := insertFloor(best, depth, true, r.opts.MinSimilarity)
 		k := -1
 		ubLo, ubHi := -1.0, -1.0
 		if lo >= 0 {
@@ -290,7 +346,7 @@ func (c *rankCache) scanExact(f *ir.Func, depth int) []candidate {
 		if s < floor {
 			continue
 		}
-		best = c.insertKeyed(best, candidate{fn: g, sim: s, size: ix.sizes[k]}, pi, depth)
+		best, _ = insertBounded(best, candidate{fn: g, sim: s, size: ix.sizes[k], pi: pi}, depth, true)
 	}
 	// The members the bound dismissed without a visit count as probes and
 	// prefilter skips, as they did when a scan visited every pool member.
@@ -300,32 +356,6 @@ func (c *rankCache) scanExact(f *ir.Func, depth int) []candidate {
 	}
 	atomic.AddInt64(&r.rankProbes, probes+skips)
 	atomic.AddInt64(&r.rankSkips, skips)
-	return best
-}
-
-// insertKeyed inserts cand (pool index pi) into best — sorted by
-// (similarity desc, size desc, pool index asc) — keeping at most depth
-// entries. Candidates arrive in size-walk order, not pool order, so an exact
-// (similarity, size) tie compares pool indices explicitly.
-func (c *rankCache) insertKeyed(best []candidate, cand candidate, pi int32, depth int) []candidate {
-	pos := len(best)
-	for pos > 0 {
-		prev := best[pos-1]
-		if prev.sim > cand.sim || (prev.sim == cand.sim && (prev.size > cand.size ||
-			(prev.size == cand.size && c.r.poolIdx[prev.fn] < pi))) {
-			break
-		}
-		pos--
-	}
-	if pos >= depth {
-		return best
-	}
-	best = append(best, candidate{})
-	copy(best[pos+1:], best[pos:])
-	best[pos] = cand
-	if len(best) > depth {
-		best = best[:depth]
-	}
 	return best
 }
 
@@ -380,17 +410,12 @@ func (ix *sizeIndex) remove(size, pi int32) {
 	}
 }
 
-// rankIDs ranks the probed bucket-mates of f. ids are pool indices sorted
-// ascending — pool insertion order — so the bounded insertion produces
-// exactly the ordering scanExact would give the same candidate set. The ids
-// come from a probe of the live index, which holds exactly the live pool
-// members, so no liveness check is needed.
-func (c *rankCache) rankIDs(f *ir.Func, ids []int32) []candidate {
-	return c.rankIDsDepth(f, ids, c.t)
-}
-
-// rankIDsDepth is rankIDs at an explicit depth.
-func (c *rankCache) rankIDsDepth(f *ir.Func, ids []int32, depth int) []candidate {
+// rankIDs ranks the probed bucket-mates of f at the given depth. ids are
+// pool indices from a probe of the live index, which holds exactly the live
+// pool members, so no liveness check is needed. The size-ratio bound
+// prefilters each mate against the insertion floor; it dominates the exact
+// score, so a mate it dismisses could not have entered the list anyway.
+func (c *rankCache) rankIDs(f *ir.Func, ids []int32, depth int) []candidate {
 	r := c.r
 	fp := r.fpOf(f)
 	best := make([]candidate, 0, min(depth, 16)+1)
@@ -401,128 +426,54 @@ func (c *rankCache) rankIDsDepth(f *ir.Func, ids []int32, depth int) []candidate
 			continue
 		}
 		probes++
-		best = r.consider(fp, best, g, r.poolFPs[pi], r.poolSizes[pi], depth, &skips)
+		floor := insertFloor(best, depth, true, r.opts.MinSimilarity)
+		sg := r.poolSizes[pi]
+		if fingerprint.SimilarityUpperBoundSized(fp, sg) < floor {
+			skips++
+			continue
+		}
+		s := fingerprint.SimilarityFloor(fp, r.poolFPs[pi], floor)
+		if s < floor {
+			continue
+		}
+		best, _ = insertBounded(best, candidate{fn: g, sim: s, size: sg, pi: pi}, depth, true)
 	}
 	atomic.AddInt64(&r.rankProbes, probes)
 	atomic.AddInt64(&r.rankSkips, skips)
 	return best
 }
 
-// consider applies the alignment-avoidance prefilters to candidate g — its
-// instruction count sg arrives separately so the bound check touches no
-// fingerprint memory — and, if it survives, exactly scores it and inserts
-// it into best. The prefilters never change the outcome:
-// SimilarityUpperBound dominates the exact score, so a candidate filtered
-// against MinSimilarity (or against the current t-th entry of a full list)
-// could not have entered the list anyway.
-func (r *runner) consider(fp *fingerprint.Fingerprint, best []candidate, g *ir.Func, fpg *fingerprint.Fingerprint, sg int32, t int, skips *int64) []candidate {
-	floor := r.opts.MinSimilarity
-	if len(best) == t && best[len(best)-1].sim > floor {
-		floor = best[len(best)-1].sim
-	}
-	if ub := fingerprint.SimilarityUpperBoundSized(fp, sg); ub < floor {
-		*skips++
-		return best
-	}
-	// A score below floor could not enter the list (a full list admits only
-	// scores reaching its tail, and insertRanked breaks a tail tie by
-	// size), so the floor short-circuit never changes the outcome.
-	s := fingerprint.SimilarityFloor(fp, fpg, floor)
-	if s < floor {
-		return best
-	}
-	return insertRanked(best, candidate{fn: g, sim: s, size: sg}, t)
-}
-
-// offer considers g (which just joined the pool, and therefore carries the
-// highest insertion number) as a candidate for owner's list. Because the
-// list was an exact prefix before g joined, a bounded sorted insert of g
-// keeps it one afterwards — with the same two guards the session's
-// warmList.offer applies: an incomplete list cannot grow at its tail (g's
-// position relative to unstored candidates is unknown), and truncating a
-// full window marks it incomplete. In LSH mode applyCommit offers g only to
-// the owners that share a band bucket with it — precisely the condition
-// under which a fresh probe of owner would visit g — so lists keep matching
-// what scanTop would rebuild. The upper-bound prefilter never changes the
-// outcome: a
-// candidate bounded below the stored tail could only have been a dropped
-// tail-append (incomplete) or a truncated insert (full window).
-func (c *rankCache) offer(owner *ir.Func, rl *rankList, g *ir.Func, fpg *fingerprint.Fingerprint) {
+// offer considers pool member gi, which just joined the pool, as a
+// candidate for owner's list. In LSH mode applyCommit offers gi only to the
+// owners that share a band bucket with it — precisely the condition under
+// which a fresh probe of owner would visit it — so lists keep matching what
+// scanTop would rebuild.
+func (c *rankCache) offer(owner *ir.Func, rl *rankList, gi int32) {
 	r := c.r
+	g := r.pool[gi]
 	if !r.samePartition(owner, g) {
 		return
 	}
 	atomic.AddInt64(&r.rankProbes, 1)
-	fp := rl.fp
-	// The insertion floor: a candidate below the stored tail could only
-	// have been a dropped tail-append (incomplete) or a truncated insert
-	// (full window), so it may be dropped as soon as any bound falls
-	// below the tail (insert breaks a tail tie by size, so equality must
-	// still go the long way).
-	floor := r.opts.MinSimilarity
-	if len(rl.cands) > 0 && (len(rl.cands) >= c.depth || !rl.complete) {
-		if last := rl.cands[len(rl.cands)-1].sim; last > floor {
-			floor = last
-		}
-	}
-	if ub := fingerprint.SimilarityUpperBound(fp, fpg); ub < floor {
+	if rl.offer(g, gi, r.poolFPs[gi], c.depth, r.opts.MinSimilarity) {
 		atomic.AddInt64(&r.rankSkips, 1)
-		return
-	}
-	s := fingerprint.SimilarityFloor(fp, fpg, floor)
-	if s < floor {
-		return
-	}
-	rl.insert(candidate{fn: g, sim: s, size: fpg.Total}, c.depth)
-}
-
-// insert places cand — the latest pool insertion, so equal keys rank it
-// last — into the list at its full-key position, bounded by depth. The
-// structure mirrors warmList.offer: a tail append on an incomplete list is
-// dropped, and a truncation marks the list incomplete.
-func (rl *rankList) insert(cand candidate, depth int) {
-	pos := len(rl.cands)
-	for pos > 0 {
-		prev := rl.cands[pos-1]
-		if !(prev.sim < cand.sim || (prev.sim == cand.sim && prev.size < cand.size)) {
-			break
-		}
-		pos--
-	}
-	if pos == len(rl.cands) && !rl.complete {
-		return
-	}
-	if pos >= depth {
-		return
-	}
-	rl.cands = append(rl.cands, candidate{})
-	copy(rl.cands[pos+1:], rl.cands[pos:])
-	rl.cands[pos] = cand
-	if len(rl.cands) > depth {
-		rl.cands = rl.cands[:depth]
-		rl.complete = false
 	}
 }
 
-// insertRanked inserts cand into best — sorted by (similarity desc, size
-// desc, insertion order asc) — keeping at most t entries. cand must be the
-// latest pool insertion among the entries, which the bounded scan and the
-// commit offer both guarantee, so placing it after equal keys preserves the
-// insertion-order tie-break.
-func insertRanked(best []candidate, cand candidate, t int) []candidate {
-	pos := len(best)
-	for pos > 0 && (best[pos-1].sim < cand.sim ||
-		(best[pos-1].sim == cand.sim && best[pos-1].size < cand.size)) {
-		pos--
+// offer scores g — pool index gi, fingerprint fpg — against the list's
+// owner and inserts it when it reaches the insertion floor; skipped reports
+// that the size-ratio bound alone dismissed it. Commit offers and session
+// reconciliation both add members to an existing list this way. Because
+// the list was an exact prefix before g joined the pool, a bounded insert
+// keeps it one afterwards (see insertBounded's guards), and the bound
+// dominates the exact score, so the prefilter never changes the outcome.
+func (rl *rankList) offer(g *ir.Func, gi int32, fpg *fingerprint.Fingerprint, depth int, minSim float64) (skipped bool) {
+	floor := insertFloor(rl.cands, depth, rl.complete, minSim)
+	if fingerprint.SimilarityUpperBound(rl.fp, fpg) < floor {
+		return true
 	}
-	if pos >= t {
-		return best
+	if s := fingerprint.SimilarityFloor(rl.fp, fpg, floor); s >= floor {
+		rl.cands, rl.complete = insertBounded(rl.cands, candidate{fn: g, sim: s, size: fpg.Total, pi: gi}, depth, rl.complete)
 	}
-	best = append(best, candidate{})
-	copy(best[pos+1:], best[pos:])
-	best[pos] = cand
-	if len(best) > t {
-		best = best[:t]
-	}
-	return best
+	return false
 }

@@ -268,11 +268,13 @@ func (r *Report) Reduction() float64 {
 
 // candidate pairs a pool function with its similarity score. size breaks
 // similarity ties: between equally similar candidates, the larger one
-// offers more absolute savings and is evaluated first.
+// offers more absolute savings and is evaluated first. pi is the function's
+// pool index, the last tie-break (see before).
 type candidate struct {
 	fn   *ir.Func
 	sim  float64
 	size int32
+	pi   int32
 }
 
 // runner carries the mutable state of one exploration run: the candidate

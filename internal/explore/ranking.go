@@ -16,11 +16,12 @@ package explore
 // Determinism: signatures use fixed seeds and content-derived type hashes
 // (fingerprint.ComputeSignature), index members are pool-insertion indices,
 // and probe results are sorted ascending — so LSH rankings, like exact ones,
-// are bit-identical for every Workers value. Both paths are additionally
-// guarded by alignment-avoidance prefilters (fingerprint.SimilarityUpperBound
-// against MinSimilarity and the current t-th candidate), which never change
-// the resulting ranking — a candidate whose cheap upper bound is already too
-// low cannot enter the list.
+// are bit-identical for every Workers value. Both paths rank through the
+// same order, bounded insert and insertion floor (before, insertBounded and
+// insertFloor in cache.go) and are guarded by alignment-avoidance
+// prefilters (fingerprint.SimilarityUpperBound against the insertion floor),
+// which never change the resulting ranking — a candidate whose cheap upper
+// bound is already too low cannot enter the list.
 
 import (
 	"errors"

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"fmsa/internal/fingerprint"
@@ -10,13 +11,14 @@ import (
 	"fmsa/internal/workload"
 )
 
-// poolOrderScan is the oracle for scanExact: the paper's bounded insertion
-// scan over the live pool in insertion order, with no prefilter. Visiting
-// in pool order lets insertRanked place a candidate after equal keys, which
-// is the (similarity desc, size desc, pool index asc) order.
+// poolOrderScan is the oracle for scanExact: it collects every live,
+// same-partition pool member scoring at least MinSimilarity in pool order,
+// sorts them stably by (similarity desc, size desc) — so equal keys keep
+// pool index order — and truncates to depth. It shares no insert, floor or
+// comparator with the code it checks.
 func poolOrderScan(r *runner, f *ir.Func, depth int) []candidate {
 	fp := r.fpOf(f)
-	var best []candidate
+	var all []candidate
 	for i, g := range r.pool {
 		if g == f || !r.poolLive[i] || !r.samePartition(f, g) {
 			continue
@@ -25,9 +27,18 @@ func poolOrderScan(r *runner, f *ir.Func, depth int) []candidate {
 		if s < r.opts.MinSimilarity {
 			continue
 		}
-		best = insertRanked(best, candidate{fn: g, sim: s, size: r.poolSizes[i]}, depth)
+		all = append(all, candidate{fn: g, sim: s, size: r.poolSizes[i], pi: int32(i)})
 	}
-	return best
+	sort.SliceStable(all, func(a, b int) bool {
+		if all[a].sim != all[b].sim {
+			return all[a].sim > all[b].sim
+		}
+		return all[a].size > all[b].size
+	})
+	if len(all) > depth {
+		all = all[:depth]
+	}
+	return all
 }
 
 // sameCands reports the first divergence between two rankings, or "".

@@ -18,9 +18,10 @@ package explore
 //     it: a warm submit is a cold run over cached per-function state.
 //  3. Reconcile rankings. Stored initial candidate lists (kept at depth 2t
 //     so evictions cannot expose unstored candidates) are pruned of
-//     changed/removed members and offered the changed/added ones; lists
-//     that retain the exact-top-t invariant seed the run, the rest — plus
-//     all changed/added owners — are rescanned at setup and stored back.
+//     changed/removed members and offered the changed/added ones through
+//     the run's own bounded insert; lists that still hold the exact top-t
+//     seed the run and are stored back, the rest — plus all changed/added
+//     owners — are rescanned at setup and stored.
 //  4. Run. The runner executes the standard exploration with the seed; the
 //     negative-attempt memo additionally skips (content, content, caller
 //     stats) attempt classes an earlier run already priced unprofitable,
@@ -347,12 +348,12 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 		delta.OrderBroken = true
 		warmLists = false
 	}
-	seedLists := make([]*seedList, n)
+	seeds := make([]*rankList, n)
 	if warmLists {
-		s.reconcileLists(pool, class, entriesByIdx, idxOf, ls, seedLists, workers)
+		s.reconcileLists(pool, class, entriesByIdx, idxOf, ls, seeds, workers)
 	}
-	for i := range seedLists {
-		if seedLists[i] != nil {
+	for i := range seeds {
+		if seeds[i] != nil {
 			delta.SeededLists++
 		} else {
 			entriesByIdx[i].list = nil
@@ -363,7 +364,7 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	// Assemble the seed and run.
 	seed := &warmSeed{
 		fps:       make([]*fingerprint.Fingerprint, n),
-		lists:     seedLists,
+		lists:     seeds,
 		scanDepth: s.depth,
 		lsh:       ls,
 		keys:      s.keys,
@@ -373,15 +374,8 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	for i, e := range entriesByIdx {
 		seed.fps[i] = e.fp
 	}
-	seed.onScan = func(poolIdx int, cands []candidate) {
-		wl := &warmList{
-			cands:    make([]warmCand, 0, len(cands)),
-			complete: len(cands) < s.depth,
-		}
-		for _, c := range cands {
-			wl.cands = append(wl.cands, warmCand{name: c.fn.Name(), sim: c.sim, size: c.size})
-		}
-		entriesByIdx[poolIdx].list = wl
+	seed.onScan = func(poolIdx int, rl *rankList) {
+		entriesByIdx[poolIdx].list = newWarmList(rl)
 	}
 	warmTime := time.Since(tWarm)
 	negHits := s.neg.hits.Load()
@@ -438,101 +432,64 @@ func (s *Session) orderPreserved(pool []*ir.Func, class []int) bool {
 	return j == len(prev)
 }
 
-// reconcileLists turns surviving stored lists into run seeds: prune
-// evicted members, offer the changed/added ones, and materialize every
-// list that kept the exact-prefix invariant — in full, with its
-// completeness flag, so the runner's own deletion-repair can keep working
-// on it. Owners whose lists fall below t and are not complete get nil
-// (setup rescans and re-stores them). Runs in parallel over owners — each
-// owner touches only its own entry and seed slot.
-func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*sessEntry, idxOf map[string]int32, ls *lshState, seedLists []*seedList, workers int) {
-	// keep: a stored member survives iff it is still in the pool with
-	// unchanged content.
-	keep := func(name string) bool {
-		i, ok := idxOf[name]
-		return ok && class[i] == clsUnchanged
-	}
+// reconcileLists turns surviving stored lists into run seeds. Each stored
+// list is resolved against the new pool — members that changed or left the
+// corpus drop out, which keeps both an exact prefix and a complete set what
+// they were — and offered the changed/added members through rankList.offer,
+// the path a run's commit offers take. A list that still holds at least t
+// entries or is complete seeds the run in full, with its completeness flag,
+// so the runner's own commit offers keep working on it, and is stored back
+// by name. Other owners get nil (setup rescans and re-stores them). Runs in
+// parallel over owners — each owner touches only its own entry and seed
+// slot.
+func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*sessEntry, idxOf map[string]int32, ls *lshState, seeds []*rankList, workers int) {
 	// Offers: every changed/added pool member. In LSH mode each owner only
 	// sees the offers it shares a band bucket with — exactly the probe
 	// relation — precomputed by probing each offer against the run's index
 	// over the new pool; in exact mode every owner sees every offer.
-	type offer struct {
-		cand warmCand
-		idx  int32
-		fp   *fingerprint.Fingerprint
-	}
-	var offers []offer
+	var offers []int32
 	for i := range pool {
-		if class[i] == clsUnchanged {
-			continue
+		if class[i] != clsUnchanged {
+			offers = append(offers, int32(i))
 		}
-		e := entriesByIdx[i]
-		offers = append(offers, offer{
-			cand: warmCand{name: e.name, size: e.fp.Total},
-			idx:  int32(i),
-			fp:   e.fp,
-		})
 	}
-	var offersFor [][]int32 // owner pool index → offer indices (LSH mode)
+	var offersFor [][]int32 // owner pool index → offered pool indices (LSH mode)
 	if ls != nil {
 		offersFor = make([][]int32, len(pool))
 		sigs := make([]*fingerprint.Signature, len(offers))
-		selves := make([]int32, len(offers))
-		for j, o := range offers {
-			sigs[j] = ls.sigs[o.idx]
-			selves[j] = o.idx
+		for j, oi := range offers {
+			sigs[j] = ls.sigs[oi]
 		}
-		for j, pis := range ls.idx.ProbeBatch(sigs, selves, workers) {
+		for j, pis := range ls.idx.ProbeBatch(sigs, offers, workers) {
 			for _, pi := range pis {
 				if class[pi] == clsUnchanged {
-					offersFor[pi] = append(offersFor[pi], int32(j))
+					offersFor[pi] = append(offersFor[pi], offers[j])
 				}
 			}
 		}
 	}
-	minSim := s.opts.MinSimilarity
 	parallelFor(len(pool), workers, func(i int) {
 		e := entriesByIdx[i]
 		if class[i] != clsUnchanged || e.list == nil {
 			return
 		}
-		wl := e.list
-		wl.prune(keep)
-		apply := func(o offer) {
-			ub := fingerprint.SimilarityUpperBound(e.fp, o.fp)
-			if ub < minSim {
-				return
+		rl := &rankList{fp: e.fp, cands: make([]candidate, 0, len(e.list.cands)+1), complete: e.list.complete}
+		for _, wc := range e.list.cands {
+			if pi, ok := idxOf[wc.name]; ok && class[pi] == clsUnchanged {
+				rl.cands = append(rl.cands, candidate{fn: pool[pi], sim: wc.sim, size: wc.size, pi: pi})
 			}
-			if len(wl.cands) > 0 {
-				last := wl.cands[len(wl.cands)-1]
-				if (len(wl.cands) == s.depth || !wl.complete) && ub < last.sim {
-					return // strictly below the stored suffix either way
-				}
-			}
-			sim := fingerprint.Similarity(e.fp, o.fp)
-			if sim < minSim {
-				return
-			}
-			c := o.cand
-			c.sim = sim
-			wl.offer(c, o.idx, idxOf, s.depth)
 		}
+		mine := offers
 		if ls != nil {
-			for _, j := range offersFor[i] {
-				apply(offers[j])
-			}
-		} else {
-			for _, o := range offers {
-				apply(o)
-			}
+			mine = offersFor[i]
 		}
-		if !wl.seedable(s.t) {
+		for _, oi := range mine {
+			rl.offer(pool[oi], oi, entriesByIdx[oi].fp, s.depth, s.opts.MinSimilarity)
+		}
+		if !rl.complete && len(rl.cands) < s.t {
 			return
 		}
-		cands := make([]candidate, 0, len(wl.cands)+1)
-		for _, wc := range wl.cands {
-			cands = append(cands, candidate{fn: pool[idxOf[wc.name]], sim: wc.sim, size: wc.size})
-		}
-		seedLists[i] = &seedList{cands: cands, complete: wl.complete}
+		e.list = newWarmList(rl)
+		seeds[i] = rl
 	})
 }

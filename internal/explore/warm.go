@@ -33,10 +33,11 @@ package explore
 //     both of its hashes verify byte-for-byte against the stored keys.
 //   - warmList: a stored list is the exact top-depth prefix (or, when
 //     complete, the entire set) of its owner's initial candidate ranking
-//     under the corpus it was stored for, ordered by (similarity desc,
-//     size desc, pool index asc). prune/offer preserve that invariant
-//     under member eviction and candidate insertion, so a reconciled list
-//     seeds the next run with exactly what a cold scan would build.
+//     under the corpus it was stored for, in the order before defines.
+//     Reconciliation resolves it against the next corpus, drops evicted
+//     members and inserts changed ones through insertBounded, which keeps
+//     that invariant, so a reconciled list seeds the next run with exactly
+//     what a cold scan would build.
 
 import (
 	"bytes"
@@ -262,7 +263,7 @@ func attemptDigest(o Options) (digest uint64, ok bool) {
 }
 
 // warmCand is one stored candidate-list entry, held by name so it survives
-// across modules (function pointers do not).
+// across modules (function pointers and pool indices do not).
 type warmCand struct {
 	name string
 	sim  float64
@@ -278,83 +279,13 @@ type warmList struct {
 	complete bool
 }
 
-// warmBefore reports whether entry a at pool index ai ranks strictly before
-// entry b at pool index bi under the ranking order: similarity desc, size
-// desc, pool-insertion index asc.
-func warmBefore(a warmCand, ai int32, b warmCand, bi int32) bool {
-	if a.sim != b.sim {
-		return a.sim > b.sim
+// newWarmList stores rl, a list ranked over the current pool, by name.
+func newWarmList(rl *rankList) *warmList {
+	wl := &warmList{cands: make([]warmCand, len(rl.cands)), complete: rl.complete}
+	for i, c := range rl.cands {
+		wl.cands[i] = warmCand{name: c.fn.Name(), sim: c.sim, size: c.size}
 	}
-	if a.size != b.size {
-		return a.size > b.size
-	}
-	return ai < bi
-}
-
-// prune drops every member the keep predicate rejects (members that changed
-// or left the corpus). Order is preserved; completeness is unaffected — a
-// complete list stays the complete set of surviving candidates.
-func (wl *warmList) prune(keep func(string) bool) {
-	out := wl.cands[:0]
-	for _, c := range wl.cands {
-		if keep(c.name) {
-			out = append(out, c)
-		}
-	}
-	wl.cands = out
-}
-
-// offer inserts cand (at pool index candIdx in the new corpus) into the
-// list at its full-key position, bounded by depth. idxOf resolves existing
-// members' new pool indices for tie comparison — unlike the runner's
-// insertRanked, an offered candidate may carry a smaller pool index than
-// existing members. Two guards preserve the exactness invariant:
-//
-//   - an incomplete list cannot grow at its tail: a candidate ranking after
-//     the stored suffix may also rank after unstored candidates, so its
-//     true position is unknown (it is dropped — it cannot enter the top-t
-//     the list exists to seed, because the final list keeps at least t
-//     stored entries or is rescanned);
-//   - inserting into a full list truncates the tail, and truncating marks
-//     the list incomplete (a real candidate fell off the stored window).
-func (wl *warmList) offer(cand warmCand, candIdx int32, idxOf map[string]int32, depth int) {
-	pos := len(wl.cands)
-	for pos > 0 {
-		prev := wl.cands[pos-1]
-		if !warmBefore(cand, candIdx, prev, idxOf[prev.name]) {
-			break
-		}
-		pos--
-	}
-	if pos == len(wl.cands) && !wl.complete {
-		return
-	}
-	if pos >= depth {
-		return
-	}
-	wl.cands = append(wl.cands, warmCand{})
-	copy(wl.cands[pos+1:], wl.cands[pos:])
-	wl.cands[pos] = cand
-	if len(wl.cands) > depth {
-		wl.cands = wl.cands[:depth]
-		wl.complete = false
-	}
-}
-
-// seedable reports whether the list can seed a run at threshold t: it must
-// either hold at least t entries (the exact-prefix invariant then makes the
-// first t the true top-t) or be complete (there is nothing beyond it).
-func (wl *warmList) seedable(t int) bool {
-	return wl.complete || len(wl.cands) >= t
-}
-
-// seedList is one reconciled stored list handed to the runner: the full
-// surviving prefix (up to the storage depth, pointer-resolved against the
-// new pool) plus its completeness flag, freshly allocated per run — the
-// runner mutates it in place.
-type seedList struct {
-	cands    []candidate
-	complete bool
+	return wl
 }
 
 // warmSeed carries one submission's precomputed warm state into a runner.
@@ -366,9 +297,10 @@ type warmSeed struct {
 	// fps[i] is pool[i]'s fingerprint; the runner skips recomputation.
 	fps []*fingerprint.Fingerprint
 	// lists[i], when non-nil, is pool[i]'s reconciled initial candidate
-	// list — an exact prefix of its full ranking, seedable at the run's
-	// threshold. nil entries are built by the setup scan.
-	lists []*seedList
+	// list — an exact prefix of its full ranking that holds at least t
+	// entries or is complete — freshly allocated for the run, which mutates
+	// it in place. nil entries are built by the setup scan.
+	lists []*rankList
 	// scanDepth is the depth at which setup scans unseeded owners; the
 	// session asks for 2t so stored lists survive member evictions.
 	scanDepth int
@@ -376,7 +308,7 @@ type warmSeed struct {
 	// truncation to t, so the session can store it. Invoked from
 	// parallelFor with distinct pool indices; it must touch only
 	// per-owner state.
-	onScan func(poolIdx int, cands []candidate)
+	onScan func(poolIdx int, rl *rankList)
 	// lsh, when non-nil, is the run's LSH index, which the session built
 	// over this pool from its cached signatures and probed while
 	// reconciling lists; the run adopts it as a cold run adopts its own.

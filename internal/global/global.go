@@ -15,23 +15,16 @@ import (
 type Options struct {
 	// Target is the code-size cost model; nil means x86-64.
 	Target tti.Target
-	// Shards partitions round 2's pair evaluation into per-shard waves
-	// (pairs owned by their F1 unit, units assigned round-robin). Any value
-	// produces bit-identical results; <= 0 means 1.
-	Shards int
 	// Workers bounds goroutines in the summarize and evaluation fan-outs;
 	// <= 0 means GOMAXPROCS. Results never depend on it.
 	Workers int
-	// MinJaccard / FoldMinInsts / LSH feed the planner (see PlanOptions).
-	MinJaccard   float64
-	FoldMinInsts int
 }
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options { return Options{} }
 
 // MergeRecord is one committed transformation, in commit order. Records are
-// bit-identical across shard and worker counts.
+// bit-identical across worker counts.
 type MergeRecord struct {
 	// Kind is "fold" (hash-identical body replaced by a thunk to the
 	// leader) or "merge" (aligned pairwise merge).
@@ -48,7 +41,7 @@ type MergeRecord struct {
 
 // Report summarizes one Run.
 type Report struct {
-	TUs, Shards, Funcs        int
+	TUs, Funcs                int
 	FoldGroups, FoldedFuncs   int
 	PairsPlanned, PairsMerged int
 	// ExactScoredPairs counts pairs that reached exact evaluation
@@ -84,17 +77,14 @@ type pairState struct {
 // function of the summaries; all module mutations (fold commits, imports,
 // pair commits, cleanup) happen serially in plan order; the parallel
 // evaluation wave computes each pair's merge exactly once on bodies no
-// other pair touches. Shards and Workers therefore batch work without
-// influencing any result bit.
+// other pair touches. Workers therefore batches work without influencing
+// any result bit.
 func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 	if opts.Target == nil {
 		opts.Target = tti.X86{}
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
 	workers := workerCount(opts.Workers)
-	rep := &Report{TUs: len(units), Shards: opts.Shards}
+	rep := &Report{TUs: len(units)}
 
 	// Round 1: demote phis (core.Merge precondition, per-unit local), then
 	// summarize in parallel.
@@ -107,10 +97,7 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 	}
 	sums := Summarize(units, workers)
 
-	plan := BuildPlan(sums, PlanOptions{
-		MinJaccard:   opts.MinJaccard,
-		FoldMinInsts: opts.FoldMinInsts,
-	})
+	plan := BuildPlan(sums)
 	rep.ProbePairs = plan.ProbePairs
 	rep.PairsPlanned = len(plan.Pairs)
 
@@ -130,46 +117,40 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 		states[i] = importPair(units, pair, resolve)
 	}
 
-	// Evaluation waves, one per shard. Every pair is evaluated exactly
-	// once, on its own pristine pair of bodies, so neither the shard
-	// barrier placement nor the worker interleaving can change an outcome.
+	// One parallel evaluation wave. Every pair is evaluated exactly once,
+	// on its own pristine pair of bodies, so the worker interleaving cannot
+	// change an outcome.
+	var wave []int
+	for i := range states {
+		if !states[i].skip {
+			wave = append(wave, i)
+		}
+	}
+	rep.ExactScoredPairs = len(wave)
 	timings := &core.Timings{}
 	memo := tti.NewCostMemo()
 	interner := encode.NewInterner()
 	stats := core.CallerStats{AddressTaken: true} // thunk-commit semantics
-	for s := 0; s < opts.Shards; s++ {
-		var wave []int
-		for i, pair := range plan.Pairs {
-			if pair.F1.TU%opts.Shards == s && !states[i].skip {
-				wave = append(wave, i)
-			}
+	parallelFor(len(wave), workers, func(w int) {
+		st := &states[wave[w]]
+		mo := core.DefaultOptions()
+		mo.NamePrefix = "gm"
+		mo.Timings = timings
+		mo.Interner = interner
+		mo.Prune = &core.PruneSpec{
+			Target: opts.Target, S1: stats, S2: stats, Costs: memo,
 		}
-		parallelFor(len(wave), workers, func(w int) {
-			st := &states[wave[w]]
-			mo := core.DefaultOptions()
-			mo.NamePrefix = "gm"
-			mo.Timings = timings
-			mo.Interner = interner
-			mo.Prune = &core.PruneSpec{
-				Target: opts.Target, S1: stats, S2: stats, Costs: memo,
-			}
-			res, err := core.Merge(st.f1, st.f2, mo)
-			if err != nil {
-				return
-			}
-			profit := res.ProfitWithStatsMemo(opts.Target, stats, stats, memo)
-			if profit <= 0 {
-				res.Discard()
-				return
-			}
-			st.res, st.profit = res, profit
-		})
-	}
-	for i := range states {
-		if !states[i].skip {
-			rep.ExactScoredPairs++
+		res, err := core.Merge(st.f1, st.f2, mo)
+		if err != nil {
+			return
 		}
-	}
+		profit := res.ProfitWithStatsMemo(opts.Target, stats, stats, memo)
+		if profit <= 0 {
+			res.Discard()
+			return
+		}
+		st.res, st.profit = res, profit
+	})
 
 	// Pair commits, serial in plan order.
 	for i, pair := range plan.Pairs {

@@ -46,39 +46,36 @@ func runMain(t *testing.T, m *ir.Module) uint64 {
 	return v
 }
 
-// TestGlobalShardDeterminism is the PR-1 determinism harness generalized to
-// sharded cross-TU merging: every (shards, workers) combination must commit
-// identical merge records and produce a byte-identical linked module.
-func TestGlobalShardDeterminism(t *testing.T) {
+// TestGlobalWorkerDeterminism is the exploration determinism harness
+// applied to cross-TU merging: every worker count must commit identical
+// merge records and produce a byte-identical linked module.
+func TestGlobalWorkerDeterminism(t *testing.T) {
 	const nunits = 6
 	type outcome struct {
 		records []global.MergeRecord
 		text    string
 	}
 	var base *outcome
-	for _, shards := range []int{1, 2, 8} {
-		for _, workers := range []int{1, 2, 8} {
-			opts := global.DefaultOptions()
-			opts.Shards = shards
-			opts.Workers = workers
-			linked, rep, err := global.Run(buildUnits(t, 3, nunits), opts)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+	for _, workers := range []int{1, 2, 8} {
+		opts := global.DefaultOptions()
+		opts.Workers = workers
+		linked, rep, err := global.Run(buildUnits(t, 3, nunits), opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := &outcome{records: rep.Records, text: ir.FormatModule(linked)}
+		if base == nil {
+			base = got
+			if len(rep.Records) == 0 {
+				t.Fatal("corpus produced no merge records; determinism check is vacuous")
 			}
-			got := &outcome{records: rep.Records, text: ir.FormatModule(linked)}
-			if base == nil {
-				base = got
-				if len(rep.Records) == 0 {
-					t.Fatal("corpus produced no merge records; determinism check is vacuous")
-				}
-				continue
-			}
-			if !reflect.DeepEqual(base.records, got.records) {
-				t.Errorf("shards=%d workers=%d: merge records diverge from baseline", shards, workers)
-			}
-			if base.text != got.text {
-				t.Errorf("shards=%d workers=%d: linked module text diverges from baseline", shards, workers)
-			}
+			continue
+		}
+		if !reflect.DeepEqual(base.records, got.records) {
+			t.Errorf("workers=%d: merge records diverge from baseline", workers)
+		}
+		if base.text != got.text {
+			t.Errorf("workers=%d: linked module text diverges from baseline", workers)
 		}
 	}
 }
@@ -207,7 +204,7 @@ func TestGlobalReducesExactScoring(t *testing.T) {
 // TestGlobalQuickCorpora gates the two-round pipeline on the quick
 // SPEC-like corpora, each split into 4 translation units. Per corpus, the
 // round-1 summaries must round-trip through the .fmsum wire format, round 2
-// must exact-score at least one pair, and shard counts 1, 2 and 8 must
+// must exact-score at least one pair, and worker counts 1, 2 and 8 must
 // commit identical merge records and link byte-identical modules. The
 // corpora together must commit at least one record (473.astar alone
 // commits none). In aggregate, summary-based planning must exact-score at
@@ -246,13 +243,12 @@ func TestGlobalQuickCorpora(t *testing.T) {
 
 		var baseRecords []global.MergeRecord
 		var baseText string
-		for i, shards := range []int{1, 2, 8} {
+		for i, gworkers := range []int{1, 2, 8} {
 			gopts := global.DefaultOptions()
-			gopts.Shards = shards
-			gopts.Workers = workers
+			gopts.Workers = gworkers
 			linked, grep, err := global.Run(split(), gopts)
 			if err != nil {
-				t.Fatalf("%s shards=%d: %v", p.Name, shards, err)
+				t.Fatalf("%s workers=%d: %v", p.Name, gworkers, err)
 			}
 			text := ir.FormatModule(linked)
 			if i == 0 {
@@ -265,14 +261,14 @@ func TestGlobalQuickCorpora(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(baseRecords, grep.Records) {
-				t.Errorf("%s shards=%d: merge records diverge from shards=1", p.Name, shards)
+				t.Errorf("%s workers=%d: merge records diverge from workers=1", p.Name, gworkers)
 			} else if text != baseText {
-				t.Errorf("%s shards=%d: linked module text diverges from shards=1", p.Name, shards)
+				t.Errorf("%s workers=%d: linked module text diverges from workers=1", p.Name, gworkers)
 			}
 		}
 	}
 	if records == 0 {
-		t.Error("no corpus committed a merge record; the shard comparison is vacuous")
+		t.Error("no corpus committed a merge record; the worker comparison is vacuous")
 	}
 	if exactMono == 0 {
 		t.Fatal("monolithic exploration exact-scored no pairs")

@@ -38,40 +38,24 @@ type Pair struct {
 }
 
 // Plan is the round-2 work list. It is a pure function of the summaries:
-// no unit body, worker count or shard count feeds it, which is what makes
-// sharded execution bit-identical by construction.
+// no unit body or worker count feeds it, which is what makes parallel
+// execution bit-identical by construction.
 type Plan struct {
 	Folds []Fold
 	Pairs []Pair
 	// ProbePairs counts LSH candidate pairs the planner considered with
 	// summary MinHash estimates — the work that replaces the monolithic
-	// pipeline's cross-shard exact scoring.
+	// pipeline's cross-unit exact scoring.
 	ProbePairs int
 }
 
-// PlanOptions tune candidate selection.
-type PlanOptions struct {
-	// MinJaccard is the summary-estimate floor for planning a merge pair.
-	// Zero means the default 0.5.
-	MinJaccard float64
-	// FoldMinInsts is the minimum definition size worth thunking to a
-	// structurally identical leader. Zero means the default 4.
-	FoldMinInsts int
-	// LSH overrides the banding parameters; zero means lsh.DefaultParams.
-	LSH lsh.Params
-}
-
-func (o *PlanOptions) defaults() {
-	if o.MinJaccard <= 0 {
-		o.MinJaccard = 0.5
-	}
-	if o.FoldMinInsts <= 0 {
-		o.FoldMinInsts = 4
-	}
-	if o.LSH.Bands == 0 || o.LSH.Rows == 0 {
-		o.LSH = lsh.DefaultParams()
-	}
-}
+const (
+	// minJaccard is the summary-estimate floor for planning a merge pair.
+	minJaccard = 0.5
+	// foldMinInsts is the minimum definition size worth thunking to a
+	// structurally identical leader.
+	foldMinInsts = 4
+)
 
 // localOnly reports that a function's behavior depends on module-local
 // state, pinning any cross-unit role it could play.
@@ -82,9 +66,9 @@ func localOnly(fs *wire.FuncSummary) bool {
 // BuildPlan derives the round-2 work list from the round-1 summaries. The
 // traversal order is the summaries' own order (unit index, then definition
 // index), every grouping key is content-derived, and ties break on that
-// global order — the plan is deterministic and shard-free.
-func BuildPlan(tus []wire.TUSummary, opts PlanOptions) *Plan {
-	opts.defaults()
+// global order — the plan is deterministic. Candidates come from an LSH
+// index under lsh.DefaultParams.
+func BuildPlan(tus []wire.TUSummary) *Plan {
 	plan := &Plan{}
 
 	// Flatten with global indices, and collect every definition name for
@@ -126,7 +110,7 @@ func BuildPlan(tus []wire.TUSummary, opts PlanOptions) *Plan {
 	foldable := func(e entry) bool {
 		return e.fs.Flags&wire.SumSelfEq != 0 &&
 			e.fs.Flags&wire.SumVariadic == 0 &&
-			e.fs.Size >= opts.FoldMinInsts &&
+			e.fs.Size >= foldMinInsts &&
 			e.fs.Name != "main"
 	}
 
@@ -190,7 +174,7 @@ func BuildPlan(tus []wire.TUSummary, opts PlanOptions) *Plan {
 
 	// Pairs: LSH over the summary signatures, greedy forward matching in
 	// global order, best candidate by (estimated Jaccard desc, index asc).
-	index := lsh.New(opts.LSH)
+	index := lsh.New(lsh.DefaultParams())
 	sigs := make([]*fingerprint.Signature, len(entries))
 	for gi := range entries {
 		if used[gi] {
@@ -234,7 +218,7 @@ func BuildPlan(tus []wire.TUSummary, opts PlanOptions) *Plan {
 				best, bestJac = ci, jac
 			}
 		}
-		if best == -1 || bestJac < opts.MinJaccard {
+		if best == -1 || bestJac < minJaccard {
 			continue
 		}
 		g := entries[best]

@@ -3,8 +3,8 @@
 // structurally-stable hash and a compact summary per translation unit,
 // round 2 plans folds and merge pairs against the global summary table and
 // commits them per TU without any other TU's body present. Results are
-// bit-identical for any shard count and any worker count — the plan is a
-// pure function of the summaries, and summaries are order-free.
+// bit-identical for any worker count — the plan is a pure function of the
+// summaries, and summaries are order-free.
 package global
 
 import (

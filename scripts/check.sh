@@ -45,8 +45,9 @@
 #    the reference Needleman–Wunsch/Hirschberg oracle step for step, the
 #    equivalence codes obey the encode contract (equal codes exactly when
 #    the entries are equivalent), Hirschberg's linear-space scratch stays
-#    within its allocation bound (skipped under -race, whose sync.Pool
-#    drops puts), and on the quick corpora exploration with the
+#    within its allocation bound and one call makes at most three
+#    allocations (both skipped under -race, whose sync.Pool drops puts),
+#    and on the quick corpora exploration with the
 #    linearization cache and alignment memo on commits the same merges and
 #    module as with both off.
 #  - bound-huge: the profitability bound must prune 483.xalancbmk's @main
@@ -56,7 +57,7 @@
 #    equality on self-comparable functions must imply structural equality,
 #    and hashing must survive print->reparse).
 #  - global: global's TestGlobalQuickCorpora — on the quick corpora split
-#    into 4 units, shard counts 1/2/8 commit identical records and link
+#    into 4 units, worker counts 1/2/8 commit identical records and link
 #    identical text, .fmsum summaries round-trip, and summary planning
 #    exact-scores >= 30% fewer pairs than monolithic exploration at t=1.
 #  - fuzz-serve-frame: short smoke-fuzz of the daemon frame codec (decode
@@ -134,7 +135,7 @@ gate fuzz-align        go test -run '^$' -fuzz 'FuzzAlignOracle' -fuzztime 10s .
 gate fuzz-stablehash    go test -run '^$' -fuzz 'FuzzStableHash' -fuzztime 10s ./internal/global/
 gate verify-sweep       go test -count=1 -run '^(TestVerifyBoundaries|TestVerifyCleanCorpus)$' ./internal/explore/
 gate rank               go test -count=1 -run '^TestLSHRecallTop1$' ./internal/explore/
-gate kernels            go test -count=1 -run 'TestCodedKernelsMatchOracle|TestHirschbergScratchBound|TestContract|TestKernelCrossCheck' ./internal/align/ ./internal/encode/ ./internal/explore/
+gate kernels            go test -count=1 -run 'TestCodedKernelsMatchOracle|TestHirschbergScratchBound|TestHirschbergAllocs|TestContract|TestKernelCrossCheck' ./internal/align/ ./internal/encode/ ./internal/explore/
 gate bound              go test -count=1 -run '^TestBoundDecisionInvariance$' ./internal/explore/
 gate bound-huge         go test -run TestBoundPrunesHugeBodyPairs -count=1 ./internal/core/
 gate ingest             go test -count=1 -run '^TestIngestFormatsAgree$' ./internal/wire/
