@@ -467,21 +467,10 @@ func reversed(s []uint32) []uint32 {
 	return r
 }
 
-// dirtyPools hands garbage-filled buffers to the scratch pools, so the next
-// kernel calls draw recycled memory that any missed initialization would
-// read. Byte garbage is drawn from the valid direction codes as well as
-// invalid ones, so a stale direction can yield a wrong path, not a panic.
+// dirtyPools hands garbage-filled bit scratch to the scratch pool, so the
+// next kernel calls draw recycled memory that any missed initialization
+// would read.
 func dirtyPools(rng *rand.Rand) {
-	bs := getBytes(1 << 14)
-	for i := range bs {
-		bs[i] = byte(rng.Intn(5))
-	}
-	putBytes(bs)
-	is := getInt32(1 << 10)
-	for i := range is {
-		is[i] = rng.Int31() - 1<<30
-	}
-	putInt32(is)
 	scr := getBitScratch()
 	scr.planes = resize(scr.planes, 1<<10)
 	for i := range scr.planes {

@@ -28,9 +28,8 @@ import "math/bits"
 // planes each (value = 2·hi + lo), cell j at bit (j−1) mod 64.
 type deltaWord struct{ vLo, vHi, hLo, hHi uint64 }
 
-// bitScratch is the bit-parallel kernel's pooled scratch. Like every pool in
-// this package it comes back dirty; the kernel writes each word before it
-// reads it.
+// bitScratch is the bit-parallel kernel's pooled scratch. It comes back
+// dirty; the kernel writes each word before it reads it.
 type bitScratch struct {
 	planes  []deltaWord // (rows+1)·words, row 0 the zero border; 2·words in lastRowBits
 	masks   []uint64    // one words-long match mask per distinct row code of the fill or block
@@ -65,8 +64,7 @@ func nwBitCodes(dst []Step, a, b []uint32) []Step {
 	}
 
 	// Walk once from the corner, writing the steps from the back of the
-	// buffer, then append them to dst. A nil dst gets an exact-size result,
-	// so the alignment memo keeps no slack capacity.
+	// buffer, then append them to dst. A nil dst gets an exact-size result.
 	planes := s.planes
 	buf := resize(s.steps, n+m)
 	k := len(buf)

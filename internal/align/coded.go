@@ -138,18 +138,17 @@ func GotohCodes(a, b []uint32, sc AffineScoring) []Step {
 
 	const negInf = int32(-1 << 29)
 	w := m + 1
-	// All six matrices are recycled scratch: the score matrices are fully
-	// written (borders in the init loops, the rest in the DP loop), and the
-	// traceback never reads the unwritten border cells of tbM because no
-	// optimal path enters a negInf score cell. Each tb matrix records where
-	// its value came from: tbM 1=M, 2=X, 3=Y (diagonal predecessor), tbX
-	// 1=M-open, 2=X-extend, tbY 1=M-open, 3=Y-extend.
-	M := getInt32((n + 1) * w)
-	X := getInt32((n + 1) * w)
-	Y := getInt32((n + 1) * w)
-	tbM := getBytes((n + 1) * w)
-	tbX := getBytes((n + 1) * w)
-	tbY := getBytes((n + 1) * w)
+	// The score matrices are fully written (borders in the init loops, the
+	// rest in the DP loop), and the traceback never reads the border cells
+	// of tbM because no optimal path enters a negInf score cell. Each tb
+	// matrix records where its value came from: tbM 1=M, 2=X, 3=Y (diagonal
+	// predecessor), tbX 1=M-open, 2=X-extend, tbY 1=M-open, 3=Y-extend.
+	M := make([]int32, (n+1)*w)
+	X := make([]int32, (n+1)*w)
+	Y := make([]int32, (n+1)*w)
+	tbM := make([]byte, (n+1)*w)
+	tbX := make([]byte, (n+1)*w)
+	tbY := make([]byte, (n+1)*w)
 	at := func(i, j int) int { return i*w + j }
 
 	open := int32(sc.GapOpen + sc.GapExtend)
@@ -245,12 +244,6 @@ func GotohCodes(a, b []uint32, sc AffineScoring) []Step {
 			panic("align: corrupt gotoh traceback")
 		}
 	}
-	putInt32(M)
-	putInt32(X)
-	putInt32(Y)
-	putBytes(tbM)
-	putBytes(tbX)
-	putBytes(tbY)
 	for x, y := 0, len(rev)-1; x < y; x, y = x+1, y-1 {
 		rev[x], rev[y] = rev[y], rev[x]
 	}
@@ -297,13 +290,12 @@ func BandedCodes(a, b []uint32, band int) []Step {
 
 	const negInf = int32(-1 << 29)
 	// score[i][k] holds the score of cell (i, j) with j = i - band + k,
-	// clipped to valid j. Both matrices are recycled scratch: score is
-	// explicitly initialized to negInf below, and dirs cells are only read
-	// at cells the traceback reaches — all of which were written, because
-	// unwritten cells keep score negInf and negInf cells are never chosen
-	// as predecessors.
-	score := getInt32((n + 1) * width)
-	dirs := getBytes((n + 1) * width)
+	// clipped to valid j. score is explicitly initialized to negInf below,
+	// and dirs cells are only read at cells the traceback reaches — all of
+	// which were written, because unwritten cells keep score negInf and
+	// negInf cells are never chosen as predecessors.
+	score := make([]int32, (n+1)*width)
+	dirs := make([]byte, (n+1)*width)
 	at := func(i, k int) int { return i*width + k }
 	jOf := func(i, k int) int { return i - band + k }
 	kOf := func(i, j int) int { return j - i + band }
@@ -387,8 +379,6 @@ func BandedCodes(a, b []uint32, band int) []Step {
 			panic("align: corrupt banded traceback")
 		}
 	}
-	putInt32(score)
-	putBytes(dirs)
 	for x, y := 0, len(rev)-1; x < y; x, y = x+1, y-1 {
 		rev[x], rev[y] = rev[y], rev[x]
 	}

@@ -162,26 +162,11 @@ func obtainSeq(f *ir.Func, opts *Options) (*encode.Encoded, bool) {
 	return opts.Interner.Encode(linearize.LinearizeOrder(f, opts.Order)), true
 }
 
-// alignSeqs runs the alignment kernel over the two code sequences, through
-// the alignment memo when one is wired.
+// alignSeqs runs the alignment kernel over the two code sequences.
 func alignSeqs(enc1, enc2 *encode.Encoded, opts *Options) []align.Step {
-	if opts.AlignMemo != nil {
-		if steps, ok := opts.AlignMemo.Lookup(enc1, enc2); ok {
-			if opts.Timings != nil {
-				opts.Timings.CountAlignMemo(true)
-			}
-			return steps
-		}
-		if opts.Timings != nil {
-			opts.Timings.CountAlignMemo(false)
-		}
-	}
 	steps := opts.Align(enc1.Codes, enc2.Codes)
 	if opts.Timings != nil {
 		opts.Timings.AddAlignCells(int64(len(enc1.Codes)) * int64(len(enc2.Codes)))
-	}
-	if opts.AlignMemo != nil {
-		opts.AlignMemo.Store(enc1, enc2, steps)
 	}
 	return steps
 }

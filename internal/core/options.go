@@ -25,15 +25,13 @@ type Timings struct {
 	Align     time.Duration
 	CodeGen   time.Duration
 
-	// AlignCells counts dynamic-programming cells actually computed (n·m per
-	// kernel invocation; memo hits add nothing). With caches on, the counters
-	// below depend on speculative-attempt scheduling, so their values may
-	// vary with the worker count even though the merge results never do.
+	// AlignCells counts dynamic-programming cells computed (n·m per kernel
+	// invocation). With the linearization cache on, the counters below
+	// depend on speculative-attempt scheduling, so their values may vary
+	// with the worker count even though the merge results never do.
 	AlignCells int64
 	// SeqCacheHits/Misses count Options.SeqProvider lookups.
 	SeqCacheHits, SeqCacheMisses int64
-	// AlignMemoHits/Misses count Options.AlignMemo lookups.
-	AlignMemoHits, AlignMemoMisses int64
 	// BoundEvals counts pre-codegen profitability-bound evaluations and
 	// CodegenSkips the subset that pruned code generation (Options.Prune).
 	// Like the cache counters, with Workers > 1 the values depend on how
@@ -77,15 +75,6 @@ func (t *Timings) CountSeqCache(hit bool) {
 	}
 }
 
-// CountAlignMemo atomically records one alignment-memo lookup.
-func (t *Timings) CountAlignMemo(hit bool) {
-	if hit {
-		atomic.AddInt64(&t.AlignMemoHits, 1)
-	} else {
-		atomic.AddInt64(&t.AlignMemoMisses, 1)
-	}
-}
-
 // AddVerify atomically accumulates IR-verification time.
 func (t *Timings) AddVerify(d time.Duration) {
 	atomic.AddInt64((*int64)(&t.Verify), int64(d))
@@ -104,20 +93,6 @@ func (t *Timings) CountBound(pruned bool) {
 	if pruned {
 		atomic.AddInt64(&t.CodegenSkips, 1)
 	}
-}
-
-// AlignMemo caches raw kernel results keyed by the content of the two code
-// sequences. Implementations must be safe for concurrent use and must verify
-// full code equality on hash hits (hash equality is only a hint); the steps
-// they return are shared read-only across merges (Merge never mutates them —
-// DecomposeMismatches allocates a fresh slice).
-type AlignMemo interface {
-	// Lookup returns the memoized steps for the pair, if present.
-	Lookup(a, b *encode.Encoded) ([]align.Step, bool)
-	// Store memoizes the steps for the pair. Implementations must copy
-	// a.Codes and b.Codes if they retain them — the caller may recycle the
-	// Encoded values after the merge.
-	Store(a, b *encode.Encoded, steps []align.Step)
 }
 
 // Options configures a merge operation. The zero value is not usable; start
@@ -148,9 +123,6 @@ type Options struct {
 	// Interner supplies equivalence codes for inline (provider-miss)
 	// encoding. Nil means a fresh table for each Merge call.
 	Interner *encode.Interner
-	// AlignMemo, when non-nil, caches alignment results across merges,
-	// keyed by code contents.
-	AlignMemo AlignMemo
 	// Prune, when non-nil, enables pre-codegen profitability bounding:
 	// Merge evaluates the admissible profit upper bound right after
 	// alignment and returns ErrHopeless — skipping code generation — when

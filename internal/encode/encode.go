@@ -30,19 +30,15 @@ package encode
 import (
 	"sync"
 
-	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
 )
 
 // Encoded is a linearized function together with its equivalence-class codes:
-// Codes[i] is the interned class of Seq[i], and Hash is a content hash of
-// Codes usable as an alignment-memo key (hash equality is a hint only —
-// consumers must verify Codes equality before trusting a hit).
+// Codes[i] is the interned class of Seq[i].
 type Encoded struct {
 	Seq   []linearize.Entry
 	Codes []uint32
-	Hash  uint64
 }
 
 // Interner assigns equivalence-class codes. It is safe for concurrent use;
@@ -74,7 +70,7 @@ func (t *Interner) Encode(seq []linearize.Entry) *Encoded {
 		codes[i] = t.codeOfLocked(e)
 	}
 	t.mu.Unlock()
-	return &Encoded{Seq: seq, Codes: codes, Hash: fingerprint.HashUint32s(codes)}
+	return &Encoded{Seq: seq, Codes: codes}
 }
 
 // fresh allocates a code no key will ever map to again (used for

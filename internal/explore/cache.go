@@ -7,6 +7,7 @@ import (
 
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
+	"fmsa/internal/par"
 )
 
 // rankCache maintains, for every function awaiting its worklist pop, a
@@ -44,8 +45,8 @@ import (
 type rankCache struct {
 	r *runner
 	t int
-	// depth is the stored-list depth: 2t, or the warm seed's storage depth
-	// when that is deeper (the session also stores at 2t, so they agree).
+	// depth is the stored-list depth, 2t; sessions store their lists at the
+	// same depth.
 	depth int
 	// lists maps each not-yet-popped pool member to its candidate list.
 	// Entries are removed at pop (each function pops at most once) and on
@@ -135,17 +136,14 @@ func insertFloor(cands []candidate, depth int, complete bool, minSim float64) fl
 // the whole pool run first as one batched, worker-pool-parallel pass.
 //
 // Under a warm seed, owners with a reconciled session list adopt it without
-// scanning, and the remaining scans run at the seed's storage depth with
-// each result handed back to the session (onScan) before truncation to t —
-// both paths leave the installed lists exactly what a cold build produces.
+// scanning, and the remaining scans run as in a cold build, each result
+// handed back to the session (onScan) before truncation to t — both paths
+// leave the installed lists exactly what a cold build produces.
 func newRankCache(r *runner, t int) *rankCache {
 	c := &rankCache{r: r, t: t, depth: 2 * t, lists: make(map[*ir.Func]*rankList, len(r.pool))}
 	built := make([]*rankList, len(r.pool))
 	var scan []int32
 	if seed := r.seed; seed != nil {
-		if seed.scanDepth > c.depth {
-			c.depth = seed.scanDepth
-		}
 		for i := range r.pool {
 			if rl := seed.lists[i]; rl != nil {
 				built[i] = rl
@@ -169,12 +167,12 @@ func newRankCache(r *runner, t int) *rankCache {
 			sigs[j] = ls.sigs[i]
 		}
 		probes := ls.idx.ProbeBatch(sigs, scan, r.workers)
-		parallelFor(len(scan), r.workers, func(j int) {
+		par.For(len(scan), r.workers, func(j int) {
 			i := scan[j]
 			built[i] = c.finishScan(int(i), c.rankIDs(r.pool[i], probes[j], depth))
 		})
 	} else {
-		parallelFor(len(scan), r.workers, func(j int) {
+		par.For(len(scan), r.workers, func(j int) {
 			i := scan[j]
 			built[i] = c.finishScan(int(i), c.scanExact(r.pool[i], depth))
 		})

@@ -1,45 +1,35 @@
 package explore
 
-// The two exploration-scoped caches feeding the alignment kernel: a
-// per-function linearization+encoding cache (so the O(pool·t)
-// speculative merge attempts stop re-linearizing and re-encoding the same
-// functions) and a bounded alignment-result memo keyed by sequence content
-// (so the workload's identical-clone populations collapse to one DP run per
-// class).
+// The exploration-scoped linearization cache: each pool function's
+// linearization+encoding, kept so the O(pool·t) speculative merge attempts
+// stop re-linearizing and re-encoding the same functions. Alignment itself
+// is not cached: every attempt aligns its pair afresh, as in the paper.
 //
-// Determinism: both caches are semantically invisible. A cache hit returns
-// exactly what recomputation would — the linearization cache stores the
-// deterministic LinearizeOrder output and is invalidated whenever a commit
-// mutates a function (the merged inputs and every caller whose call sites
-// Commit rewrites), and the memo verifies full code equality on every hash
-// hit before trusting it, so a collision degrades to a miss, never a wrong
-// alignment. Which attempts hit is scheduling-dependent under Workers > 1,
+// Determinism: the cache is semantically invisible. A hit returns exactly
+// what recomputation would — the cache stores the deterministic
+// LinearizeOrder output and is invalidated whenever a commit mutates a
+// function (the merged inputs and every caller whose call sites Commit
+// rewrites). Which attempts hit is scheduling-dependent under Workers > 1,
 // so the hit/miss counters may vary across worker counts — the committed
 // merges, the report records and the final module never do
-// (TestParallelDeterminism runs with both caches on).
+// (TestParallelDeterminism runs with the cache on and off).
 
 import (
 	"sync"
 	"time"
 
-	"fmsa/internal/align"
 	"fmsa/internal/core"
 	"fmsa/internal/encode"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
+	"fmsa/internal/par"
 	"fmsa/internal/tti"
 )
 
-// DefaultAlignMemoCap bounds the alignment memo: at most this many cached
-// results (a few hundred bytes each). A full memo stops inserting — older
-// entries are not evicted, so hit patterns stay deterministic for a fixed
-// schedule and results stay identical regardless.
-const DefaultAlignMemoCap = 1 << 14
-
 // setupCaches builds the linearization cache for the initial pool (in
-// parallel — each function is independent) and the alignment memo. Called
-// from Run, not setup, so snapshotRanking never pays for it; the encoding
-// wall time lands in the Linearize phase via the shared Timings.
+// parallel — each function is independent) and the cost and floor memos.
+// Called from Run, not setup, so snapshotRanking never pays for it; the
+// encoding wall time lands in the Linearize phase via the shared Timings.
 func (r *runner) setupCaches() {
 	if !r.opts.noSeqCache {
 		start := time.Now()
@@ -49,7 +39,7 @@ func (r *runner) setupCaches() {
 			timings: r.opts.Merge.Timings,
 		}
 		encs := make([]*encode.Encoded, len(r.pool))
-		parallelFor(len(r.pool), r.workers, func(i int) {
+		par.For(len(r.pool), r.workers, func(i int) {
 			encs[i] = r.encodeFunc(r.pool[i])
 		})
 		for i, f := range r.pool {
@@ -57,16 +47,6 @@ func (r *runner) setupCaches() {
 		}
 		r.opts.Merge.SeqProvider = r.seqs.lookup
 		r.opts.Merge.Timings.AddLinearize(time.Since(start))
-	}
-	if !r.opts.noAlignMemo {
-		if r.seed != nil && r.seed.memo != nil {
-			// Warm run: the session's memo survives across submissions.
-			// Safe to share — entries verify full code equality on every
-			// hit, so a stale entry can only miss, never mislead.
-			r.opts.Merge.AlignMemo = r.seed.memo
-		} else {
-			r.opts.Merge.AlignMemo = newAlignMemo(r.opts.alignMemoCap)
-		}
 	}
 	// The cost memo serves ProfitWithStatsMemo even when bounding is off
 	// (the noBound test hook only disables the pre-codegen prune, see
@@ -170,77 +150,4 @@ func (c *seqCache) drop(f *ir.Func) *encode.Encoded {
 	delete(c.entries, f)
 	c.mu.Unlock()
 	return e
-}
-
-// alignMemo is the bounded alignment-result memo (core.AlignMemo). Keys are
-// the content hashes plus lengths of the two code sequences; entries keep
-// their own copies of the codes so hash hits are verified by full equality —
-// a collision is a miss, never a wrong result — and so recycling a cache
-// entry's buffers cannot corrupt the memo.
-type alignMemo struct {
-	mu  sync.Mutex
-	cap int
-	m   map[memoKey]memoEntry
-}
-
-type memoKey struct {
-	ha, hb uint64
-	la, lb int
-}
-
-type memoEntry struct {
-	ca, cb []uint32
-	steps  []align.Step
-}
-
-func newAlignMemo(capEntries int) *alignMemo {
-	if capEntries <= 0 {
-		capEntries = DefaultAlignMemoCap
-	}
-	return &alignMemo{cap: capEntries, m: make(map[memoKey]memoEntry)}
-}
-
-// Lookup implements core.AlignMemo. The returned steps are shared read-only.
-func (am *alignMemo) Lookup(a, b *encode.Encoded) ([]align.Step, bool) {
-	k := memoKey{ha: a.Hash, hb: b.Hash, la: len(a.Codes), lb: len(b.Codes)}
-	am.mu.Lock()
-	e, ok := am.m[k]
-	am.mu.Unlock()
-	if !ok || !equalCodes(e.ca, a.Codes) || !equalCodes(e.cb, b.Codes) {
-		return nil, false
-	}
-	return e.steps, true
-}
-
-// Store implements core.AlignMemo: insert-if-absent under the capacity
-// bound. Concurrent attempts may race to insert the same key; the first
-// writer wins, and since every hit is verified against the stored codes,
-// whichever entry landed serves only the pairs it is actually correct for.
-func (am *alignMemo) Store(a, b *encode.Encoded, steps []align.Step) {
-	k := memoKey{ha: a.Hash, hb: b.Hash, la: len(a.Codes), lb: len(b.Codes)}
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	if len(am.m) >= am.cap {
-		return // bounded: a full memo stops inserting, results unaffected
-	}
-	if _, ok := am.m[k]; ok {
-		return
-	}
-	am.m[k] = memoEntry{
-		ca:    append([]uint32(nil), a.Codes...),
-		cb:    append([]uint32(nil), b.Codes...),
-		steps: steps,
-	}
-}
-
-func equalCodes(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

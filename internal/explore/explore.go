@@ -21,6 +21,7 @@ import (
 	"fmsa/internal/encode"
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
+	"fmsa/internal/par"
 	"fmsa/internal/passes"
 	"fmsa/internal/tti"
 )
@@ -83,23 +84,20 @@ type Options struct {
 	// merge decisions — so results stay bit-identical with it on or off.
 	Verify ir.VerifyLevel
 
-	// noSeqCache and noAlignMemo are test hooks that disable the
-	// per-function linearization+encoding cache (every merge attempt
-	// re-linearizes both inputs) and the content-keyed alignment memo (see
-	// caches.go). Both caches are semantically invisible; the hooks exist
-	// so tests can prove it.
-	noSeqCache, noAlignMemo bool
+	// noSeqCache is the test hook that disables the per-function
+	// linearization+encoding cache (every merge attempt re-linearizes both
+	// inputs; see caches.go). The cache is semantically invisible; the hook
+	// exists so tests can prove it.
+	noSeqCache bool
 	// noBound is the test hook that disables pre-codegen profitability
 	// bounding: every aligned candidate pair is materialized and priced
 	// exactly. A pruned pair is one the exact cost model would have
 	// rejected, so bounding never changes merge decisions;
 	// TestBoundDecisionInvariance proves it.
 	noBound bool
-	// lshMinPool and alignMemoCap are test hooks that override
-	// DefaultLSHMinPool (so small test pools engage the index) and the
-	// alignment memo's entry bound (DefaultAlignMemoCap, or
-	// DefaultSessionAlignMemoCap in a session); zero keeps the default.
-	lshMinPool, alignMemoCap int
+	// lshMinPool is the test hook that overrides DefaultLSHMinPool (so
+	// small test pools engage the index); zero keeps the default.
+	lshMinPool int
 }
 
 // DefaultOptions returns the paper's default configuration (t=1, Intel
@@ -195,16 +193,17 @@ type Report struct {
 	// back to the exact scan because the pool was below DefaultLSHMinPool.
 	RankFallbacks int
 	// AlignCells counts dynamic-programming cells the alignment kernels
-	// actually computed (memo hits add nothing). Like the four cache
-	// counters below, with Workers > 1 the value depends on how many
-	// speculative attempts ran before each winner was found, so it may vary
-	// across worker counts — the merge results above never do.
+	// computed. Like the cache counters below, with Workers > 1 the value
+	// depends on how many speculative attempts ran before each winner was
+	// found, so it may vary across worker counts — the merge results above
+	// never do.
 	AlignCells int64
 	// SeqCacheHits and SeqCacheMisses count linearization-cache lookups by
 	// merge attempts (two per attempt when the cache is enabled).
 	SeqCacheHits, SeqCacheMisses int64
-	// AlignMemoHits and AlignMemoMisses count alignment-memo lookups; a hit
-	// skips the pair's entire DP run.
+	// AlignMemoHits and AlignMemoMisses are always zero: exploration no
+	// longer memoizes alignments. They remain only for readers that still
+	// name them.
 	AlignMemoHits, AlignMemoMisses int64
 	// BoundEvals counts pre-codegen profitability-bound evaluations and
 	// CodegenSkips the subset that skipped merged-function materialization
@@ -252,8 +251,6 @@ func (r *Report) Add(later *Report) {
 	r.AlignCells += later.AlignCells
 	r.SeqCacheHits += later.SeqCacheHits
 	r.SeqCacheMisses += later.SeqCacheMisses
-	r.AlignMemoHits += later.AlignMemoHits
-	r.AlignMemoMisses += later.AlignMemoMisses
 	r.BoundEvals += later.BoundEvals
 	r.CodegenSkips += later.CodegenSkips
 }
@@ -313,7 +310,7 @@ type runner struct {
 	// bound; same lifetime and invalidation as costs.
 	floors *core.FloorMemo
 	// rankProbes and rankSkips accumulate scan counters atomically (scans
-	// run inside parallelFor); flushRankCounters folds them into rep. The
+	// run inside par.For); flushRankCounters folds them into rep. The
 	// totals are deterministic: the same set of scans runs at every Workers
 	// value.
 	rankProbes, rankSkips int64
@@ -344,7 +341,7 @@ func setupSeeded(m *ir.Module, opts Options, seed *warmSeed) *runner {
 	r := &runner{
 		m:       m,
 		opts:    opts,
-		workers: workerCount(opts.Workers),
+		workers: par.Workers(opts.Workers),
 		rep:     &Report{SizeBefore: tti.ModuleSize(opts.Target, m)},
 		seed:    seed,
 	}
@@ -378,7 +375,7 @@ func setupSeeded(m *ir.Module, opts Options, seed *warmSeed) *runner {
 		}
 		copy(fpByIdx, seed.fps)
 	} else {
-		parallelFor(len(r.pool), r.workers, func(i int) {
+		par.For(len(r.pool), r.workers, func(i int) {
 			fpByIdx[i] = fingerprint.Compute(r.pool[i])
 		})
 	}
@@ -415,8 +412,8 @@ func Run(m *ir.Module, opts Options) *Report {
 
 // runSeeded is Run with an optional warm-session seed (see Session). The
 // committed merges are bit-identical with and without a seed: every reused
-// artifact is either content-verified (alignment memo, negative-attempt
-// memo) or provably equal to what a cold run would rebuild (fingerprints,
+// artifact is either content-verified (the negative-attempt memo) or
+// provably equal to what a cold run would rebuild (fingerprints,
 // index state, seeded rankings).
 func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 	r := setupSeeded(m, opts, seed)
@@ -495,8 +492,6 @@ func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 	r.rep.AlignCells = tm.AlignCells
 	r.rep.SeqCacheHits = tm.SeqCacheHits
 	r.rep.SeqCacheMisses = tm.SeqCacheMisses
-	r.rep.AlignMemoHits = tm.AlignMemoHits
-	r.rep.AlignMemoMisses = tm.AlignMemoMisses
 	r.rep.BoundEvals = tm.BoundEvals
 	r.rep.CodegenSkips = tm.CodegenSkips
 	r.rep.Phases.Verify = tm.Verify

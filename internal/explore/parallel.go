@@ -23,7 +23,6 @@ package explore
 //     sequential early-exit semantics.
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -31,45 +30,6 @@ import (
 	"fmsa/internal/ir"
 	"fmsa/internal/tti"
 )
-
-// workerCount resolves the Options.Workers knob.
-func workerCount(workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFor runs fn(i) for every i in [0, n) on up to w goroutines. Work
-// is claimed from an atomic counter, so uneven item costs balance
-// themselves. fn must be safe for concurrent invocation with distinct i.
-func parallelFor(n, w int, fn func(int)) {
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // attempt is one speculative merge outcome. rank is -1 when the worker
 // found no profitable candidate.

@@ -81,20 +81,13 @@ func TestParallelDeterminism(t *testing.T) {
 			o.lshMinPool = 1
 			return o
 		}()},
-		// Cache matrix: the default configs above already run with both
-		// caches on; these pin the caches-off path and a tiny memo (constant
-		// insert rejection) to the same bit-identical requirement.
+		// The default configs above already run with the linearization
+		// cache on; this pins the cache-off path to the same bit-identical
+		// requirement.
 		{"greedy-nocaches", func() Options {
 			o := DefaultOptions()
 			o.Threshold = 5
 			o.noSeqCache = true
-			o.noAlignMemo = true
-			return o
-		}()},
-		{"greedy-memo-cap2", func() Options {
-			o := DefaultOptions()
-			o.Threshold = 5
-			o.alignMemoCap = 2
 			return o
 		}()},
 		// Pre-codegen bounding must be decision-invisible: the bound-off

@@ -30,6 +30,7 @@ import (
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
 	"fmsa/internal/lsh"
+	"fmsa/internal/par"
 )
 
 // RankingMode selects how candidate rankings are produced.
@@ -128,7 +129,7 @@ func (r *runner) initLSH() {
 		return
 	}
 	sigs := make([]*fingerprint.Signature, len(r.pool))
-	parallelFor(len(r.pool), r.workers, func(i int) {
+	par.For(len(r.pool), r.workers, func(i int) {
 		sigs[i] = fingerprint.ComputeSignature(r.pool[i])
 	})
 	r.lsh = newLSHState(sigs, r.workers)

@@ -2,9 +2,9 @@ package explore
 
 // Warm-state merge sessions. A Session owns every cross-run artifact whose
 // validity survives a corpus edit — per-function fingerprints and MinHash
-// signatures, the encode interner feeding the seq caches, the alignment
-// memo, the stable-hash content tables and the stored initial candidate
-// rankings — and resubmits pay only for what a delta touched:
+// signatures, the encode interner feeding the seq caches, the stable-hash
+// content tables and the stored initial candidate rankings — and resubmits
+// pay only for what a delta touched:
 //
 //  1. Diff. The submitted module is φ-demoted, its pool derived, and every
 //     pool function's canonical structural key computed. Names are classed
@@ -45,6 +45,7 @@ import (
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/global"
 	"fmsa/internal/ir"
+	"fmsa/internal/par"
 	"fmsa/internal/passes"
 	"fmsa/internal/simdb"
 	"fmsa/internal/tti"
@@ -53,9 +54,8 @@ import (
 // SessionConfig configures a Session.
 type SessionConfig struct {
 	// Explore is the pinned exploration configuration. Oracle and
-	// Partition are rejected. The session's alignment memo holds up to
-	// DefaultSessionAlignMemoCap entries and its content tables up to
-	// simdb's DefaultKeyTableCap and DefaultNegMemoCap.
+	// Partition are rejected. The session's content tables hold up to
+	// simdb's DefaultKeyTableCap and DefaultNegMemoCap entries.
 	Explore Options
 	// Store is an optional persistent similarity database. Submissions look
 	// changed/added functions up by (stable hash, content key) and reuse the
@@ -125,7 +125,6 @@ type Session struct {
 
 	keys *keyTable
 	neg  *negMemo
-	memo *alignMemo
 
 	mu      sync.Mutex
 	entries map[string]*sessEntry
@@ -151,12 +150,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if opts.Target == nil {
 		opts.Target = tti.X86{}
 	}
-	if opts.alignMemoCap == 0 {
-		opts.alignMemoCap = DefaultSessionAlignMemoCap
-	}
 	if opts.Merge.Interner == nil {
-		// Session-lived interning table: codes stay comparable across runs,
-		// which is what lets the alignment memo survive submissions.
+		// Session-lived interning table: a warm submit re-encodes its pool
+		// against keys earlier submits already interned.
 		opts.Merge.Interner = encode.NewInterner()
 	}
 	s := &Session{
@@ -167,9 +163,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		keys:    newKeyTable(),
 		neg:     newNegMemo(),
 		entries: map[string]*sessEntry{},
-	}
-	if !opts.noAlignMemo {
-		s.memo = newAlignMemo(opts.alignMemoCap)
 	}
 	if digest, ok := attemptDigest(opts); ok && cfg.Store != nil {
 		s.keys.store = cfg.Store
@@ -213,7 +206,7 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	workers := workerCount(s.opts.Workers)
+	workers := par.Workers(s.opts.Workers)
 	delta := DeltaStats{Warm: s.submits > 0}
 	tDiff := time.Now()
 
@@ -232,7 +225,7 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	keysBuf := make([][]byte, n)
 	selfEqs := make([]bool, n)
 	hashes := make([]uint64, n)
-	parallelFor(n, workers, func(i int) {
+	par.For(n, workers, func(i int) {
 		k, se := global.AppendStableKey(nil, pool[i])
 		keysBuf[i] = k
 		selfEqs[i] = se
@@ -285,7 +278,7 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	tFP := time.Now()
 	diffTime := tFP.Sub(tDiff)
 	var storeHits, storeMisses int64
-	parallelFor(len(fresh), workers, func(j int) {
+	par.For(len(fresh), workers, func(j int) {
 		i := fresh[j]
 		e := entriesByIdx[i]
 		if s.cfg.Store != nil {
@@ -316,7 +309,7 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	var ls *lshState
 	if lshMode {
 		sigs := make([]*fingerprint.Signature, n)
-		parallelFor(n, workers, func(i int) {
+		par.For(n, workers, func(i int) {
 			e := entriesByIdx[i]
 			if e.sig == nil {
 				e.sig = fingerprint.ComputeSignature(pool[i])
@@ -363,13 +356,11 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 
 	// Assemble the seed and run.
 	seed := &warmSeed{
-		fps:       make([]*fingerprint.Fingerprint, n),
-		lists:     seeds,
-		scanDepth: s.depth,
-		lsh:       ls,
-		keys:      s.keys,
-		neg:       s.neg,
-		memo:      s.memo,
+		fps:   make([]*fingerprint.Fingerprint, n),
+		lists: seeds,
+		lsh:   ls,
+		keys:  s.keys,
+		neg:   s.neg,
 	}
 	for i, e := range entriesByIdx {
 		seed.fps[i] = e.fp
@@ -468,7 +459,7 @@ func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*s
 			}
 		}
 	}
-	parallelFor(len(pool), workers, func(i int) {
+	par.For(len(pool), workers, func(i int) {
 		e := entriesByIdx[i]
 		if class[i] != clsUnchanged || e.list == nil {
 			return

@@ -330,9 +330,7 @@ func TestSessionLSHSparseListsMatchCold(t *testing.T) {
 // shrink (t=20, one worker, so every count repeats exactly) aligns at least
 // 5x fewer DP cells and evaluates the bound at least 5x less often than a
 // cold session on the same module, and merges identically. Warm sessions
-// owe this to the negative-attempt memo, which skips attempts outright, and
-// to the session-lived alignment memo, which answers more lookups warm than
-// a cold run answers from its own earlier alignments.
+// owe this to the negative-attempt memo, which skips attempts outright.
 func TestSessionWarmWorkFloor(t *testing.T) {
 	if raceDetector {
 		t.Skip("single-threaded; check.sh's serve gate runs it without -race")
@@ -373,15 +371,10 @@ func TestSessionWarmWorkFloor(t *testing.T) {
 	if !reflect.DeepEqual(outcomeOf(repWarm), outcomeOf(repCold)) {
 		t.Fatal("warm delta resubmit merged differently from a cold session")
 	}
-	t.Logf("align cells: cold %d, warm %d; bound evals: cold %d, warm %d; memo hits: cold %d, warm %d",
-		repCold.AlignCells, repWarm.AlignCells, repCold.BoundEvals, repWarm.BoundEvals,
-		repCold.AlignMemoHits, repWarm.AlignMemoHits)
+	t.Logf("align cells: cold %d, warm %d; bound evals: cold %d, warm %d",
+		repCold.AlignCells, repWarm.AlignCells, repCold.BoundEvals, repWarm.BoundEvals)
 	if d.NegHits == 0 {
 		t.Error("the warm submit skipped no attempt through the negative-attempt memo")
-	}
-	if repWarm.AlignMemoHits <= repCold.AlignMemoHits {
-		t.Errorf("warm submit hit the alignment memo %d times, cold %d: no alignment carried over",
-			repWarm.AlignMemoHits, repCold.AlignMemoHits)
 	}
 	if repCold.AlignCells == 0 || repWarm.AlignCells*5 > repCold.AlignCells {
 		t.Errorf("warm submit aligned %d cells against cold %d: less than 5x fewer",

@@ -57,11 +57,6 @@ import (
 	"fmsa/internal/tti"
 )
 
-// DefaultSessionAlignMemoCap is the alignment-memo bound a session uses —
-// larger than the per-run default because the memo amortizes across every
-// submission.
-const DefaultSessionAlignMemoCap = 1 << 16
-
 // funcKey is a function's verified content identity: hash is its stable
 // structural hash, and ok reports that the hash was verified byte-for-byte
 // against the session content table (see keyTable). Functions with ok=false
@@ -301,20 +296,16 @@ type warmSeed struct {
 	// entries or is complete — freshly allocated for the run, which mutates
 	// it in place. nil entries are built by the setup scan.
 	lists []*rankList
-	// scanDepth is the depth at which setup scans unseeded owners; the
-	// session asks for 2t so stored lists survive member evictions.
-	scanDepth int
-	// onScan receives every setup-built list at scanDepth, before
+	// onScan receives every setup-built list at depth 2t, before
 	// truncation to t, so the session can store it. Invoked from
-	// parallelFor with distinct pool indices; it must touch only
+	// par.For with distinct pool indices; it must touch only
 	// per-owner state.
 	onScan func(poolIdx int, rl *rankList)
 	// lsh, when non-nil, is the run's LSH index, which the session built
 	// over this pool from its cached signatures and probed while
 	// reconciling lists; the run adopts it as a cold run adopts its own.
 	lsh *lshState
-	// keys, neg and memo are the session-lived content tables.
+	// keys and neg are the session-lived content tables.
 	keys *keyTable
 	neg  *negMemo
-	memo *alignMemo
 }

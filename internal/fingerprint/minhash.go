@@ -71,27 +71,6 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// HashUint32s content-hashes a word sequence (FNV-1a over the little-endian
-// bytes), deterministically across processes. It is the shared hash behind
-// alignment-memo keys: equal sequences always hash equal, and unequal
-// sequences collide only at FNV's 2⁻⁶⁴ rate — callers that cannot tolerate
-// collisions verify element equality on hash hits.
-func HashUint32s(ws []uint32) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, w := range ws {
-		h ^= uint64(w & 0xff)
-		h *= prime
-		h ^= uint64((w >> 8) & 0xff)
-		h *= prime
-		h ^= uint64((w >> 16) & 0xff)
-		h *= prime
-		h ^= uint64(w >> 24)
-		h *= prime
-	}
-	return h
-}
-
 // ComputeSignature builds the MinHash signature of a function definition.
 // The cost is O(instructions × SigLanes); signatures are only computed when
 // LSH ranking is enabled.

@@ -7,6 +7,7 @@ import (
 	"fmsa/internal/core"
 	"fmsa/internal/encode"
 	"fmsa/internal/ir"
+	"fmsa/internal/par"
 	"fmsa/internal/passes"
 	"fmsa/internal/tti"
 )
@@ -83,12 +84,12 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 	if opts.Target == nil {
 		opts.Target = tti.X86{}
 	}
-	workers := workerCount(opts.Workers)
+	workers := par.Workers(opts.Workers)
 	rep := &Report{TUs: len(units)}
 
 	// Round 1: demote phis (core.Merge precondition, per-unit local), then
 	// summarize in parallel.
-	parallelFor(len(units), workers, func(i int) {
+	par.For(len(units), workers, func(i int) {
 		passes.DemotePhisModule(units[i])
 	})
 	for _, u := range units {
@@ -131,7 +132,7 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 	memo := tti.NewCostMemo()
 	interner := encode.NewInterner()
 	stats := core.CallerStats{AddressTaken: true} // thunk-commit semantics
-	parallelFor(len(wave), workers, func(w int) {
+	par.For(len(wave), workers, func(w int) {
 		st := &states[wave[w]]
 		mo := core.DefaultOptions()
 		mo.NamePrefix = "gm"

@@ -1,52 +1,11 @@
 package global
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
+	"fmsa/internal/par"
 	"fmsa/internal/wire"
 )
-
-// workerCount resolves a Workers knob.
-func workerCount(workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFor runs fn(i) for every i in [0, n) on up to w goroutines,
-// claiming work from an atomic counter so uneven item costs balance.
-func parallelFor(n, w int, fn func(int)) {
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // Summarize is round 1: it computes one FuncSummary per definition across
 // the units, fanning the per-function work (stable hash + MinHash
@@ -69,7 +28,7 @@ func Summarize(units []*ir.Module, workers int) []wire.TUSummary {
 		}
 	}
 	sums := make([]wire.FuncSummary, len(slots))
-	parallelFor(len(slots), workerCount(workers), func(i int) {
+	par.For(len(slots), par.Workers(workers), func(i int) {
 		sums[i] = summarizeFunc(slots[i].f)
 	})
 	for i, s := range slots {

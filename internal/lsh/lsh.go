@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"fmsa/internal/fingerprint"
+	"fmsa/internal/par"
 )
 
 // Params configures the banding: Bands bands of Rows consecutive signature
@@ -424,32 +425,9 @@ func (ix *Index) ProbeBatch(sigs []*fingerprint.Signature, selves []int32, worke
 		panic("lsh: ProbeBatch length mismatch")
 	}
 	out := make([][]int32, len(sigs))
-	n := len(sigs)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range sigs {
-			out[i] = ix.Probe(sigs[i], selves[i])
-		}
-		return out
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = ix.Probe(sigs[i], selves[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(sigs), workers, func(i int) {
+		out[i] = ix.Probe(sigs[i], selves[i])
+	})
 	return out
 }
 

@@ -47,9 +47,8 @@
 #    the entries are equivalent), Hirschberg's linear-space scratch stays
 #    within its allocation bound and one call makes at most three
 #    allocations (both skipped under -race, whose sync.Pool drops puts),
-#    and on the quick corpora exploration with the
-#    linearization cache and alignment memo on commits the same merges and
-#    module as with both off.
+#    and on the quick corpora exploration with the linearization cache on
+#    commits the same merges and module as with it off.
 #  - bound-huge: the profitability bound must prune 483.xalancbmk's @main
 #    against its closest partners and stay admissible there, so a loosened
 #    branch floor fails by name rather than somewhere inside race-tests.

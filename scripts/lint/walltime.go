@@ -31,8 +31,8 @@ import (
 // and randomness reads.
 var purePackages = []string{
 	"align", "analysis", "callgraph", "encode", "fingerprint", "global",
-	"interp", "ir", "linearize", "lsh", "passes", "profile", "simdb",
-	"stats", "tti", "wire",
+	"interp", "ir", "linearize", "lsh", "par", "passes", "profile",
+	"simdb", "stats", "tti", "wire",
 }
 
 // pureFiles are single files held to the full purity rule inside packages
