@@ -12,7 +12,7 @@ package core
 //	Δ = c(f1) + c(f2) − c(merged) − ε
 //
 // so an upper bound on Δ needs exact c(f1)+c(f2) (memoized, see
-// tti.CostMemo) and provable lower bounds on c(merged) and ε:
+// FuncMemo) and provable lower bounds on c(merged) and ε:
 //
 //   - c(merged) ≥ FuncOverhead + Σ per-column floors. Every aligned column
 //     materializes in the merged body: a matched instruction column is
@@ -67,7 +67,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 
 	"fmsa/internal/align"
 	"fmsa/internal/ir"
@@ -94,11 +93,6 @@ type PruneSpec struct {
 	// the bound proves profit ≤ MinProfit. The exploration pipeline uses 0,
 	// matching its `profit <= 0 → discard` rejection.
 	MinProfit int
-	// Costs optionally memoizes the FuncSize terms (nil computes directly).
-	Costs *tti.CostMemo
-	// Floors optionally memoizes each function's static branch-floor facts
-	// (nil recomputes them per pair). Same drop discipline as Costs.
-	Floors *FloorMemo
 }
 
 // boundCtx carries the alignment correspondence needed to decide operand
@@ -112,18 +106,20 @@ type boundCtx struct {
 	f1, f2   *ir.Func
 }
 
-// profitUpperBound computes the admissible profit bound for merging f1 and
-// f2 under the given alignment and parameter plan. ok is false when
+// profitUpperBound computes the admissible profit bound for merging the
+// functions of e1 and e2 under the given alignment and parameter plan, with
+// the target-wide sizes from memo (nil measures them). ok is false when
 // bounding is disabled for the pair (constant-condition branch hazard); the
 // caller must then proceed to code generation.
-func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
-	steps []align.Step, plan *paramPlan, spec *PruneSpec) (bound int, ok bool) {
+func profitUpperBound(e1, e2 *funcEntry, steps []align.Step, plan *paramPlan,
+	spec *PruneSpec, memo *FuncMemo) (bound int, ok bool) {
 
+	f1, f2, seq1, seq2 := e1.f, e2.f, e1.enc.Seq, e2.enc.Seq
 	if hasConstBranch(seq1) || hasConstBranch(seq2) {
 		return 0, false
 	}
 	t := spec.Target
-	before := spec.Costs.FuncSize(t, f1) + spec.Costs.FuncSize(t, f2)
+	before := e1.funcSize(t) + e2.funcSize(t)
 
 	// First pass: record which columns were aligned with each other, so
 	// operand divergence (select and dispatch-block floors) is decided the
@@ -138,7 +134,7 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 		plan:     plan,
 		f1:       f1, f2: f2,
 	}
-	fl1, fl2 := spec.Floors.lookup(f1, seq1), spec.Floors.lookup(f2, seq2)
+	fl1, fl2 := e1.brFloors(), e2.brFloors()
 	var buf1, buf2 [4]uint64
 	touched1, touched2 := fl1.touchedSet(buf1[:0]), fl2.touchedSet(buf2[:0])
 	ord1, ord2 := -1, -1
@@ -174,7 +170,7 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 	// branch on func_id, and conditional branches survive cleanup (func_id
 	// is never constant).
 	mergedLB := t.FuncOverhead()
-	sz := spec.Floors.synth(t)
+	sz := memo.synthSizes(t)
 	condBr := sz.condBr
 	gapSteps, selects := 0, 0
 	var dispatch map[[2]*ir.Block]bool // distinct diverging target pairs
@@ -255,9 +251,9 @@ func profitUpperBound(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry,
 	if gapSteps > 0 || selects > 0 || len(dispatch) > 0 {
 		lbArity++
 	}
-	callLB := sz.callSize(t, callShape{arity: lbArity})
-	epsLB := deltaLowerBound(t, f1, spec.S1, callLB, sz) +
-		deltaLowerBound(t, f2, spec.S2, callLB, sz)
+	callLB := memo.arityCallSize(t, lbArity)
+	epsLB := deltaLowerBound(t, e1, spec.S1, callLB, sz.ret) +
+		deltaLowerBound(t, e2, spec.S2, callLB, sz.ret)
 
 	return before - mergedLB - epsLB, true
 }
@@ -295,9 +291,6 @@ func instFloor(t tti.Target, in *ir.Inst) int {
 // keeps two as well. The per-pair condition is that none of B and its
 // predecessors holds a matched column; see gapFloor.
 type brFloors struct {
-	seqLen int
-	labels []*ir.Block // block of each ordinal, to validate a memo hit
-	at     []int32     // sequence index of each ordinal's label
 	// target[a] is the ordinal of candidate block a's branch target, or -1.
 	target []int32
 	// guards[start[b]:start[b+1]] lists the ordinals of target b and its
@@ -322,18 +315,17 @@ func keptLen(b *ir.Block) int {
 // buildBrFloors computes a function's candidates from its linearization.
 func buildBrFloors(seq []linearize.Entry) *brFloors {
 	ord := make(map[*ir.Block]int32)
-	fl := &brFloors{seqLen: len(seq)}
-	for i, e := range seq {
+	var labels []*ir.Block // block of each ordinal
+	for _, e := range seq {
 		if e.IsLabel() {
-			ord[e.Block] = int32(len(fl.labels))
-			fl.labels = append(fl.labels, e.Block)
-			fl.at = append(fl.at, int32(i))
+			ord[e.Block] = int32(len(labels))
+			labels = append(labels, e.Block)
 		}
 	}
-	n := len(fl.labels)
-	fl.start = make([]int32, n+1)
+	n := len(labels)
+	fl := &brFloors{start: make([]int32, n+1)}
 	seen := make([]int32, n) // stamp k+1: predecessor already listed for target k
-	for k, b := range fl.labels {
+	for k, b := range labels {
 		fl.start[k] = int32(len(fl.guards))
 		if b.IsLandingBlock() {
 			continue
@@ -370,7 +362,7 @@ func buildBrFloors(seq []linearize.Entry) *brFloors {
 
 	fl.target = make([]int32, n)
 	found := false
-	for k, a := range fl.labels {
+	for k, a := range labels {
 		fl.target[k] = -1
 		t := a.Terminator()
 		if t == nil || t.Op != ir.OpBr || t.NumOperands() != 1 {
@@ -385,23 +377,6 @@ func buildBrFloors(seq []linearize.Entry) *brFloors {
 		return noBrFloors
 	}
 	return fl
-}
-
-// matches reports whether fl was built from a linearization with seq's
-// block layout (same length, same labels at the same positions).
-func (fl *brFloors) matches(seq []linearize.Entry) bool {
-	if fl.target == nil {
-		return true // no candidates: nothing ordinal-dependent to misapply
-	}
-	if len(seq) != fl.seqLen {
-		return false
-	}
-	for k, i := range fl.at {
-		if seq[i].Block != fl.labels[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // blockSet is a bitset over block ordinals; a nil set ignores additions.
@@ -421,7 +396,7 @@ func (fl *brFloors) touchedSet(buf []uint64) blockSet {
 	if fl.target == nil {
 		return nil
 	}
-	words := (len(fl.labels) + 63) / 64
+	words := (len(fl.target) + 63) / 64
 	if words > cap(buf) {
 		return make(blockSet, words)
 	}
@@ -482,136 +457,6 @@ func (fl *brFloors) gapFloor(t tti.Target, in *ir.Inst, a int, touched blockSet)
 		}
 	}
 	return t.InstSize(in)
-}
-
-// FloorMemo caches the bound's static facts across the bound evaluations
-// of one exploration run, like tti.CostMemo caches its sizes: each
-// function's brFloors and, per target, the sizes of the synthetic
-// instructions the bound prices (synthSizes). Invalidation follows the
-// same drop-only contract: Drop every function whose body a commit changes
-// (the staleAfterCommit set), between evaluation waves. Lookups are safe
-// concurrently; a floors entry is also validated against the sequence it
-// is asked for, so a mismatched linearization recomputes instead of
-// misapplying ordinals. A nil memo computes everything without caching.
-type FloorMemo struct {
-	mu      sync.RWMutex
-	entries map[*ir.Func]*brFloors
-	sizes   map[string]*synthSizes // by target name
-}
-
-// synthSizes holds one target's sizes of the instructions the bound prices
-// without building them: the func_id conditional branch, an operand
-// select, the thunk's ret and the calls of callShape. condBr, sel and ret
-// are fixed once created. Only a memo's entry caches calls; FloorMemo.Drop
-// deletes a dropped function's call sites from it.
-type synthSizes struct {
-	condBr, sel, ret int
-	mu               sync.RWMutex
-	calls            map[callShape]int // nil: measure every call
-}
-
-func newSynthSizes(t tti.Target) *synthSizes {
-	return &synthSizes{
-		condBr: t.InstSize(ir.NewInst(ir.OpBr, ir.Void(), nil, nil, nil)),
-		sel:    t.InstSize(ir.NewInst(ir.OpSelect, ir.Bool(), nil, nil, nil)),
-		ret:    t.InstSize(ir.NewInst(ir.OpRet, ir.Void())),
-	}
-}
-
-// callShape names a call the bound prices: an existing call site of callee
-// (syntheticCall), or, with a nil callee, a void call with arity arguments.
-type callShape struct {
-	callee *ir.Func
-	arity  int
-}
-
-// size builds the call on t and measures it.
-func (c callShape) size(t tti.Target) int {
-	if c.callee == nil {
-		return t.InstSize(ir.NewInst(ir.OpCall, ir.Void(), make([]ir.Value, c.arity+1)...))
-	}
-	call := syntheticCall(c.callee)
-	defer call.Detach()
-	return t.InstSize(call)
-}
-
-// callSize returns the size of the call c on the target of sz.
-func (sz *synthSizes) callSize(t tti.Target, c callShape) int {
-	if sz.calls == nil {
-		return c.size(t)
-	}
-	sz.mu.RLock()
-	size, ok := sz.calls[c]
-	sz.mu.RUnlock()
-	if !ok {
-		size = c.size(t)
-		sz.mu.Lock()
-		sz.calls[c] = size
-		sz.mu.Unlock()
-	}
-	return size
-}
-
-// NewFloorMemo returns an empty memo.
-func NewFloorMemo() *FloorMemo {
-	return &FloorMemo{entries: map[*ir.Func]*brFloors{}, sizes: map[string]*synthSizes{}}
-}
-
-// synth returns t's synthetic instruction sizes, creating them on first
-// use.
-func (m *FloorMemo) synth(t tti.Target) *synthSizes {
-	if m == nil {
-		return newSynthSizes(t)
-	}
-	name := t.Name()
-	m.mu.RLock()
-	sz := m.sizes[name]
-	m.mu.RUnlock()
-	if sz != nil {
-		return sz
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if sz = m.sizes[name]; sz == nil {
-		sz = newSynthSizes(t)
-		sz.calls = map[callShape]int{}
-		m.sizes[name] = sz
-	}
-	return sz
-}
-
-// lookup returns f's floors for the linearization seq, computing and
-// caching them on a miss. A nil memo computes without caching.
-func (m *FloorMemo) lookup(f *ir.Func, seq []linearize.Entry) *brFloors {
-	if m == nil {
-		return buildBrFloors(seq)
-	}
-	m.mu.RLock()
-	fl := m.entries[f]
-	m.mu.RUnlock()
-	if fl != nil && fl.matches(seq) {
-		return fl
-	}
-	fl = buildBrFloors(seq)
-	m.mu.Lock()
-	m.entries[f] = fl
-	m.mu.Unlock()
-	return fl
-}
-
-// Drop invalidates f's entries. Nil-safe.
-func (m *FloorMemo) Drop(f *ir.Func) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	delete(m.entries, f)
-	for _, sz := range m.sizes {
-		sz.mu.Lock()
-		delete(sz.calls, callShape{callee: f})
-		sz.mu.Unlock()
-	}
-	m.mu.Unlock()
 }
 
 // diverges reports whether a (a side-1 operand) and b (a side-2 operand)
@@ -738,19 +583,19 @@ func hasConstBranch(seq []linearize.Entry) bool {
 	return false
 }
 
-// deltaLowerBound is the floor of delta(f, merged): per-call-site growth
-// against the arity-floor call size, plus the thunk floor (without the
-// non-negative return-cast term) when f cannot be deleted outright. Mirrors
-// Result.delta term for term.
-func deltaLowerBound(t tti.Target, f *ir.Func, s CallerStats, callLB int, sz *synthSizes) int {
+// deltaLowerBound is the floor of delta(f, merged) for e's function f:
+// per-call-site growth against the arity-floor call size, plus the thunk
+// floor (without the non-negative return-cast term) when f cannot be
+// deleted outright. Mirrors Result.delta term for term.
+func deltaLowerBound(t tti.Target, e *funcEntry, s CallerStats, callLB, ret int) int {
 	lb := 0
 	if s.Callers > 0 {
-		if growth := callLB - sz.callSize(t, callShape{callee: f}); growth > 0 {
+		if growth := callLB - e.callSize(t); growth > 0 {
 			lb += growth * s.Callers
 		}
 	}
-	if f.Linkage == ir.InternalLinkage && !s.AddressTaken {
+	if e.f.Linkage == ir.InternalLinkage && !s.AddressTaken {
 		return lb
 	}
-	return lb + t.FuncOverhead() + callLB + sz.ret
+	return lb + t.FuncOverhead() + callLB + ret
 }

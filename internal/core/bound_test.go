@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"fmsa/internal/encode"
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
@@ -34,17 +35,17 @@ func auditAllPairs(t *testing.T, m *ir.Module, target tti.Target, cap int) (audi
 	if cap > 0 && len(funcs) > cap {
 		funcs = funcs[:cap]
 	}
-	costs := tti.NewCostMemo()
+	memo := NewFuncMemo(target, linearize.OrderRPO, encode.NewInterner())
 	for i := 0; i < len(funcs); i++ {
 		for j := i + 1; j < len(funcs); j++ {
 			f1, f2 := funcs[i], funcs[j]
 			called := false
 			opts := DefaultOptions()
+			opts.Memo = memo
 			opts.Prune = &PruneSpec{
 				Target: target,
 				S1:     SnapshotCallerStats(f1),
 				S2:     SnapshotCallerStats(f2),
-				Costs:  costs,
 			}
 			opts.BoundAudit = func(a, b *ir.Func, bound, exact int) {
 				called = true
@@ -208,49 +209,6 @@ func TestBoundAdmissibilityAdversarial(t *testing.T) {
 	}
 }
 
-// TestFloorMemoSyntheticSizes checks the memoized synthetic instruction
-// sizes against instructions built per query, per target on one shared
-// memo, and that Drop forgets a function's call sites.
-func TestFloorMemoSyntheticSizes(t *testing.T) {
-	m := ir.MustParseModule("adversarial", adversarialIR)
-	memo := NewFloorMemo()
-	for _, target := range boundTargets {
-		sz := memo.synth(target)
-		if sz != memo.synth(target) {
-			t.Fatalf("%s: sizes not memoized", target.Name())
-		}
-		fresh := newSynthSizes(target)
-		if sz.condBr != fresh.condBr || sz.sel != fresh.sel || sz.ret != fresh.ret {
-			t.Errorf("%s: fixed sizes %d/%d/%d, want %d/%d/%d", target.Name(),
-				sz.condBr, sz.sel, sz.ret, fresh.condBr, fresh.sel, fresh.ret)
-		}
-		for arity := 0; arity < 8; arity++ {
-			c := callShape{arity: arity}
-			want := target.InstSize(ir.NewInst(ir.OpCall, ir.Void(), make([]ir.Value, arity+1)...))
-			for range 2 {
-				if got := sz.callSize(target, c); got != want {
-					t.Errorf("%s: arity-%d call size %d, want %d", target.Name(), arity, got, want)
-				}
-			}
-		}
-		for _, f := range m.Funcs {
-			c := callShape{callee: f}
-			call := syntheticCall(f)
-			want := target.InstSize(call)
-			call.Detach()
-			for range 2 {
-				if got := sz.callSize(target, c); got != want {
-					t.Errorf("%s: call to %s size %d, want %d", target.Name(), f.Name(), got, want)
-				}
-			}
-			memo.Drop(f)
-			if _, ok := sz.calls[c]; ok {
-				t.Errorf("%s: Drop kept the call size of %s", target.Name(), f.Name())
-			}
-		}
-	}
-}
-
 // constBranchIR holds a pair whose bodies branch on integer constants —
 // SimplifyCFG folds such branches and can cascade-delete arbitrary cloned
 // blocks, so no sound per-column floor exists and bounding must bail
@@ -304,7 +262,6 @@ func TestBoundBailsOnConstantBranches(t *testing.T) {
 		Target: tti.X86{},
 		S1:     SnapshotCallerStats(f1),
 		S2:     SnapshotCallerStats(f2),
-		Costs:  tti.NewCostMemo(),
 		// Even an absurd threshold must not prune an unboundable pair.
 		MinProfit: 1 << 20,
 	}
@@ -332,7 +289,6 @@ func TestPruneSkipsHopelessPair(t *testing.T) {
 		Target:    tti.X86{},
 		S1:        SnapshotCallerStats(f1),
 		S2:        SnapshotCallerStats(f2),
-		Costs:     tti.NewCostMemo(),
 		MinProfit: 1 << 20,
 	}
 	res, err := Merge(f1, f2, opts)
@@ -524,12 +480,19 @@ lp:
 // brCandidates names the blocks of f whose unconditional branch the static
 // rule accepts, and the blocks that can anchor the floor as a target.
 func brCandidates(f *ir.Func) (cands, anchors map[string]bool) {
-	fl := buildBrFloors(linearize.Linearize(f))
+	seq := linearize.Linearize(f)
+	fl := buildBrFloors(seq)
 	cands, anchors = map[string]bool{}, map[string]bool{}
 	if fl.target == nil {
 		return cands, anchors
 	}
-	for k, b := range fl.labels {
+	var labels []*ir.Block
+	for _, e := range seq {
+		if e.IsLabel() {
+			labels = append(labels, e.Block)
+		}
+	}
+	for k, b := range labels {
 		if fl.target[k] >= 0 {
 			cands[b.Name()] = true
 		}
@@ -598,23 +561,25 @@ func sameNames(got map[string]bool, want []string) bool {
 }
 
 // pairBound merges f1 with f2 under BoundAudit and returns the bound and
-// the exact profit. With noFloor the memo is preloaded with candidate-free
-// entries, reproducing the bound that floors every unconditional branch at
-// zero.
+// the exact profit. With noFloor the memo entries' floors are preloaded
+// candidate-free, reproducing the bound that floors every unconditional
+// branch at zero.
 func pairBound(t *testing.T, f1, f2 *ir.Func, target tti.Target, noFloor bool) (bound, exact int) {
 	t.Helper()
-	floors := NewFloorMemo()
+	memo := NewFuncMemo(target, linearize.OrderRPO, encode.NewInterner())
 	if noFloor {
-		floors.entries[f1], floors.entries[f2] = noBrFloors, noBrFloors
+		for _, f := range []*ir.Func{f1, f2} {
+			e, _ := memo.lookup(f)
+			e.floors.Store(noBrFloors)
+		}
 	}
 	called := false
 	opts := DefaultOptions()
+	opts.Memo = memo
 	opts.Prune = &PruneSpec{
 		Target: target,
 		S1:     SnapshotCallerStats(f1),
 		S2:     SnapshotCallerStats(f2),
-		Costs:  tti.NewCostMemo(),
-		Floors: floors,
 	}
 	opts.BoundAudit = func(_, _ *ir.Func, b, e int) { called, bound, exact = true, b, e }
 	res, err := Merge(f1, f2, opts)

@@ -34,22 +34,17 @@ func SnapshotCallerStats(f *ir.Func) CallerStats {
 // costs δ(fk, f1,2) of keeping thunks or widening rewritten call sites. The
 // merge is profitable when the returned Δ is positive.
 func (r *Result) Profit(t tti.Target) int {
-	return r.ProfitWithStats(t, SnapshotCallerStats(r.F1), SnapshotCallerStats(r.F2))
+	return r.ProfitWithStats(t, SnapshotCallerStats(r.F1), SnapshotCallerStats(r.F2), nil)
 }
 
 // ProfitWithStats evaluates the cost model against pre-captured caller
 // snapshots instead of the live use lists, making the result independent of
-// concurrent speculative merges (see CallerStats).
-func (r *Result) ProfitWithStats(t tti.Target, s1, s2 CallerStats) int {
-	return r.ProfitWithStatsMemo(t, s1, s2, nil)
-}
-
-// ProfitWithStatsMemo is ProfitWithStats with the input-function size terms
-// served from a cost memo (nil computes directly). The merged function is
+// concurrent speculative merges (see CallerStats). A non-nil memo, which must
+// price on t, serves the input functions' sizes; the merged function is
 // always sized directly — it is unique to this attempt, so memoizing it
-// would only grow the memo. The result is identical to ProfitWithStats.
-func (r *Result) ProfitWithStatsMemo(t tti.Target, s1, s2 CallerStats, costs *tti.CostMemo) int {
-	before := costs.FuncSize(t, r.F1) + costs.FuncSize(t, r.F2)
+// would only grow the memo. The result does not depend on the memo.
+func (r *Result) ProfitWithStats(t tti.Target, s1, s2 CallerStats, memo *FuncMemo) int {
+	before := memo.FuncSize(t, r.F1) + memo.FuncSize(t, r.F2)
 	after := tti.FuncSize(t, r.Merged)
 	eps := r.delta(t, r.F1, s1) + r.delta(t, r.F2, s2)
 	return before - (after + eps)

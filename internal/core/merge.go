@@ -69,20 +69,24 @@ func Merge(f1, f2 *ir.Func, opts Options) (*Result, error) {
 	if opts.Align == nil {
 		opts.Align = align.AlignCodes
 	}
-	if opts.Interner == nil {
+	if m := opts.Memo; m != nil {
+		if m.order != opts.Order {
+			panic("core: Options.Memo linearizes in another order")
+		}
+		if opts.Prune != nil {
+			m.mustPrice(opts.Prune.Target)
+		}
+	} else if opts.Interner == nil {
 		// Both sequences must draw codes from one table; a per-call table
 		// lives exactly as long as the merge.
 		opts.Interner = encode.NewInterner()
 	}
 
-	// Step 1: linearization (§III-B), through the provider cache when the
-	// caller wired one. Owned (inline-linearized) sequences are scratch,
-	// recycled through the package pool once code generation is done;
-	// borrowed cache entries are left untouched.
+	// Step 1: linearization (§III-B), from the memo when the caller wired
+	// one.
 	tLin := time.Now()
-	enc1, own1 := obtainSeq(f1, &opts)
-	enc2, own2 := obtainSeq(f2, &opts)
-	seq1, seq2 := enc1.Seq, enc2.Seq
+	e1, e2 := opts.entry(f1), opts.entry(f2)
+	seq1, seq2 := e1.enc.Seq, e2.enc.Seq
 	if opts.Timings != nil {
 		opts.Timings.AddLinearize(time.Since(tLin))
 	}
@@ -91,7 +95,10 @@ func Merge(f1, f2 *ir.Func, opts Options) (*Result, error) {
 	// Mismatch columns are then decomposed into gap pairs so that every
 	// column is either an exact match or code unique to one function.
 	tAlign := time.Now()
-	steps := alignSeqs(enc1, enc2, &opts)
+	steps := opts.Align(e1.enc.Codes, e2.enc.Codes)
+	if opts.Timings != nil {
+		opts.Timings.AddAlignCells(int64(len(seq1)) * int64(len(seq2)))
+	}
 	steps = align.DecomposeMismatches(steps)
 	steps = normalizePads(steps, seq1, seq2)
 	if opts.Timings != nil {
@@ -114,18 +121,12 @@ func Merge(f1, f2 *ir.Func, opts Options) (*Result, error) {
 
 	auditBound, haveBound := 0, false
 	if opts.Prune != nil {
-		bound, ok := profitUpperBound(f1, f2, seq1, seq2, steps, &plan, opts.Prune)
+		bound, ok := profitUpperBound(e1, e2, steps, &plan, opts.Prune, opts.Memo)
 		pruned := ok && opts.BoundAudit == nil && bound <= opts.Prune.MinProfit
 		if opts.Timings != nil {
 			opts.Timings.CountBound(pruned)
 		}
 		if pruned {
-			if own1 {
-				linearize.Recycle(seq1)
-			}
-			if own2 {
-				linearize.Recycle(seq2)
-			}
 			return nil, ErrHopeless
 		}
 		auditBound, haveBound = bound, ok
@@ -133,42 +134,11 @@ func Merge(f1, f2 *ir.Func, opts Options) (*Result, error) {
 
 	// Step 3: code generation (§III-E).
 	res, err := generate(f1, f2, seq1, seq2, steps, plan, retTy, opts)
-	if own1 {
-		linearize.Recycle(seq1)
-	}
-	if own2 {
-		linearize.Recycle(seq2)
-	}
 	if err == nil && haveBound && opts.BoundAudit != nil {
-		exact := res.ProfitWithStatsMemo(opts.Prune.Target, opts.Prune.S1, opts.Prune.S2, opts.Prune.Costs)
+		exact := res.ProfitWithStats(opts.Prune.Target, opts.Prune.S1, opts.Prune.S2, opts.Memo)
 		opts.BoundAudit(f1, f2, auditBound, exact)
 	}
 	return res, err
-}
-
-// obtainSeq resolves one function's linearization and equivalence-code
-// encoding: from the provider cache when wired and warm, inline otherwise.
-// The boolean reports ownership — inline sequences are the merge's scratch
-// to recycle, cache entries are borrowed.
-func obtainSeq(f *ir.Func, opts *Options) (*encode.Encoded, bool) {
-	// The provider counts its own hits and misses (Timings.CountSeqCache):
-	// a compute-on-miss provider returns non-nil either way, so counting
-	// here would misread every miss as a hit.
-	if opts.SeqProvider != nil {
-		if enc := opts.SeqProvider(f); enc != nil {
-			return enc, false
-		}
-	}
-	return opts.Interner.Encode(linearize.LinearizeOrder(f, opts.Order)), true
-}
-
-// alignSeqs runs the alignment kernel over the two code sequences.
-func alignSeqs(enc1, enc2 *encode.Encoded, opts *Options) []align.Step {
-	steps := opts.Align(enc1.Codes, enc2.Codes)
-	if opts.Timings != nil {
-		opts.Timings.AddAlignCells(int64(len(enc1.Codes)) * int64(len(enc2.Codes)))
-	}
-	return steps
 }
 
 // generate runs code generation with a panic boundary: an internal

@@ -26,11 +26,11 @@ type Timings struct {
 	CodeGen   time.Duration
 
 	// AlignCells counts dynamic-programming cells computed (n·m per kernel
-	// invocation). With the linearization cache on, the counters below
-	// depend on speculative-attempt scheduling, so their values may vary
-	// with the worker count even though the merge results never do.
+	// invocation). With Options.Memo set, the counters below depend on
+	// speculative-attempt scheduling, so their values may vary with the
+	// worker count even though the merge results never do.
 	AlignCells int64
-	// SeqCacheHits/Misses count Options.SeqProvider lookups.
+	// SeqCacheHits/Misses count Options.Memo encoding lookups.
 	SeqCacheHits, SeqCacheMisses int64
 	// BoundEvals counts pre-codegen profitability-bound evaluations and
 	// CodegenSkips the subset that pruned code generation (Options.Prune).
@@ -38,12 +38,6 @@ type Timings struct {
 	// many speculative attempts ran, so they may vary across worker counts
 	// even though the merge results never do.
 	BoundEvals, CodegenSkips int64
-
-	// Verify accumulates time spent in the opt-in IR verification gates
-	// (explore.Options.Verify); VerifyFuncs counts verified functions and
-	// VerifyDiags the findings they produced (zero on a healthy pipeline).
-	Verify                   time.Duration
-	VerifyFuncs, VerifyDiags int64
 }
 
 // AddLinearize atomically accumulates linearization time.
@@ -66,24 +60,13 @@ func (t *Timings) AddAlignCells(n int64) {
 	atomic.AddInt64(&t.AlignCells, n)
 }
 
-// CountSeqCache atomically records one linearization-cache lookup.
+// CountSeqCache atomically records one memo encoding lookup.
 func (t *Timings) CountSeqCache(hit bool) {
 	if hit {
 		atomic.AddInt64(&t.SeqCacheHits, 1)
 	} else {
 		atomic.AddInt64(&t.SeqCacheMisses, 1)
 	}
-}
-
-// AddVerify atomically accumulates IR-verification time.
-func (t *Timings) AddVerify(d time.Duration) {
-	atomic.AddInt64((*int64)(&t.Verify), int64(d))
-}
-
-// CountVerify atomically records verified functions and their finding count.
-func (t *Timings) CountVerify(funcs, diags int) {
-	atomic.AddInt64(&t.VerifyFuncs, int64(funcs))
-	atomic.AddInt64(&t.VerifyDiags, int64(diags))
 }
 
 // CountBound atomically records one profitability-bound evaluation and
@@ -112,16 +95,12 @@ type Options struct {
 	NamePrefix string
 	// Timings, when non-nil, accumulates per-phase wall-clock time.
 	Timings *Timings
-	// SeqProvider, when non-nil, returns a cached linearization and encoding
-	// of f under Order, or nil to make Merge linearize inline; a caching
-	// provider may also compute on miss and never return nil. Returned
-	// values are borrowed: Merge never mutates or recycles them, so one cache
-	// entry may serve many concurrent merges. The provider accounts its own
-	// SeqCacheHits/Misses (Timings.CountSeqCache), and must encode through
-	// Interner so its codes compare with inline ones.
-	SeqProvider func(f *ir.Func) *encode.Encoded
-	// Interner supplies equivalence codes for inline (provider-miss)
-	// encoding. Nil means a fresh table for each Merge call.
+	// Memo, when non-nil, serves both functions' linearization, encoding,
+	// sizes and branch floors (see FuncMemo); it must be built for Order and
+	// for Prune's target. Nil linearizes and measures inline.
+	Memo *FuncMemo
+	// Interner supplies equivalence codes for inline encoding when Memo is
+	// nil. Nil means a fresh table for each Merge call.
 	Interner *encode.Interner
 	// Prune, when non-nil, enables pre-codegen profitability bounding:
 	// Merge evaluates the admissible profit upper bound right after

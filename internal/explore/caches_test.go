@@ -8,22 +8,22 @@ import (
 	"fmsa/internal/workload"
 )
 
-// TestKernelCrossCheck is the pipeline-level check of the alignment path:
-// on the quick corpora (every fourth SPEC-like profile, t=5) a run with the
-// linearization cache on must commit the identical merge records and leave
-// the identical module as a run with it disabled, where every attempt
-// re-linearizes and re-encodes from scratch. The cached run uses four
-// workers and the reference run one, so scheduling-dependent cache hits are
-// exercised too. Together with the kernel oracle
+// TestKernelCrossCheck is the pipeline-level check of the alignment path
+// and the per-function memo: on the quick corpora (every fourth SPEC-like
+// profile, t=5) a run with the memo on must commit the identical merge
+// records and leave the identical module as a run with it off, where every
+// attempt re-linearizes, re-encodes and re-measures both inputs from
+// scratch. The memo run uses four workers and the reference run one, so
+// scheduling-dependent memo hits are exercised too. Together with the kernel oracle
 // (align.TestCodedKernelsMatchOracle) and the encode contract tests, this
 // pins the coded pipeline end to end.
 func TestKernelCrossCheck(t *testing.T) {
-	run := func(p workload.Profile, workers int, noCaches bool) (*Report, string) {
+	run := func(p workload.Profile, workers int, noMemo bool) (*Report, string) {
 		m := workload.Build(p)
 		opts := DefaultOptions()
 		opts.Threshold = 5
 		opts.Workers = workers
-		opts.noSeqCache = noCaches
+		opts.noMemo = noMemo
 		rep := Run(m, opts)
 		return rep, ir.FormatModule(m)
 	}
@@ -34,17 +34,17 @@ func TestKernelCrossCheck(t *testing.T) {
 			t.Fatalf("%s: no merges; the cross-check is vacuous", p.Name)
 		}
 		if !reflect.DeepEqual(ref.Records, got.Records) {
-			t.Errorf("%s: merge records diverge with caches on:\noff: %+v\non:  %+v",
+			t.Errorf("%s: merge records diverge with the memo on:\noff: %+v\non:  %+v",
 				p.Name, ref.Records, got.Records)
 		}
 		if ref.SizeAfter != got.SizeAfter {
-			t.Errorf("%s: final size diverges: caches off %d, on %d", p.Name, ref.SizeAfter, got.SizeAfter)
+			t.Errorf("%s: final size diverges: memo off %d, on %d", p.Name, ref.SizeAfter, got.SizeAfter)
 		}
 		if refMod != gotMod {
-			t.Errorf("%s: final module text diverges with caches on", p.Name)
+			t.Errorf("%s: final module text diverges with the memo on", p.Name)
 		}
 		if got.SeqCacheHits == 0 {
-			t.Errorf("%s: cache idle in the cached run (seq hits %d)", p.Name, got.SeqCacheHits)
+			t.Errorf("%s: memo idle in the memo run (seq hits %d)", p.Name, got.SeqCacheHits)
 		}
 	}
 }
@@ -63,7 +63,7 @@ func TestKernelCountersPopulated(t *testing.T) {
 		t.Error("AlignCells stayed zero despite alignments running")
 	}
 	if rep.SeqCacheHits == 0 {
-		t.Error("SeqCacheHits stayed zero despite the pre-built linearization cache")
+		t.Error("SeqCacheHits stayed zero despite the preloaded memo")
 	}
 	if rep.SeqCacheHits+rep.SeqCacheMisses == 0 {
 		t.Error("cache counters not populated")

@@ -84,11 +84,11 @@ type Options struct {
 	// merge decisions — so results stay bit-identical with it on or off.
 	Verify ir.VerifyLevel
 
-	// noSeqCache is the test hook that disables the per-function
-	// linearization+encoding cache (every merge attempt re-linearizes both
-	// inputs; see caches.go). The cache is semantically invisible; the hook
-	// exists so tests can prove it.
-	noSeqCache bool
+	// noMemo is the test hook that turns the per-function memo off (every
+	// merge attempt re-linearizes and re-measures both inputs; see
+	// caches.go). The memo is semantically invisible; the hook exists so
+	// tests can prove it.
+	noMemo bool
 	// noBound is the test hook that disables pre-codegen profitability
 	// bounding: every aligned candidate pair is materialized and priced
 	// exactly. A pruned pair is one the exact cost model would have
@@ -299,16 +299,9 @@ type runner struct {
 	// lsh is the MinHash index state; nil when ranking is exact or the pool
 	// fell below the LSH cutoff.
 	lsh *lshState
-	// seqs is the per-function linearization+encoding cache; nil when the
-	// noSeqCache hook is set or the runner only snapshots rankings.
-	seqs *seqCache
-	// costs memoizes per-function cost-model sizes for the profitability
-	// bound and the exact profit evaluation; nil when the runner only
-	// snapshots rankings. Invalidated alongside seqs (same stale set).
-	costs *tti.CostMemo
-	// floors memoizes each function's static branch-floor facts for the
-	// bound; same lifetime and invalidation as costs.
-	floors *core.FloorMemo
+	// memo is the per-function memo (caches.go); nil when the noMemo hook
+	// is set or the runner only snapshots rankings.
+	memo *core.FuncMemo
 	// rankProbes and rankSkips accumulate scan counters atomically (scans
 	// run inside par.For); flushRankCounters folds them into rep. The
 	// totals are deterministic: the same set of scans runs at every Workers
@@ -444,7 +437,7 @@ func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 		// Candidate evaluation: speculative merge attempts fan out across
 		// the worker pool; the winner is selected deterministically (first
 		// profitable rank in greedy mode, best profit in oracle mode).
-		win, evaluated := evalCandidates(f, cands, r.opts, r.costs, r.floors, r.workers, !r.opts.Oracle, r.neg, r.keys)
+		win, evaluated := evalCandidates(f, cands, r.opts, r.workers, !r.opts.Oracle, r.neg, r.keys)
 		r.rep.CandidatesEvaluated += evaluated
 		if win.res == nil {
 			continue
@@ -479,8 +472,8 @@ func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 	if r.opts.Verify != ir.VerifyOff {
 		tV := time.Now()
 		diags := ir.VerifyModuleLevel(m, r.opts.Verify)
-		r.opts.Merge.Timings.AddVerify(time.Since(tV))
-		r.opts.Merge.Timings.CountVerify(len(m.Definitions()), len(diags))
+		r.rep.Phases.Verify += time.Since(tV)
+		r.rep.VerifiedFuncs += int64(len(m.Definitions()))
 		r.rep.VerifyDiags = append(r.rep.VerifyDiags, diags...)
 	}
 
@@ -494,8 +487,6 @@ func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 	r.rep.SeqCacheMisses = tm.SeqCacheMisses
 	r.rep.BoundEvals = tm.BoundEvals
 	r.rep.CodegenSkips = tm.CodegenSkips
-	r.rep.Phases.Verify = tm.Verify
-	r.rep.VerifiedFuncs = tm.VerifyFuncs
 	r.flushRankCounters()
 	return r.rep
 }
@@ -517,8 +508,8 @@ func discard(res *core.Result, tm *core.Timings) {
 func (r *runner) verifyFunc(f *ir.Func) {
 	tV := time.Now()
 	diags := ir.VerifyFuncLevel(f, r.opts.Verify)
-	r.opts.Merge.Timings.AddVerify(time.Since(tV))
-	r.opts.Merge.Timings.CountVerify(1, len(diags))
+	r.rep.Phases.Verify += time.Since(tV)
+	r.rep.VerifiedFuncs++
 	r.rep.VerifyDiags = append(r.rep.VerifyDiags, diags...)
 }
 
@@ -536,11 +527,11 @@ func (r *runner) cacheThreshold() int {
 // pool and the work list (the Fig. 7 feedback loop), and the ranking cache
 // invalidates exactly the entries the commit touched.
 func (r *runner) commit(res *core.Result, profit, rank int) {
-	// Gather the linearization-cache invalidation set before committing:
-	// Commit rewrites caller call sites and then drains the originals' use
-	// lists, so the caller set is only visible now.
+	// Gather the memo's invalidation set before committing: Commit rewrites
+	// caller call sites and then drains the originals' use lists, so the
+	// caller set is only visible now.
 	var stale []*ir.Func
-	if r.seqs != nil || r.costs != nil {
+	if r.memo != nil {
 		stale = staleAfterCommit(res)
 	}
 	tUp := time.Now()

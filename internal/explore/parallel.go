@@ -28,7 +28,6 @@ import (
 
 	"fmsa/internal/core"
 	"fmsa/internal/ir"
-	"fmsa/internal/tti"
 )
 
 // attempt is one speculative merge outcome. rank is -1 when the worker
@@ -68,7 +67,7 @@ const pruneMinProfit = 0
 // every candidate are registered before the fan-out, so the memo's
 // contents — and what a store persists of them — are the same for every
 // worker count.
-func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.CostMemo, floors *core.FloorMemo, w int, greedy bool, neg *negMemo, keys *keyTable) (attempt, int) {
+func evalCandidates(f *ir.Func, cands []candidate, opts Options, w int, greedy bool, neg *negMemo, keys *keyTable) (attempt, int) {
 	n := len(cands)
 	if n == 0 {
 		return attempt{rank: -1}, 0
@@ -142,8 +141,6 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 					S1:        fStats,
 					S2:        cStats[i],
 					MinProfit: pruneMinProfit,
-					Costs:     costs,
-					Floors:    floors,
 				}
 			}
 			res, err := core.Merge(f, cands[i].fn, mo)
@@ -153,7 +150,7 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 				}
 				continue
 			}
-			profit := res.ProfitWithStatsMemo(opts.Target, fStats, cStats[i], costs)
+			profit := res.ProfitWithStats(opts.Target, fStats, cStats[i], opts.Merge.Memo)
 			if profit <= 0 {
 				discard(res, opts.Merge.Timings)
 				if memoOK {

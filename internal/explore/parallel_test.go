@@ -81,13 +81,13 @@ func TestParallelDeterminism(t *testing.T) {
 			o.lshMinPool = 1
 			return o
 		}()},
-		// The default configs above already run with the linearization
-		// cache on; this pins the cache-off path to the same bit-identical
+		// The default configs above already run with the per-function memo
+		// on; this pins the memo-off path to the same bit-identical
 		// requirement.
 		{"greedy-nocaches", func() Options {
 			o := DefaultOptions()
 			o.Threshold = 5
-			o.noSeqCache = true
+			o.noMemo = true
 			return o
 		}()},
 		// Pre-codegen bounding must be decision-invisible: the bound-off
@@ -318,7 +318,7 @@ func TestRankCacheMatchesFullRescan(t *testing.T) {
 							pops, i, got[i].fn.Name(), want[i].fn.Name())
 					}
 				}
-				win, evaluated := evalCandidates(f, got, r.opts, r.costs, r.floors, 1, true, nil, nil)
+				win, evaluated := evalCandidates(f, got, r.opts, 1, true, nil, nil)
 				r.rep.CandidatesEvaluated += evaluated
 				if win.res != nil {
 					r.commit(win.res, win.profit, win.rank+1)

@@ -181,7 +181,7 @@ func TestScanExactMatchesPoolOrderCorpus(t *testing.T) {
 				t.Fatalf("%s: rescan of %s after %d merges: %s", p.Name, f.Name(), r.rep.MergeOps, d)
 			}
 			got := r.cache.take(f)
-			win, _ := evalCandidates(f, got, r.opts, r.costs, r.floors, 1, true, nil, nil)
+			win, _ := evalCandidates(f, got, r.opts, 1, true, nil, nil)
 			if win.res != nil {
 				r.commit(win.res, win.profit, win.rank+1)
 			}

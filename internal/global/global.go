@@ -129,23 +129,20 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 	}
 	rep.ExactScoredPairs = len(wave)
 	timings := &core.Timings{}
-	memo := tti.NewCostMemo()
-	interner := encode.NewInterner()
+	base := core.DefaultOptions()
+	base.NamePrefix = "gm"
+	base.Timings = timings
+	base.Memo = core.NewFuncMemo(opts.Target, base.Order, encode.NewInterner())
 	stats := core.CallerStats{AddressTaken: true} // thunk-commit semantics
 	par.For(len(wave), workers, func(w int) {
 		st := &states[wave[w]]
-		mo := core.DefaultOptions()
-		mo.NamePrefix = "gm"
-		mo.Timings = timings
-		mo.Interner = interner
-		mo.Prune = &core.PruneSpec{
-			Target: opts.Target, S1: stats, S2: stats, Costs: memo,
-		}
+		mo := base
+		mo.Prune = &core.PruneSpec{Target: opts.Target, S1: stats, S2: stats}
 		res, err := core.Merge(st.f1, st.f2, mo)
 		if err != nil {
 			return
 		}
-		profit := res.ProfitWithStatsMemo(opts.Target, stats, stats, memo)
+		profit := res.ProfitWithStats(opts.Target, stats, stats, base.Memo)
 		if profit <= 0 {
 			res.Discard()
 			return

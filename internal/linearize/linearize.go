@@ -5,11 +5,7 @@
 // post-order with canonical successor ordering, which is the default here.
 package linearize
 
-import (
-	"sync"
-
-	"fmsa/internal/ir"
-)
+import "fmsa/internal/ir"
 
 // Entry is one element of a linearized function: either a block label or an
 // instruction. Exactly one of Block and Inst is non-nil.
@@ -73,7 +69,7 @@ func LinearizeOrder(f *ir.Func, order Order) []Entry {
 	for _, b := range blocks {
 		n += len(b.Insts)
 	}
-	seq := getSeq(n)
+	seq := make([]Entry, 0, n)
 	for _, b := range blocks {
 		seq = append(seq, Entry{Block: b})
 		for _, in := range b.Insts {
@@ -81,36 +77,6 @@ func LinearizeOrder(f *ir.Func, order Order) []Entry {
 		}
 	}
 	return seq
-}
-
-// seqPool recycles linearization buffers across merge attempts. Exploration
-// linearizes two functions per attempt, thousands of times per module;
-// recycling the backing arrays removes that allocation churn. Callers that
-// keep the sequence (visualization, ablation measurements) simply never
-// recycle it.
-var seqPool sync.Pool // *[]Entry
-
-func getSeq(n int) []Entry {
-	if p, ok := seqPool.Get().(*[]Entry); ok && cap(*p) >= n {
-		return (*p)[:0]
-	}
-	return make([]Entry, 0, n)
-}
-
-// Recycle returns a sequence produced by Linearize or LinearizeOrder to the
-// scratch pool. The caller must not touch seq afterwards. Entries are
-// cleared first so pooled scratch does not pin IR objects against garbage
-// collection.
-func Recycle(seq []Entry) {
-	if cap(seq) == 0 {
-		return
-	}
-	seq = seq[:cap(seq)]
-	for i := range seq {
-		seq[i] = Entry{}
-	}
-	seq = seq[:0]
-	seqPool.Put(&seq)
 }
 
 func dfsOrder(f *ir.Func) []*ir.Block {

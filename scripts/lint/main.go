@@ -11,12 +11,11 @@
 // goroutine-private).
 //
 // Invariant 2 — pool pairing (internal/align, internal/linearize,
-// internal/encode, internal/core): every
+// internal/encode, internal/core, internal/wire): every
 // buffer obtained from a sync.Pool getter must, within the same function,
 // either be released to the matching putter or be handed off — by returning
-// it to the caller (who then inherits the obligation — e.g. nwScoreRow
-// returns its prev row for the caller to recycle, and Linearize returns
-// the pooled sequence that exploration later passes to Recycle), or by
+// it to the caller (who then inherits the obligation — e.g. getBitScratch
+// returns pooled scratch that nwBitCodes releases with putBitScratch), or by
 // assigning it to a struct field (the owning object's lifecycle inherits
 // the obligation — e.g. generate parks its mergerScratch in Result.scratch,
 // which Discard and Commit release). Getter
