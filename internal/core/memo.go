@@ -7,14 +7,14 @@ import (
 	"fmsa/internal/encode"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
-	"fmsa/internal/par"
 	"fmsa/internal/tti"
 )
 
 // FuncMemo caches the per-function facts that every merge attempt would
 // otherwise recompute from an unchanged body: the linearization and its
 // equivalence codes, the function's code size, the size of a call to it and
-// the static half of its branch floor (brFloors). It also holds its
+// the static half of its branch floor (brFloors), plus whether its body
+// still holds φs, which the merger rejects. It also holds its
 // target's fixed synthetic-instruction sizes and the sizes of calls by
 // arity. The exploration loop (§IV, Fig. 7) tries each function against up
 // to t candidates, and every attempt needs all of these for both sides; the
@@ -36,9 +36,10 @@ import (
 // evaluation wave). Drop must not race with lookups of the same function,
 // which holds because drops run serially between waves. Every fill runs
 // outside the lock and is a pure function of the body, so racing fills
-// agree and the first writer wins. The encoding is filled when the entry is
-// created; the sizes and floors on first use, because most encoded
-// functions are never bounded.
+// agree and the first writer wins. An entry is created on the function's
+// first lookup, which encodes it and checks it for φs; the sizes and
+// floors fill on first use, because most encoded functions are never
+// bounded.
 type FuncMemo struct {
 	target   tti.Target
 	order    linearize.Order
@@ -61,12 +62,15 @@ func NewFuncMemo(t tti.Target, order linearize.Order, in *encode.Interner) *Func
 	}
 }
 
-// funcEntry is one function's memoized facts: enc from creation, the rest
-// on first use. Without a memo, Merge builds a transient entry per side, so
-// the bound and the code generator share one computation either way.
+// funcEntry is one function's memoized facts: enc and phi from creation,
+// the rest on first use. Without a memo, Merge builds a transient entry per
+// side, so the bound and the code generator share one computation either
+// way.
 type funcEntry struct {
-	f      *ir.Func
-	enc    *encode.Encoded
+	f   *ir.Func
+	enc *encode.Encoded
+	// phi reports that the body holds a φ instruction.
+	phi    bool
 	size   lazySize // tti.FuncSize
 	call   lazySize // size of a call to f
 	floors atomic.Pointer[brFloors]
@@ -86,7 +90,13 @@ func (l *lazySize) get(fill func() int) int {
 }
 
 func newEntry(f *ir.Func, order linearize.Order, in *encode.Interner) *funcEntry {
-	return &funcEntry{f: f, enc: in.Encode(linearize.LinearizeOrder(f, order))}
+	e := &funcEntry{f: f, enc: in.Encode(linearize.LinearizeOrder(f, order))}
+	f.Insts(func(in *ir.Inst) {
+		if in.Op == ir.OpPhi {
+			e.phi = true
+		}
+	})
+	return e
 }
 
 // funcSize returns tti.FuncSize of the entry's function on t.
@@ -129,20 +139,6 @@ func (m *FuncMemo) lookup(f *ir.Func) (*funcEntry, bool) {
 	}
 	m.mu.Unlock()
 	return e, false
-}
-
-// Preload creates the entries of fs on up to workers goroutines. It counts
-// no lookups.
-func (m *FuncMemo) Preload(fs []*ir.Func, workers int) {
-	es := make([]*funcEntry, len(fs))
-	par.For(len(fs), workers, func(i int) {
-		es[i] = newEntry(fs[i], m.order, m.interner)
-	})
-	m.mu.Lock()
-	for i, f := range fs {
-		m.entries[f] = es[i]
-	}
-	m.mu.Unlock()
 }
 
 // Drop forgets f's entry; the next lookup re-encodes and re-measures f.

@@ -158,12 +158,11 @@ func TestFuncMemoMatchesDirect(t *testing.T) {
 				}
 			}
 
-			// Refill from scratch: half preloaded, half created by racing
-			// misses; every lazy field is filled by racing lookups.
+			// Refill from scratch: every entry is created by racing misses
+			// and every lazy field filled by racing lookups.
 			for _, f := range funcs {
 				memo.Drop(f)
 			}
-			memo.Preload(funcs[:len(funcs)/2], 2)
 			var wg sync.WaitGroup
 			for range 4 {
 				wg.Add(1)

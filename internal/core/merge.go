@@ -56,16 +56,6 @@ func Merge(f1, f2 *ir.Func, opts Options) (*Result, error) {
 	if f1.Sig().Variadic || f2.Sig().Variadic {
 		return nil, fmt.Errorf("cannot merge variadic functions")
 	}
-	if err := checkPhiFree(f1); err != nil {
-		return nil, err
-	}
-	if err := checkPhiFree(f2); err != nil {
-		return nil, err
-	}
-	retTy, err := mergeReturnTypes(f1.ReturnType(), f2.ReturnType())
-	if err != nil {
-		return nil, err
-	}
 	if opts.Align == nil {
 		opts.Align = align.AlignCodes
 	}
@@ -83,12 +73,22 @@ func Merge(f1, f2 *ir.Func, opts Options) (*Result, error) {
 	}
 
 	// Step 1: linearization (§III-B), from the memo when the caller wired
-	// one.
+	// one. The entry also carries the φ check, so a memo pays it once per
+	// function rather than once per attempt.
 	tLin := time.Now()
 	e1, e2 := opts.entry(f1), opts.entry(f2)
 	seq1, seq2 := e1.enc.Seq, e2.enc.Seq
 	if opts.Timings != nil {
 		opts.Timings.AddLinearize(time.Since(tLin))
+	}
+	for _, e := range [...]*funcEntry{e1, e2} {
+		if e.phi {
+			return nil, fmt.Errorf("%s contains phi instructions; run DemotePhis first", e.f.Ident())
+		}
+	}
+	retTy, err := mergeReturnTypes(f1.ReturnType(), f2.ReturnType())
+	if err != nil {
+		return nil, err
 	}
 
 	// Step 2: sequence alignment (§III-C) over the equivalence codes.
@@ -195,19 +195,6 @@ func generate(f1, f2 *ir.Func, seq1, seq2 []linearize.Entry, steps []align.Step,
 	}
 	res.Stats.HasFuncID = res.HasFuncID
 	return res, nil
-}
-
-func checkPhiFree(f *ir.Func) error {
-	var bad bool
-	f.Insts(func(in *ir.Inst) {
-		if in.Op == ir.OpPhi {
-			bad = true
-		}
-	})
-	if bad {
-		return fmt.Errorf("%s contains phi instructions; run DemotePhis first", f.Ident())
-	}
-	return nil
 }
 
 // Discard abandons a merged function that was never committed, releasing

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"fmsa/internal/encode"
 	"fmsa/internal/interp"
 	"fmsa/internal/ir"
+	"fmsa/internal/passes"
 	"fmsa/internal/tti"
 )
 
@@ -381,6 +383,55 @@ entry:
 `)
 	if _, err := Merge(a, other.FuncByName("b"), DefaultOptions()); err == nil {
 		t.Error("cross-module merge must fail")
+	}
+}
+
+// TestMergeRejectsPhi checks that Merge refuses a φ-bearing input on
+// either side with the same error text with and without a memo, that a
+// memo keeps refusing it from the cached verdict, and that once the body is
+// demoted and its entry dropped the pair merges.
+func TestMergeRejectsPhi(t *testing.T) {
+	m := ir.MustParseModule("phi", `
+define internal void @a(i1 %c) {
+entry:
+  ret void
+}
+
+define internal void @withphi(i1 %c) {
+entry:
+  br i1 %c, label %x, label %y
+x:
+  br label %j
+y:
+  br label %j
+j:
+  %p = phi i32 [ 1, %x ], [ 2, %y ]
+  ret void
+}
+`)
+	a, phi := m.FuncByName("a"), m.FuncByName("withphi")
+	want := phi.Ident() + " contains phi instructions; run DemotePhis first"
+	withMemo := DefaultOptions()
+	withMemo.Interner = encode.NewInterner()
+	withMemo.Memo = NewFuncMemo(tti.X86{}, withMemo.Order, withMemo.Interner)
+	for _, opts := range []Options{DefaultOptions(), withMemo} {
+		for range 2 { // with a memo, the second round reads the cached verdict
+			for _, pair := range [][2]*ir.Func{{a, phi}, {phi, a}} {
+				if _, err := Merge(pair[0], pair[1], opts); err == nil || err.Error() != want {
+					t.Errorf("memo=%t: Merge(@%s, @%s) = %v, want %q",
+						opts.Memo != nil, pair[0].Name(), pair[1].Name(), err, want)
+				}
+			}
+		}
+	}
+	passes.DemotePhis(phi)
+	withMemo.Memo.Drop(phi)
+	for _, opts := range []Options{DefaultOptions(), withMemo} {
+		res, err := Merge(a, phi, opts)
+		if err != nil {
+			t.Fatalf("memo=%t: merge after DemotePhis: %v", opts.Memo != nil, err)
+		}
+		res.Discard()
 	}
 }
 

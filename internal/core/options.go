@@ -30,7 +30,9 @@ type Timings struct {
 	// speculative-attempt scheduling, so their values may vary with the
 	// worker count even though the merge results never do.
 	AlignCells int64
-	// SeqCacheHits/Misses count Options.Memo encoding lookups.
+	// SeqCacheHits/Misses count Options.Memo entry lookups. An entry is
+	// created, and its function encoded, on a miss: the function's first
+	// lookup, and its first after a Drop.
 	SeqCacheHits, SeqCacheMisses int64
 	// BoundEvals counts pre-codegen profitability-bound evaluations and
 	// CodegenSkips the subset that pruned code generation (Options.Prune).
@@ -96,8 +98,8 @@ type Options struct {
 	// Timings, when non-nil, accumulates per-phase wall-clock time.
 	Timings *Timings
 	// Memo, when non-nil, serves both functions' linearization, encoding,
-	// sizes and branch floors (see FuncMemo); it must be built for Order and
-	// for Prune's target. Nil linearizes and measures inline.
+	// φ check, sizes and branch floors (see FuncMemo); it must be built for
+	// Order and for Prune's target. Nil linearizes and measures inline.
 	Memo *FuncMemo
 	// Interner supplies equivalence codes for inline encoding when Memo is
 	// nil. Nil means a fresh table for each Merge call.

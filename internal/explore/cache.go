@@ -135,26 +135,19 @@ func insertFloor(cands []candidate, depth int, complete bool, minSim float64) fl
 // parallel across the run's worker pool. In LSH mode the bucket probes for
 // the whole pool run first as one batched, worker-pool-parallel pass.
 //
-// Under a warm seed, owners with a reconciled session list adopt it without
-// scanning, and the remaining scans run as in a cold build, each result
-// handed back to the session (onScan) before truncation to t — both paths
-// leave the installed lists exactly what a cold build produces.
-func newRankCache(r *runner, t int) *rankCache {
+// seeds (nil on a cold run) holds a warm session's reconciled lists:
+// owners with one adopt it without scanning, and the rest scan as in a
+// cold build — both paths leave the installed lists exactly what a cold
+// build produces.
+func newRankCache(r *runner, t int, seeds []*rankList) *rankCache {
 	c := &rankCache{r: r, t: t, depth: 2 * t, lists: make(map[*ir.Func]*rankList, len(r.pool))}
 	built := make([]*rankList, len(r.pool))
 	var scan []int32
-	if seed := r.seed; seed != nil {
-		for i := range r.pool {
-			if rl := seed.lists[i]; rl != nil {
-				built[i] = rl
-			} else {
-				scan = append(scan, int32(i))
-			}
-		}
-	} else {
-		scan = make([]int32, len(r.pool))
-		for i := range scan {
-			scan[i] = int32(i)
+	for i := range r.pool {
+		if i < len(seeds) && seeds[i] != nil {
+			built[i] = seeds[i]
+		} else {
+			scan = append(scan, int32(i))
 		}
 	}
 	depth := c.depth
@@ -183,17 +176,11 @@ func newRankCache(r *runner, t int) *rankCache {
 	return c
 }
 
-// finishScan installs a setup-scan result at the storage depth and hands it
-// to the session store (when seeded). A scan that came back shorter than
-// the depth visited every qualifying candidate, so the list is complete.
-// The stored session copy and the run's list never alias: onScan converts
-// to name-keyed entries.
+// finishScan installs a setup-scan result at the storage depth. A scan
+// that came back shorter than the depth visited every qualifying
+// candidate, so the list is complete.
 func (c *rankCache) finishScan(poolIdx int, cands []candidate) *rankList {
-	rl := &rankList{fp: c.r.poolFPs[poolIdx], cands: cands, complete: len(cands) < c.depth}
-	if seed := c.r.seed; seed != nil && seed.onScan != nil {
-		seed.onScan(poolIdx, rl)
-	}
-	return rl
+	return &rankList{fp: c.r.poolFPs[poolIdx], cands: cands, complete: len(cands) < c.depth}
 }
 
 // take returns f's candidate ranking — the first t live entries of its

@@ -1,10 +1,12 @@
 package explore
 
 // The exploration-scoped per-function memo (core.FuncMemo): each pool
-// function's linearization, encoding, code size, call size and branch
-// floors, kept so the O(pool·t) speculative merge attempts stop
-// recomputing them for the same functions. Alignment itself is not cached:
-// every attempt aligns its pair afresh, as in the paper.
+// function's linearization, encoding, φ verdict, code size, call size and
+// branch floors, kept so the O(pool·t) speculative merge attempts stop
+// recomputing them for the same functions. The run setup creates it empty;
+// an entry fills on its function's first lookup by a merge attempt, so
+// functions no attempt reaches are never encoded. Alignment itself is not
+// cached: every attempt aligns its pair afresh, as in the paper.
 //
 // Determinism: the memo is semantically invisible. A hit returns exactly
 // what recomputation would, and a commit drops every function it mutates
@@ -15,26 +17,9 @@ package explore
 // and TestParallelDeterminism run with the memo on and off).
 
 import (
-	"time"
-
 	"fmsa/internal/core"
 	"fmsa/internal/ir"
 )
-
-// setupCaches builds the run's memo and encodes the initial pool into it (in
-// parallel — each function is independent). Called from Run, not setup, so
-// snapshotRanking never pays for it; the encoding wall time lands in the
-// Linearize phase via the shared Timings.
-func (r *runner) setupCaches() {
-	if r.opts.noMemo {
-		return
-	}
-	start := time.Now()
-	r.memo = core.NewFuncMemo(r.opts.Target, r.opts.Merge.Order, r.opts.Merge.Interner)
-	r.memo.Preload(r.pool, r.workers)
-	r.opts.Merge.Memo = r.memo
-	r.opts.Merge.Timings.AddLinearize(time.Since(start))
-}
 
 // staleAfterCommit lists every function whose memo entry the pending commit
 // will invalidate: the two merged inputs, plus every caller function —

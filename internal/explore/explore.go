@@ -198,8 +198,10 @@ type Report struct {
 	// found, so it may vary across worker counts — the merge results above
 	// never do.
 	AlignCells int64
-	// SeqCacheHits and SeqCacheMisses count linearization-cache lookups by
-	// merge attempts (two per attempt when the cache is enabled).
+	// SeqCacheHits and SeqCacheMisses count per-function memo lookups by
+	// merge attempts (two per attempt). The memo starts empty, so a
+	// function's first lookup — and its first after a commit invalidated
+	// it — is a miss, which encodes it.
 	SeqCacheHits, SeqCacheMisses int64
 	// AlignMemoHits and AlignMemoMisses are always zero: exploration no
 	// longer memoizes alignments. They remain only for readers that still
@@ -299,119 +301,154 @@ type runner struct {
 	// lsh is the MinHash index state; nil when ranking is exact or the pool
 	// fell below the LSH cutoff.
 	lsh *lshState
-	// memo is the per-function memo (caches.go); nil when the noMemo hook
-	// is set or the runner only snapshots rankings.
+	// memo is the per-function memo (caches.go), empty at setup; nil when
+	// the noMemo hook is set.
 	memo *core.FuncMemo
 	// rankProbes and rankSkips accumulate scan counters atomically (scans
 	// run inside par.For); flushRankCounters folds them into rep. The
 	// totals are deterministic: the same set of scans runs at every Workers
 	// value.
 	rankProbes, rankSkips int64
-	// seed is the warm-session state driving this run; nil on a cold
-	// standalone Run. neg and keys mirror seed's tables (nil without one).
-	seed *warmSeed
+	// neg and keys are the warm session's content tables (warm.go); nil on
+	// a standalone Run.
 	neg  *negMemo
 	keys *keyTable
 }
 
-// setup builds the runner state shared by Run and the snapshotRanking
-// test helper: φ-demotion, pool selection, parallel fingerprinting, the
-// optional LSH index and the initial rank cache.
-func setup(m *ir.Module, opts Options) *runner {
-	return setupSeeded(m, opts, nil)
+// normalized fills in the defaults a run relies on: threshold 1, the Intel
+// target and an encode interner — per run, or session-lived when NewSession
+// pins its options.
+func (o Options) normalized() Options {
+	if o.Threshold <= 0 {
+		o.Threshold = 1
+	}
+	if o.Target == nil {
+		o.Target = tti.X86{}
+	}
+	if o.Merge.Interner == nil {
+		o.Merge.Interner = encode.NewInterner()
+	}
+	return o
 }
 
-// setupSeeded is setup with an optional warm-session seed: fingerprints,
-// the LSH index and (some) initial rankings come pre-built, keyed to the
-// pool the session derived from the identical module state.
-func setupSeeded(m *ir.Module, opts Options, seed *warmSeed) *runner {
-	if opts.Threshold <= 0 {
-		opts.Threshold = 1
-	}
-	if opts.Target == nil {
-		opts.Target = tti.X86{}
-	}
+// newRunner begins the one run setup Run and Session.Submit share: it
+// normalizes opts, measures SizeBefore, φ-demotes m (the merger requires
+// φ-free input, §III-A), derives the candidate pool and creates the run's
+// empty per-function memo, which fills on first lookup. The fill steps
+// fingerprintPool, indexPool and rankPool then complete the setup, in that
+// order: a cold run passes them nothing, a session submit what it cached.
+func newRunner(m *ir.Module, opts Options) *runner {
+	opts = opts.normalized()
 	r := &runner{
 		m:       m,
 		opts:    opts,
 		workers: par.Workers(opts.Workers),
 		rep:     &Report{SizeBefore: tti.ModuleSize(opts.Target, m)},
-		seed:    seed,
-	}
-	if seed != nil {
-		r.neg = seed.neg
-		r.keys = seed.keys
 	}
 	r.opts.Merge.Timings = &core.Timings{}
-	if r.opts.Merge.Interner == nil {
-		// Per-run table: its lifetime (and memory) matches the module's.
-		r.opts.Merge.Interner = encode.NewInterner()
+	if !opts.noMemo {
+		r.memo = core.NewFuncMemo(opts.Target, opts.Merge.Order, opts.Merge.Interner)
+		r.opts.Merge.Memo = r.memo
 	}
-
-	// Pre-processing: the merger requires φ-free input (§III-A). Sessions
-	// demote before diffing, so this is a no-op under a seed.
 	passes.DemotePhisModule(m)
-
-	// Fingerprint extraction for all eligible functions, fanned out across
-	// the worker pool (each function is independent). A seed supplies them
-	// precomputed, parallel to the pool it derived from the same module.
 	tFP := time.Now()
 	for _, f := range m.Funcs {
 		if eligible(f, r.opts) {
 			r.pool = append(r.pool, f)
 		}
 	}
-	fpByIdx := make([]*fingerprint.Fingerprint, len(r.pool))
-	if seed != nil {
-		if len(seed.fps) != len(r.pool) {
-			panic("explore: warm seed does not match the derived pool")
-		}
-		copy(fpByIdx, seed.fps)
-	} else {
-		par.For(len(r.pool), r.workers, func(i int) {
-			fpByIdx[i] = fingerprint.Compute(r.pool[i])
-		})
+	r.rep.Phases.Fingerprint += time.Since(tFP)
+	return r
+}
+
+// setup is the cold run setup: the constructor and every fill step, with
+// nothing cached. Run and the tests that drive a runner by hand use it.
+func setup(m *ir.Module, opts Options) *runner {
+	r := newRunner(m, opts)
+	r.fingerprintPool(nil)
+	r.indexPool(nil)
+	r.rankPool(nil)
+	return r
+}
+
+// fingerprintPool fills fps[i], pool[i]'s fingerprint, wherever it is nil,
+// fanned out across the worker pool (each function is independent), and
+// keeps fps as the run's pool state. A nil fps computes every fingerprint.
+func (r *runner) fingerprintPool(fps []*fingerprint.Fingerprint) {
+	tFP := time.Now()
+	if fps == nil {
+		fps = make([]*fingerprint.Fingerprint, len(r.pool))
 	}
-	r.poolFPs = fpByIdx
+	par.For(len(r.pool), r.workers, func(i int) {
+		if fps[i] == nil {
+			fps[i] = fingerprint.Compute(r.pool[i])
+		}
+	})
+	r.poolFPs = fps
 	r.poolSizes = make([]int32, len(r.pool))
 	r.poolLive = make([]bool, len(r.pool))
 	r.poolIdx = make(map[*ir.Func]int32, len(r.pool))
 	for i, f := range r.pool {
 		r.poolIdx[f] = int32(i)
-		r.poolSizes[i] = fpByIdx[i].Total
+		r.poolSizes[i] = fps[i].Total
 		r.poolLive[i] = true
 	}
 	r.worklist = append(r.worklist, r.pool...)
 	r.rep.Phases.Fingerprint += time.Since(tFP)
+}
 
-	// Initial ranking: build every pool member's top-t list up front, in
-	// parallel — signatures and the LSH index first when requested. From
-	// here on the cache is maintained incrementally; the unbounded oracle
-	// ranks nothing, so it skips the cache (and the index) entirely.
+// indexPool builds the run's LSH index when it ranks through one: sigs[i],
+// pool[i]'s MinHash signature, is filled wherever it is nil, in parallel,
+// and the index is built over sigs, which it keeps. A nil sigs signs every
+// member. When RankLSH was requested on a pool below the cutoff the
+// fallback is recorded instead; the unbounded oracle ranks nothing and
+// builds no index.
+func (r *runner) indexPool(sigs []*fingerprint.Signature) {
+	if r.cacheThreshold() == 0 {
+		return
+	}
+	tRank := time.Now()
+	if useLSH(r.opts, len(r.pool)) {
+		if sigs == nil {
+			sigs = make([]*fingerprint.Signature, len(r.pool))
+		}
+		par.For(len(r.pool), r.workers, func(i int) {
+			if sigs[i] == nil {
+				sigs[i] = fingerprint.ComputeSignature(r.pool[i])
+			}
+		})
+		r.lsh = newLSHState(sigs, r.workers)
+	} else if r.opts.Ranking == RankLSH {
+		r.rep.RankFallbacks++
+	}
+	r.rep.Phases.Ranking += time.Since(tRank)
+}
+
+// rankPool builds every pool member's initial candidate list, in parallel
+// (see newRankCache): seeds[i], when non-nil, is pool[i]'s reconciled
+// session list and is adopted without a scan. A nil seeds scans every
+// owner. From here on the cache is maintained incrementally; the unbounded
+// oracle ranks nothing, so it skips the cache.
+func (r *runner) rankPool(seeds []*rankList) {
 	if t := r.cacheThreshold(); t > 0 {
 		tRank := time.Now()
-		r.initLSH()
-		r.cache = newRankCache(r, t)
+		r.cache = newRankCache(r, t, seeds)
 		r.rep.Phases.Ranking += time.Since(tRank)
 	}
-	return r
 }
 
 // Run executes the exploration framework on m, committing every profitable
 // merge it finds.
 func Run(m *ir.Module, opts Options) *Report {
-	return runSeeded(m, opts, nil)
+	return setup(m, opts).run()
 }
 
-// runSeeded is Run with an optional warm-session seed (see Session). The
-// committed merges are bit-identical with and without a seed: every reused
-// artifact is either content-verified (the negative-attempt memo) or
-// provably equal to what a cold run would rebuild (fingerprints,
-// index state, seeded rankings).
-func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
-	r := setupSeeded(m, opts, seed)
-	r.setupCaches()
-
+// run executes the exploration loop over a set-up runner and completes its
+// report. Warm session submits run it too: every artifact they seed the
+// setup with is either content-verified (the negative-attempt memo) or
+// provably equal to what a cold setup builds (fingerprints, signatures,
+// reconciled rankings), so the committed merges are bit-identical.
+func (r *runner) run() *Report {
 	for len(r.worklist) > 0 {
 		f := r.worklist[0]
 		r.worklist = r.worklist[1:]
@@ -471,13 +508,13 @@ func runSeeded(m *ir.Module, opts Options, seed *warmSeed) *Report {
 	// or use-list leak a commit left behind.
 	if r.opts.Verify != ir.VerifyOff {
 		tV := time.Now()
-		diags := ir.VerifyModuleLevel(m, r.opts.Verify)
+		diags := ir.VerifyModuleLevel(r.m, r.opts.Verify)
 		r.rep.Phases.Verify += time.Since(tV)
-		r.rep.VerifiedFuncs += int64(len(m.Definitions()))
+		r.rep.VerifiedFuncs += int64(len(r.m.Definitions()))
 		r.rep.VerifyDiags = append(r.rep.VerifyDiags, diags...)
 	}
 
-	r.rep.SizeAfter = tti.ModuleSize(r.opts.Target, m)
+	r.rep.SizeAfter = tti.ModuleSize(r.opts.Target, r.m)
 	tm := r.opts.Merge.Timings
 	r.rep.Phases.Linearize = tm.Linearize
 	r.rep.Phases.Align = tm.Align

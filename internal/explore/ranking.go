@@ -30,7 +30,6 @@ import (
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
 	"fmsa/internal/lsh"
-	"fmsa/internal/par"
 )
 
 // RankingMode selects how candidate rankings are produced.
@@ -107,32 +106,10 @@ type lshState struct {
 }
 
 // newLSHState indexes sigs, the signatures of a freshly set-up pool, under
-// ids equal to their pool indices. Cold runs and session submits both build
-// their index here, once per run.
+// ids equal to their pool indices. Every run that ranks through LSH builds
+// its index here, once, in the setup step indexPool.
 func newLSHState(sigs []*fingerprint.Signature, workers int) *lshState {
 	return &lshState{idx: lsh.NewFromSignatures(lsh.DefaultParams(), sigs, workers), sigs: sigs}
-}
-
-// initLSH builds the LSH state when the run ranks through it and records
-// the fallback when RankLSH was requested on a pool below the cutoff.
-// Called from setup inside the Ranking-phase timer. A seeded run adopts the
-// index its session built over the same pool.
-func (r *runner) initLSH() {
-	if !useLSH(r.opts, len(r.pool)) {
-		if r.opts.Ranking == RankLSH {
-			r.rep.RankFallbacks++
-		}
-		return
-	}
-	if r.seed != nil {
-		r.lsh = r.seed.lsh
-		return
-	}
-	sigs := make([]*fingerprint.Signature, len(r.pool))
-	par.For(len(r.pool), r.workers, func(i int) {
-		sigs[i] = fingerprint.ComputeSignature(r.pool[i])
-	})
-	r.lsh = newLSHState(sigs, r.workers)
 }
 
 // probe returns the live pool indices sharing a band bucket with pool

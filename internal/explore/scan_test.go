@@ -170,7 +170,6 @@ func TestScanExactMatchesPoolOrderCorpus(t *testing.T) {
 				t.Fatalf("%s: setup list of %s: %s", p.Name, f.Name(), d)
 			}
 		}
-		r.setupCaches()
 		for len(r.worklist) > 0 {
 			f := r.worklist[0]
 			r.worklist = r.worklist[1:]

@@ -2,27 +2,32 @@ package explore
 
 // Warm-state merge sessions. A Session owns every cross-run artifact whose
 // validity survives a corpus edit — per-function fingerprints and MinHash
-// signatures, the encode interner feeding the seq caches, the stable-hash
-// content tables and the stored initial candidate rankings — and resubmits
-// pay only for what a delta touched:
+// signatures, the encode interner every run's per-function memo encodes
+// through, the stable-hash content tables and the stored initial candidate
+// rankings — and resubmits pay only for what a delta touched. A submit is
+// a cold run over cached per-function state: it drives Run's own setup
+// (newRunner, then the fill steps fingerprintPool, indexPool and rankPool in
+// explore.go) and hands each fill step what the session already has.
 //
-//  1. Diff. The submitted module is φ-demoted, its pool derived, and every
-//     pool function's canonical structural key computed. Names are classed
-//     unchanged / changed / added against the session table (byte-verified
-//     key equality on self-comparable bodies; anything weaker is treated
-//     as changed), and names that left the pool are removed.
-//  2. Fingerprint. Changed and added members are fingerprinted (and, in LSH
-//     mode, signed); unchanged members keep theirs. In LSH mode the submit
-//     then indexes the whole pool under pool indices — the very index a
-//     cold run builds, from cached signatures — and the run uses and drops
-//     it: a warm submit is a cold run over cached per-function state.
+//  1. Diff. The run's constructor φ-demotes the module and derives the
+//     pool; every pool function's canonical structural key is computed and
+//     its name classed unchanged / changed / added against the session
+//     table (byte-verified key equality on self-comparable bodies;
+//     anything weaker is treated as changed), and names that left the pool
+//     are removed.
+//  2. Fingerprint. Changed and added members are looked up in the store;
+//     the fingerprint step computes only the fingerprints still missing,
+//     and in LSH mode the index step signs only the members without a
+//     signature and indexes the whole pool — the very index a cold run
+//     builds — which the run uses and drops.
 //  3. Reconcile rankings. Stored initial candidate lists (kept at depth 2t
 //     so evictions cannot expose unstored candidates) are pruned of
 //     changed/removed members and offered the changed/added ones through
 //     the run's own bounded insert; lists that still hold the exact top-t
-//     seed the run and are stored back, the rest — plus all changed/added
-//     owners — are rescanned at setup and stored.
-//  4. Run. The runner executes the standard exploration with the seed; the
+//     seed the rank step and are stored back, the rest — plus all
+//     changed/added owners — are scanned by it, and the session stores
+//     them off the rank cache before the run consumes them.
+//  4. Run. The runner executes the standard exploration; the
 //     negative-attempt memo additionally skips (content, content, caller
 //     stats) attempt classes an earlier run already priced unprofitable,
 //     which on a small delta eliminates nearly all alignment and codegen.
@@ -41,14 +46,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fmsa/internal/encode"
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/global"
 	"fmsa/internal/ir"
 	"fmsa/internal/par"
-	"fmsa/internal/passes"
 	"fmsa/internal/simdb"
-	"fmsa/internal/tti"
 )
 
 // SessionConfig configures a Session.
@@ -137,24 +139,15 @@ type Session struct {
 
 // NewSession builds a session around pinned exploration options.
 func NewSession(cfg SessionConfig) (*Session, error) {
-	opts := cfg.Explore
-	if opts.Oracle {
+	if cfg.Explore.Oracle {
 		return nil, errors.New("explore: sessions do not support oracle mode")
 	}
-	if opts.Partition != nil {
+	if cfg.Explore.Partition != nil {
 		return nil, errors.New("explore: sessions do not support partitioned exploration")
 	}
-	if opts.Threshold <= 0 {
-		opts.Threshold = 1
-	}
-	if opts.Target == nil {
-		opts.Target = tti.X86{}
-	}
-	if opts.Merge.Interner == nil {
-		// Session-lived interning table: a warm submit re-encodes its pool
-		// against keys earlier submits already interned.
-		opts.Merge.Interner = encode.NewInterner()
-	}
+	// Normalizing here pins a session-lived interner: every submit encodes
+	// against the keys earlier submits already interned.
+	opts := cfg.Explore.normalized()
 	s := &Session{
 		cfg:     cfg,
 		opts:    opts,
@@ -191,9 +184,8 @@ const (
 // Submit explores m with whatever warm state the session holds, updates
 // the session to m's corpus, and returns the run report plus the delta
 // statistics. The module is φ-demoted and merged in place, exactly like
-// Run; the report's merge records are bit-identical to a cold run's.
-// (SizeBefore is measured after φ-demotion — a plain Run measures it
-// before — which only differs on modules that still contain φs.)
+// Run — the submit drives Run's own setup, seeded with the cached state —
+// and the report's merge records are bit-identical to a cold run's.
 //
 // With a Store, the store is flushed last. A flush error is returned with
 // the completed report: the session has already adopted m's corpus, the
@@ -206,22 +198,15 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	workers := par.Workers(s.opts.Workers)
-	delta := DeltaStats{Warm: s.submits > 0}
-	tDiff := time.Now()
-
-	// Diff: derive the pool from the φ-demoted module (the same scan
-	// setupSeeded performs — demotion is idempotent) and class every pool
-	// function against the session table by verified structural key.
-	passes.DemotePhisModule(m)
-	var pool []*ir.Func
-	for _, f := range m.Funcs {
-		if eligible(f, s.opts) {
-			pool = append(pool, f)
-		}
-	}
+	r := newRunner(m, s.opts)
+	r.keys, r.neg = s.keys, s.neg
+	pool, workers := r.pool, r.workers
 	n := len(pool)
-	delta.Funcs = n
+	delta := DeltaStats{Warm: s.submits > 0, Funcs: n}
+
+	// Diff: class every pool function against the session table by
+	// verified structural key.
+	tDiff := time.Now()
 	keysBuf := make([][]byte, n)
 	selfEqs := make([]bool, n)
 	hashes := make([]uint64, n)
@@ -267,63 +252,57 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 			delta.Removed++
 		}
 	}
-
-	// Fingerprint the changed/added subset.
 	var fresh []int32
 	for i := range pool {
 		if class[i] != clsUnchanged {
 			fresh = append(fresh, int32(i))
 		}
 	}
+	r.rep.Phases.Ranking += time.Since(tDiff)
+
+	// Look the changed/added subset up in the store: key byte equality
+	// means the stored fingerprint and signature are what a fresh
+	// computation would produce.
 	tFP := time.Now()
-	diffTime := tFP.Sub(tDiff)
 	var storeHits, storeMisses int64
-	par.For(len(fresh), workers, func(j int) {
-		i := fresh[j]
-		e := entriesByIdx[i]
-		if s.cfg.Store != nil {
+	if s.cfg.Store != nil {
+		par.For(len(fresh), workers, func(j int) {
+			e := entriesByIdx[fresh[j]]
 			if rec := s.cfg.Store.Lookup(e.hash, e.key); rec != nil {
-				// Key byte equality: the stored fingerprint and signature
-				// are what Compute/ComputeSignature would produce.
-				e.fp = rec.Fp
-				e.sig = rec.Sig
+				e.fp, e.sig = rec.Fp, rec.Sig
 				atomic.AddInt64(&storeHits, 1)
 			} else {
 				atomic.AddInt64(&storeMisses, 1)
 			}
-		}
-		if e.fp == nil {
-			e.fp = fingerprint.Compute(pool[i])
-		}
-	})
+		})
+	}
 	delta.StoreHits = int(storeHits)
 	delta.StoreMisses = int(storeMisses)
-	fpTime := time.Since(tFP)
-
-	// Ranking-mode decision. In LSH mode every member missing a signature
-	// (changed, added, or last ranked exactly) is signed, and the run's
-	// index is built over the whole pool, exactly as a cold run builds it.
-	tWarm := time.Now()
-	lshMode := useLSH(s.opts, n)
-	delta.ModeFlipped = delta.Warm && lshMode != s.lastLSH
-	var ls *lshState
-	if lshMode {
-		sigs := make([]*fingerprint.Signature, n)
-		par.For(n, workers, func(i int) {
-			e := entriesByIdx[i]
-			if e.sig == nil {
-				e.sig = fingerprint.ComputeSignature(pool[i])
-			}
-			sigs[i] = e.sig
-		})
-		ls = newLSHState(sigs, workers)
+	fps := make([]*fingerprint.Fingerprint, n)
+	sigs := make([]*fingerprint.Signature, n)
+	for i, e := range entriesByIdx {
+		fps[i], sigs[i] = e.fp, e.sig
 	}
+	r.rep.Phases.Fingerprint += time.Since(tFP)
+
+	// The run's setup computes only what the cache lacks: fingerprints of
+	// the fresh subset and, in LSH mode, signatures of every member without
+	// one (changed, added, or last ranked exactly), filled in place; the
+	// index covers the whole pool, exactly as a cold run builds it.
+	r.fingerprintPool(fps)
+	r.indexPool(sigs)
+	lshMode := r.lsh != nil
+	delta.ModeFlipped = delta.Warm && lshMode != s.lastLSH
 
 	// Persist the fresh subset: unchanged store records are no-ops inside
 	// Put, signature upgrades supersede unsigned ones. Names that left the
 	// pool are NOT tombstoned — the store is content-addressed and shared
 	// across sessions and corpora. The flush waits for the run, so one
 	// append also carries the run's keys and attempt entries.
+	tWarm := time.Now()
+	for i, e := range entriesByIdx {
+		e.fp, e.sig = fps[i], sigs[i]
+	}
 	if s.cfg.Store != nil {
 		for _, i := range fresh {
 			e := entriesByIdx[i]
@@ -336,48 +315,36 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	}
 
 	// Reconcile stored candidate lists into run seeds.
-	warmLists := delta.Warm && !delta.ModeFlipped && !delta.OrderBroken
+	warmLists := delta.Warm && !delta.ModeFlipped
 	if warmLists && !s.orderPreserved(pool, class) {
 		delta.OrderBroken = true
 		warmLists = false
 	}
 	seeds := make([]*rankList, n)
 	if warmLists {
-		s.reconcileLists(pool, class, entriesByIdx, idxOf, ls, seeds, workers)
+		s.reconcileLists(pool, class, entriesByIdx, idxOf, r.lsh, seeds, workers)
 	}
-	for i := range seeds {
-		if seeds[i] != nil {
+	r.rep.Phases.Ranking += time.Since(tWarm)
+
+	// Rank: only owners without a seed scan. Their lists are stored by
+	// name at depth 2t before the run starts to consume them.
+	r.rankPool(seeds)
+	tStore := time.Now()
+	for i, rl := range seeds {
+		if rl != nil {
 			delta.SeededLists++
 		} else {
-			entriesByIdx[i].list = nil
+			entriesByIdx[i].list = newWarmList(r.cache.lists[pool[i]])
 		}
 	}
 	delta.RescannedLists = n - delta.SeededLists
+	r.rep.Phases.Ranking += time.Since(tStore)
 
-	// Assemble the seed and run.
-	seed := &warmSeed{
-		fps:   make([]*fingerprint.Fingerprint, n),
-		lists: seeds,
-		lsh:   ls,
-		keys:  s.keys,
-		neg:   s.neg,
-	}
-	for i, e := range entriesByIdx {
-		seed.fps[i] = e.fp
-	}
-	seed.onScan = func(poolIdx int, rl *rankList) {
-		entriesByIdx[poolIdx].list = newWarmList(rl)
-	}
-	warmTime := time.Since(tWarm)
 	negHits := s.neg.hits.Load()
 	negStoreHits := s.neg.storeHits.Load()
-
-	rep := runSeeded(m, s.opts, seed)
-
+	rep := r.run()
 	delta.NegHits = s.neg.hits.Load() - negHits
 	delta.NegStoreHits = s.neg.storeHits.Load() - negStoreHits
-	rep.Phases.Ranking += diffTime + warmTime
-	rep.Phases.Fingerprint += fpTime
 
 	// Adopt the new corpus as the session state.
 	s.entries = newEntries

@@ -10,6 +10,8 @@ import (
 
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
+	"fmsa/internal/passes"
+	"fmsa/internal/tti"
 	"fmsa/internal/workload"
 )
 
@@ -554,6 +556,62 @@ func TestSessionModeFlipMatchesCold(t *testing.T) {
 				t.Fatalf("workers=%d step %d: merged modules differ", workers, i)
 			}
 		}
+	}
+}
+
+// phiModule holds two similar φ-bearing functions; exploration demotes
+// their φs before anything else.
+const phiModule = `
+define internal i32 @pa(i1 %c, i32 %x) {
+entry:
+  br i1 %c, label %l, label %r
+l:
+  %a = add i32 %x, 1
+  br label %j
+r:
+  %b = mul i32 %x, 3
+  br label %j
+j:
+  %p = phi i32 [ %a, %l ], [ %b, %r ]
+  ret i32 %p
+}
+
+define internal i32 @pb(i1 %c, i32 %x) {
+entry:
+  br i1 %c, label %l, label %r
+l:
+  %a = add i32 %x, 2
+  br label %j
+r:
+  %b = mul i32 %x, 5
+  br label %j
+j:
+  %p = phi i32 [ %a, %l ], [ %b, %r ]
+  ret i32 %p
+}
+`
+
+// TestSessionSizeBeforeMatchesRun: a submit measures SizeBefore where Run
+// does, before φ-demotion, so both report the same size for a φ-bearing
+// module.
+func TestSessionSizeBeforeMatchesRun(t *testing.T) {
+	opts := DefaultOptions()
+	run := Run(ir.MustParseModule("phi", phiModule), opts)
+	demoted := ir.MustParseModule("phi", phiModule)
+	passes.DemotePhisModule(demoted)
+	if tti.ModuleSize(opts.Target, demoted) == run.SizeBefore {
+		t.Fatal("fixture: φ-demotion leaves the module size unchanged")
+	}
+	s, err := NewSession(SessionConfig{Explore: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := s.Submit(ir.MustParseModule("phi", phiModule))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SizeBefore != run.SizeBefore {
+		t.Errorf("Submit SizeBefore %d, Run %d", rep.SizeBefore, run.SizeBefore)
 	}
 }
 

@@ -1,11 +1,11 @@
 package explore
 
 // Pure warm-session state: the content-key table and negative-attempt memo
-// shared across a session's runs, the name-keyed stored candidate lists a
-// delta submission reconciles instead of rescanning, and the seed structure
-// that carries all of it into a runner. Everything here is a pure function
-// of its inputs — the session orchestration (and all of its wall-clock
-// timing) lives in session.go.
+// shared across a session's runs, and the name-keyed stored candidate
+// lists a delta submission reconciles instead of rescanning. Everything
+// here is a pure function of its inputs — the session orchestration (and
+// all of its wall-clock timing) lives in session.go, and a submit hands
+// this state to the same run setup a cold Run uses (explore.go).
 //
 // Correctness contracts, in one place:
 //
@@ -50,7 +50,6 @@ import (
 
 	"fmsa/internal/align"
 	"fmsa/internal/core"
-	"fmsa/internal/fingerprint"
 	"fmsa/internal/global"
 	"fmsa/internal/ir"
 	"fmsa/internal/simdb"
@@ -281,31 +280,4 @@ func newWarmList(rl *rankList) *warmList {
 		wl.cands[i] = warmCand{name: c.fn.Name(), sim: c.sim, size: c.size}
 	}
 	return wl
-}
-
-// warmSeed carries one submission's precomputed warm state into a runner.
-// All per-function slices are parallel to the pool the runner derives from
-// the module — the session derives the identical pool first (same
-// eligibility scan over the same φ-demoted module) and the runner asserts
-// the lengths agree.
-type warmSeed struct {
-	// fps[i] is pool[i]'s fingerprint; the runner skips recomputation.
-	fps []*fingerprint.Fingerprint
-	// lists[i], when non-nil, is pool[i]'s reconciled initial candidate
-	// list — an exact prefix of its full ranking that holds at least t
-	// entries or is complete — freshly allocated for the run, which mutates
-	// it in place. nil entries are built by the setup scan.
-	lists []*rankList
-	// onScan receives every setup-built list at depth 2t, before
-	// truncation to t, so the session can store it. Invoked from
-	// par.For with distinct pool indices; it must touch only
-	// per-owner state.
-	onScan func(poolIdx int, rl *rankList)
-	// lsh, when non-nil, is the run's LSH index, which the session built
-	// over this pool from its cached signatures and probed while
-	// reconciling lists; the run adopts it as a cold run adopts its own.
-	lsh *lshState
-	// keys and neg are the session-lived content tables.
-	keys *keyTable
-	neg  *negMemo
 }
